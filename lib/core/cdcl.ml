@@ -1384,11 +1384,12 @@ let check_watches s =
 
 (* --- lookahead probing ----------------------------------------------------
 
-   The cube generator (Sat.Cube) drives the watcher-based propagator
-   directly: open a scratch decision level, enqueue one literal,
-   propagate to fixpoint, measure what happened, undo.  Nothing here
-   learns clauses or touches the heuristic state, so a probe is exactly
-   one propagation pass — the march lookahead cost model. *)
+   Cube generation, failed-literal probing, recursive learning and
+   Stålmarck saturation drive the watcher-based propagator directly:
+   open a scratch decision level, enqueue one literal, propagate to
+   fixpoint, measure what happened, undo.  Nothing here learns clauses
+   or touches the heuristic state, so a probe is exactly one propagation
+   pass — the march lookahead cost model. *)
 
 type probe = Probe_conflict | Probe_ok of int * int
 
@@ -1438,6 +1439,16 @@ let probe_assert s l =
           if decision_level s = 0 then s.ok <- false;
           false
         | None -> true)
+
+(* level and reason are stale once a variable is unassigned (see
+   [cancel_until]), hence the assignment guards *)
+let var_level s v = if s.assign.(v) < 0 then -1 else s.level.(v)
+
+let iter_reason s v f =
+  if s.assign.(v) >= 0 then
+    Array.iter
+      (fun l -> if Lit.var l <> v then f (Lit.negate l))
+      s.reason.(v).lits
 
 let var_activity s v =
   if v < 0 || v >= s.nvars then 0. else s.activity.(v)

@@ -211,12 +211,18 @@ val last_partial_assignment : t -> int array option
 
 (** {2 Lookahead probing}
 
-    Primitives for march-style lookahead ({!module:Cube}): drive the
-    watcher-based propagator one literal at a time, measure the
-    propagation it causes, and undo it.  Probing never learns clauses,
-    never touches the branching heuristic and never counts conflicts —
-    its cost is pure propagation work.  Legal only between [solve]
-    calls; the prober owns the solver's decision levels. *)
+    Primitives that drive the watcher-based propagator one literal at a
+    time, measure the propagation it causes, and undo it.  They are the
+    single deduction engine of five callers: march-style lookahead
+    ({!module:Cube}), the probe-density feature of {!module:Autotune},
+    failed-literal probing in {!module:Preprocess}, case splits in
+    {!module:Recursive_learning}, and the dilemma rule of
+    {!module:Stalmarck}.  {!var_level} and {!iter_reason} expose the
+    implication graph the last two walk to explain a derived literal.
+    Probing never learns clauses, never touches the branching heuristic
+    and never counts conflicts — its cost is pure propagation work.
+    Legal only between [solve] calls; the prober owns the solver's
+    decision levels. *)
 
 type probe =
   | Probe_conflict
@@ -263,6 +269,21 @@ val probe_assert : t -> Cnf.Lit.t -> bool
     refutes the formula ({!consistent} becomes [false]); above level 0
     the caller must abandon the current prefix ({!probe_pop} through its
     levels) — the trail above the last consistent level is poisoned. *)
+
+val var_level : t -> int -> int
+(** The decision level at which an assigned variable got its value
+    ([0] for root facts, [k] for the [k]-th open {!probe_push} level).
+    Valid for assigned variables only: backtracking leaves levels
+    stale, so an unassigned variable reports [-1]. *)
+
+val iter_reason : t -> int -> (Cnf.Lit.t -> unit) -> unit
+(** [iter_reason s v f] applies [f] to each antecedent of the assigned
+    variable [v]: the negation of every other literal of the clause
+    that implied [v], all true now.  Does nothing for decisions, probe
+    roots and asserted units (unit clauses of the formula included),
+    which have no reason clause.  Valid for assigned variables only:
+    backtracking leaves reasons stale, so an unassigned variable has no
+    antecedents. *)
 
 val var_activity : t -> int -> float
 (** The VSIDS activity of a variable — lets a conquer scheduler split a

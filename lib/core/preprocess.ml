@@ -500,27 +500,25 @@ let bve_pass s ~frozen ~clause_cap ~occ_cap =
   !changed
 
 let probe s =
-  let f = Cnf.Formula.of_clauses ~nvars:s.nvars s.clauses in
-  let bcp = Bcp.create f in
-  if not (Bcp.is_consistent bcp) then raise Found_unsat;
+  let solver = Cdcl.create (Cnf.Formula.of_clauses ~nvars:s.nvars s.clauses) in
+  if not (Cdcl.propagate_root solver) then raise Found_unsat;
+  let survives l =
+    match Cdcl.probe_push solver l with
+    | Cdcl.Probe_ok _ ->
+      Cdcl.probe_pop solver;
+      true
+    | Cdcl.Probe_conflict -> false
+  in
   let changed = ref false in
+  let fold_back l =
+    fix_lit s `Failed l;
+    if not (Cdcl.probe_assert solver l) then raise Found_unsat;
+    changed := true
+  in
   for v = 0 to s.nvars - 1 do
-    if s.assign.(v) < 0 && Bcp.value_var bcp v < 0 then begin
-      let mark = Bcp.checkpoint bcp in
-      let pos_ok =
-        match Bcp.assume bcp (Lit.pos v) with
-        | Some _ ->
-          Bcp.backtrack bcp mark;
-          true
-        | None -> false
-      in
-      let neg_ok =
-        match Bcp.assume bcp (Lit.neg_of_var v) with
-        | Some _ ->
-          Bcp.backtrack bcp mark;
-          true
-        | None -> false
-      in
+    if s.assign.(v) < 0 && Cdcl.value_var solver v < 0 then begin
+      let pos_ok = survives (Lit.pos v) in
+      let neg_ok = survives (Lit.neg_of_var v) in
       match pos_ok, neg_ok with
       | false, false ->
         (* both phases fail: [v] is RUP (assuming ¬v propagates to a
@@ -528,24 +526,19 @@ let probe s =
            and the Found_unsat handler's empty clause is RUP too *)
         s.emit (Types.Add (Clause.of_list [ Lit.pos v ]));
         raise Found_unsat
-      | false, true ->
-        fix_lit s `Failed (Lit.neg_of_var v);
-        ignore (Bcp.add_unit bcp (Lit.neg_of_var v));
-        if not (Bcp.is_consistent bcp) then raise Found_unsat;
-        changed := true
-      | true, false ->
-        fix_lit s `Failed (Lit.pos v);
-        ignore (Bcp.add_unit bcp (Lit.pos v));
-        if not (Bcp.is_consistent bcp) then raise Found_unsat;
-        changed := true
+      | false, true -> fold_back (Lit.neg_of_var v)
+      | true, false -> fold_back (Lit.pos v)
       | true, true -> ()
     end
   done;
   !changed
 
+(* most occurrences per polarity of an elimination candidate *)
+let elim_occ_cap = 10
+
 let run ?(subsumption = true) ?(strengthen = true) ?pures
     ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
-    ?(elim_clause_cap = 8) ?(elim_occ_cap = 10) ?proof f =
+    ?(elim_clause_cap = 8) ?proof f =
   (* Pure-literal fixes are RAT but not RUP, so they cannot enter the
      DRAT stream this pipeline emits: with a proof sink, [pures]
      defaults to — and must be — off. *)

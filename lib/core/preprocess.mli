@@ -16,7 +16,7 @@
     elimination is committed only when the resolvent set is no larger
     than the set of clauses removed, no resolvent exceeds
     [elim_clause_cap] literals, and neither polarity of [v] occurs more
-    than [elim_occ_cap] times.  Backward subsumption and self-subsuming
+    than 10 times.  Backward subsumption and self-subsuming
     resolution run interleaved on a queue of touched (freshly inserted)
     clauses, so resolvents are immediately simplified against the rest
     of the database.
@@ -99,7 +99,6 @@ val run :
   ?elim:bool ->
   ?frozen:int list ->
   ?elim_clause_cap:int ->
-  ?elim_occ_cap:int ->
   ?proof:(Types.proof_step -> unit) ->
   Cnf.Formula.t ->
   result
@@ -107,9 +106,9 @@ val run :
     variable elimination on; probing off; [frozen = []];
     [elim_clause_cap = 8] (longest resolvent committed — long resolvents
     also make poor watch-list citizens, so the cap is deliberately
-    tighter than the subsumption limits);
-    [elim_occ_cap = 10] (most occurrences per polarity of an
-    elimination candidate).
+    tighter than the subsumption limits).  The occurrence bound is a
+    constant: at most 10 occurrences per polarity of an elimination
+    candidate.
 
     [frozen] lists variables bounded elimination must not touch.
     Freeze every variable that later clauses or assumptions may

@@ -11,7 +11,13 @@
     circuit recursive learning that the paper emphasises).
 
     Depth [k] recursion performs nested case splits inside branches that
-    are not conclusive on their own. *)
+    are not conclusive on their own.
+
+    Branches run on the watcher-based propagator of {!module:Cdcl}: the
+    assumptions share one decision level, each branch probes on the
+    level above its parent ({!Cdcl.probe_push}), and an explanation
+    walks the implication graph ({!Cdcl.iter_reason}) down to the
+    parent's level ({!Cdcl.var_level}). *)
 
 type result = {
   necessary : Cnf.Lit.t list;
@@ -25,15 +31,10 @@ type result = {
 }
 
 val learn :
-  ?assumptions:Cnf.Lit.t list ->
-  ?depth:int ->
-  ?max_clause_size:int ->
-  ?max_passes:int ->
-  Cnf.Formula.t ->
-  result
-(** Defaults: no assumptions, depth 1, clauses up to size 8, 4 passes
-    (each pass re-examines clauses with the newly derived assignments in
-    force). *)
+  ?assumptions:Cnf.Lit.t list -> ?depth:int -> Cnf.Formula.t -> result
+(** Defaults: no assumptions, depth 1.  Fixed bounds: only clauses of
+    up to 8 literals are split, and at most 4 passes run (each pass
+    re-examines clauses with the newly derived assignments in force). *)
 
 val strengthen :
   ?depth:int -> Cnf.Formula.t -> Cnf.Formula.t * result

@@ -6,78 +6,68 @@ type result =
 
 exception Contradiction
 
+let span s i j = List.init (j - i) (fun k -> Cdcl.trail_get s (i + k))
+
 (* One depth-k saturation round over every variable; returns true when
    some new literal was asserted.  Raises [Contradiction] when both
    branches of some split conflict. *)
-let rec round bcp ~depth =
+let rec round s ~depth =
   let progress = ref false in
-  for v = 0 to Bcp.nvars bcp - 1 do
-    if Bcp.value_var bcp v < 0 then begin
+  let assert_lit l =
+    if not (Cdcl.probe_assert s l) then raise Contradiction;
+    progress := true
+  in
+  for v = 0 to Cdcl.nvars s - 1 do
+    if Cdcl.value_var s v < 0 then begin
       let branch l =
-        let mark = Bcp.checkpoint bcp in
-        match Bcp.assume bcp l with
-        | None -> None
-        | Some implied ->
+        match Cdcl.probe_push s l with
+        | Cdcl.Probe_conflict -> None
+        | Cdcl.Probe_ok (mark, _) ->
+          (* saturate recursively inside the branch, then take
+             everything implied since the split.  Nested branches pop
+             their own levels, so a contradiction leaves exactly this
+             one open. *)
           let implied =
-            if depth <= 1 then implied
-            else begin
-              (* saturate recursively inside the branch *)
-              (try
-                 while round bcp ~depth:(depth - 1) do
-                   ()
-                 done
-               with Contradiction ->
-                 Bcp.backtrack bcp mark;
-                 raise Exit);
-              (* everything implied since the split *)
-              List.filteri (fun i _ -> i >= mark) (Bcp.trail bcp)
-            end
+            match
+              while depth > 1 && round s ~depth:(depth - 1) do
+                ()
+              done
+            with
+            | () -> Some (span s mark (Cdcl.trail_size s))
+            | exception Contradiction -> None
           in
-          Bcp.backtrack bcp mark;
-          Some implied
+          Cdcl.probe_pop s;
+          implied
       in
-      let pos = (try branch (Lit.pos v) with Exit -> None) in
-      let neg = (try branch (Lit.neg_of_var v) with Exit -> None) in
+      let pos = branch (Lit.pos v) in
+      let neg = branch (Lit.neg_of_var v) in
       match pos, neg with
       | None, None -> raise Contradiction
-      | None, Some _ ->
-        if not (Bcp.add_unit bcp (Lit.neg_of_var v)) then raise Contradiction;
-        progress := true
-      | Some _, None ->
-        if not (Bcp.add_unit bcp (Lit.pos v)) then raise Contradiction;
-        progress := true
+      | None, Some _ -> assert_lit (Lit.neg_of_var v)
+      | Some _, None -> assert_lit (Lit.pos v)
       | Some il, Some ir ->
         (* dilemma: assignments implied by both branches are necessary *)
-        let common = List.filter (fun l -> List.mem l ir) il in
         List.iter
-          (fun l ->
-             if Bcp.value bcp l < 0 then begin
-               if not (Bcp.add_unit bcp l) then raise Contradiction;
-               progress := true
-             end)
-          common
+          (fun l -> if List.mem l ir && Cdcl.value s l < 0 then assert_lit l)
+          il
     end
   done;
   !progress
 
 let saturate ?(depth = 1) f =
-  let bcp = Bcp.create f in
-  if not (Bcp.is_consistent bcp) then Refuted 0
+  let s = Cdcl.create f in
+  if not (Cdcl.propagate_root s) then Refuted 0
   else begin
     let rec try_depth d =
-      if d > depth then
-        Saturated (Bcp.trail bcp)
+      if d > depth then Saturated (span s 0 (Cdcl.trail_size s))
       else
         match
-          (try
-             while round bcp ~depth:d do
-               ()
-             done;
-             `Saturated
-           with Contradiction -> `Refuted)
+          while round s ~depth:d do
+            ()
+          done
         with
-        | `Refuted -> Refuted d
-        | `Saturated -> try_depth (d + 1)
+        | () -> try_depth (d + 1)
+        | exception Contradiction -> Refuted d
     in
     try_depth 1
   end

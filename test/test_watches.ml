@@ -109,9 +109,138 @@ let property_300 () =
           then Alcotest.failf "seed %d: model leaves a clause false" seed)
   done
 
+(* --- the lookahead probing API ------------------------------------------ *)
+
+module C = Sat.Cdcl
+
+let prober cls =
+  let s = C.create (Th.formula_of cls) in
+  Alcotest.(check bool) "root consistent" true (C.propagate_root s);
+  s
+
+let span s i j =
+  List.init (j - i) (fun k -> Cnf.Lit.to_dimacs (C.trail_get s (i + k)))
+
+let trail s = span s 0 (C.trail_size s)
+
+(* the span a probe implies; [None] when it conflicted *)
+let try_push s l =
+  match C.probe_push s (Th.lit l) with
+  | C.Probe_ok (i, j) -> Some (span s i j)
+  | C.Probe_conflict -> None
+
+let push s l =
+  match try_push s l with
+  | Some implied -> implied
+  | None -> Alcotest.failf "probe %d conflicted" l
+
+let assert_lit s l = C.probe_assert s (Th.lit l)
+let ints = Alcotest.(list int)
+let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+let chain () = prober [ [ -1; 2 ]; [ -2; 3 ]; [ -3; 4 ] ]
+
+let probe_chain () =
+  let s = chain () in
+  Alcotest.check ints "span is the chain in order" [ 1; 2; 3; 4 ] (push s 1);
+  check_int "one scratch level" 1 (C.decision_level s)
+
+let probe_conflict_pops () =
+  let s = prober [ [ -1; 2 ]; [ -1; -2 ]; [ 3; 4 ] ] in
+  check_bool "1 is a failed literal" true (try_push s 1 = None);
+  check_int "level popped" 0 (C.decision_level s);
+  check_int "trail empty" 0 (C.trail_size s);
+  check_int "1 unassigned" (-1) (C.value s (Th.lit 1));
+  check_bool "still consistent" true (C.consistent s)
+
+let probe_repeat_after_pop () =
+  let s = chain () in
+  let first = push s 1 in
+  C.probe_pop s;
+  Alcotest.check ints "trail restored" [] (trail s);
+  Alcotest.check ints "same span again" first (push s 1);
+  C.probe_pop s;
+  Alcotest.check ints "backward chain" [ -4; -3; -2; -1 ] (push s (-4));
+  C.probe_pop s;
+  C.probe_pop s;
+  check_int "pop at level 0 is a no-op" 0 (C.decision_level s)
+
+let probe_root_units () =
+  let s = prober [ [ 1 ]; [ -1; 2 ]; [ 3; 4 ] ] in
+  Alcotest.check ints "root trail" [ 1; 2 ] (trail s);
+  check_int "root fact level" 0 (C.var_level s 0);
+  Alcotest.check ints "already-true literal: empty span" [] (push s 2);
+  C.probe_pop s;
+  check_bool "false root literal conflicts" true (try_push s (-1) = None);
+  check_bool "root assert" true (assert_lit s 3);
+  Alcotest.check ints "asserted unit stays" [ 1; 2; 3 ] (trail s)
+
+let probe_root_conflict () =
+  let s = C.create (Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2 ] ]) in
+  check_bool "refuted by propagation" false (C.propagate_root s);
+  check_bool "inconsistent" false (C.consistent s);
+  check_bool "assert refused" false (assert_lit s 3);
+  let s = prober [ [ -1; 2 ]; [ -1; -2 ] ] in
+  check_bool "failing root assert" false (assert_lit s 1);
+  check_bool "refuted by the assert" false (C.consistent s)
+
+let probe_assert_above_root () =
+  let s = prober [ [ -1; -2; 3 ]; [ -3; -4 ]; [ 5; 6 ] ] in
+  ignore (push s 1);
+  check_bool "assert 2 implies 3" true (assert_lit s 2);
+  check_int "3 on the probe level" 1 (C.var_level s 2);
+  check_bool "assert 4 conflicts" false (assert_lit s 4);
+  check_bool "only the prefix is poisoned" true (C.consistent s);
+  C.probe_pop s;
+  Alcotest.check ints "trail clean" [] (trail s);
+  Alcotest.check ints "prefix reusable" [ 4; -3 ] (push s 4)
+
+let probe_nested_levels () =
+  let s = prober [ [ -1; 2 ]; [ -3; 4 ]; [ -2; -4; 5 ] ] in
+  let levels () = List.init 5 (C.var_level s) in
+  Alcotest.check ints "outer" [ 1; 2 ] (push s 1);
+  Alcotest.check ints "inner sees the outer prefix" [ 3; 4; 5 ] (push s 3);
+  Alcotest.check ints "levels by variable" [ 1; 1; 2; 2; 2 ] (levels ());
+  C.probe_pop s;
+  Alcotest.check ints "inner level undone" [ 1; 1; -1; -1; -1 ] (levels ());
+  Alcotest.check ints "outer span kept" [ 1; 2 ] (trail s)
+
+(* Figure 4 of the paper: w1 = (u + x + ~w), w2 = (x + ~y),
+   w3 = (w + y + ~z), with u, x, y, z, w as DIMACS variables 1..5 *)
+let probe_reasons_fig4 () =
+  let u = 1 and x = 2 and y = 3 and z = 4 and w = 5 in
+  let s = prober [ [ u; x; -w ]; [ x; -y ]; [ w; y; -z ] ] in
+  let reason v =
+    let acc = ref [] in
+    C.iter_reason s (v - 1) (fun l -> acc := Cnf.Lit.to_dimacs l :: !acc);
+    List.sort compare !acc
+  in
+  ignore (push s z);
+  check_bool "assumption u=0" true (assert_lit s (-u));
+  Alcotest.check ints "branch w" [ w; x ] (push s w);
+  check_int "x on the branch level" 2 (C.var_level s (x - 1));
+  check_int "u on the assumption level" 1 (C.var_level s (u - 1));
+  Alcotest.check ints "x rests on ~u and w (clause w1)" [ -u; w ] (reason x);
+  Alcotest.check ints "probe root has no reason" [] (reason w);
+  Alcotest.check ints "asserted unit has no reason" [] (reason u);
+  Alcotest.check ints "first probe has no reason" [] (reason z);
+  C.probe_pop s;
+  check_int "unassigned: no level" (-1) (C.var_level s (x - 1));
+  Alcotest.check ints "unassigned: no reason" [] (reason x);
+  Alcotest.check ints "branch y" [ y; x ] (push s y);
+  Alcotest.check ints "x rests on y (clause w2)" [ y ] (reason x)
+
 let suite =
   [
     Th.case "watch invariant across configs" invariant_after_solve;
     Th.case "watch invariant under deletion churn" invariant_under_churn;
     Th.case "300-instance sweep vs pre-overhaul answers + dpll" property_300;
+    Th.case "probe: propagation chain" probe_chain;
+    Th.case "probe: conflict pops the level" probe_conflict_pops;
+    Th.case "probe: re-probe after pop" probe_repeat_after_pop;
+    Th.case "probe: root units" probe_root_units;
+    Th.case "probe: root conflict" probe_root_conflict;
+    Th.case "probe: assert conflict above level 0" probe_assert_above_root;
+    Th.case "probe: nested levels" probe_nested_levels;
+    Th.case "probe: var_level and iter_reason on figure 4" probe_reasons_fig4;
   ]
