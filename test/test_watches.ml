@@ -235,12 +235,17 @@ let suite =
     Th.case "watch invariant across configs" invariant_after_solve;
     Th.case "watch invariant under deletion churn" invariant_under_churn;
     Th.case "300-instance sweep vs pre-overhaul answers + dpll" property_300;
-    Th.case "probe: propagation chain" probe_chain;
-    Th.case "probe: conflict pops the level" probe_conflict_pops;
-    Th.case "probe: re-probe after pop" probe_repeat_after_pop;
-    Th.case "probe: root units" probe_root_units;
-    Th.case "probe: root conflict" probe_root_conflict;
-    Th.case "probe: assert conflict above level 0" probe_assert_above_root;
-    Th.case "probe: nested levels" probe_nested_levels;
-    Th.case "probe: var_level and iter_reason on figure 4" probe_reasons_fig4;
+  ]
+
+(* propagation as the probing algorithms see it, through the probe API *)
+let bcp_suite =
+  [
+    Th.case "propagation chain" probe_chain;
+    Th.case "conflict detection" probe_conflict_pops;
+    Th.case "checkpoints restore" probe_repeat_after_pop;
+    Th.case "root units" probe_root_units;
+    Th.case "root conflict" probe_root_conflict;
+    Th.case "probe_assert above level 0" probe_assert_above_root;
+    Th.case "nested levels" probe_nested_levels;
+    Th.case "reasons on figure 4" probe_reasons_fig4;
   ]
