@@ -89,9 +89,6 @@ type t = {
   (* absolute per-call thresholds, set at [solve] entry *)
   mutable conflict_budget : int option;
   mutable decision_budget : int option;
-  (* cooperative interruption: set from any domain, consumed by the
-     search loop of the domain running [solve] *)
-  interrupted : bool Atomic.t;
   mutable on_learn : (Cnf.Lit.t list -> int -> unit) option;
   mutable on_restart : (unit -> unit) option;
   (* observability: both default to [None]; every emission site guards
@@ -118,9 +115,6 @@ let set_tracer s tr = s.tracer <- tr
 let set_instruments s ins = s.instruments <- ins
 let set_metrics s m = s.metrics <- m
 let inprocess_stats s = s.inp
-let interrupt s = Atomic.set s.interrupted true
-let interrupt_requested s = Atomic.get s.interrupted
-let clear_interrupt s = Atomic.set s.interrupted false
 let nvars s = s.nvars
 let decision_level s = Vec.size s.trail_lim
 
@@ -1107,7 +1101,6 @@ let create ?(config = Types.default) formula =
       proof = [];
       conflict_budget = None;
       decision_budget = None;
-      interrupted = Atomic.make false;
       on_learn = None;
       on_restart = None;
       tracer = None;
@@ -1224,7 +1217,14 @@ let decide_step s =
       Continue
   end
 
-let solve_loop s assumptions =
+(* [stop] is read once per loop iteration (an atomic load, no clock);
+   [deadline] only on the conflict path, next to the budgets.  With both
+   absent the loop reads no clock and allocates nothing for them. *)
+let stopped = function Some tok -> Atomic.get tok | None -> false
+
+let past = function Some d -> Monotime.now_s () >= d | None -> false
+
+let solve_loop s assumptions ~stop ~deadline =
   (* level-0 boundary hook (clause import, etc.) before the search starts *)
   (match s.on_restart with Some h when s.ok -> h () | _ -> ());
   maybe_inprocess s;
@@ -1244,12 +1244,7 @@ let solve_loop s assumptions =
     let limit = ref (restart_limit s 0) in
     let result = ref None in
     while !result = None do
-      if Atomic.get s.interrupted then begin
-        (* consume the request: the next [solve] runs normally *)
-        Atomic.set s.interrupted false;
-        s.stats.interrupts <- s.stats.interrupts + 1;
-        result := Some (Types.Unknown "interrupted")
-      end
+      if stopped stop then result := Some (Types.Unknown "interrupted")
       else
         match propagate s with
         | Some confl -> begin
@@ -1259,6 +1254,7 @@ let solve_loop s assumptions =
             | Continue ->
               maybe_reduce s;
               if budget_exceeded s then result := Some (Types.Unknown "budget")
+              else if past deadline then result := Some (Types.Unknown "timeout")
               else if !conflicts_here >= !limit then begin
                 (* randomized restart (Sec. 6) *)
                 incr restart_num;
@@ -1290,7 +1286,8 @@ let solve_loop s assumptions =
     Option.get !result
   end
 
-let solve ?(assumptions = []) ?max_conflicts ?max_decisions s =
+let solve ?(assumptions = []) ?max_conflicts ?max_decisions ?stop ?deadline s
+  =
   (* per-call budgets are relative to this call's starting counters, so a
      budgeted [Unknown] never poisons later queries on the same solver *)
   s.conflict_budget <-
@@ -1302,7 +1299,15 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions s =
   (match s.tracer with
    | Some tr -> Trace.emit tr (Trace.Solve_begin { query })
    | None -> ());
-  let outcome = solve_loop s assumptions in
+  let outcome =
+    if stopped stop then Types.Unknown "interrupted"
+    else if past deadline then Types.Unknown "timeout"
+    else solve_loop s assumptions ~stop ~deadline
+  in
+  (match outcome with
+   | Types.Unknown ("interrupted" | "timeout") ->
+     s.stats.interrupts <- s.stats.interrupts + 1
+   | _ -> ());
   (match s.tracer with
    | Some tr ->
      Trace.emit tr

@@ -73,25 +73,6 @@ val import_clause : ?lbd:int -> t -> Cnf.Lit.t list -> unit
     the [imported] field of {!Types.stats}.  Legal between [solve] calls and from a
     {!set_restart_hook} callback (both are level-0 boundaries). *)
 
-val interrupt : t -> unit
-(** Requests cooperative interruption of the running (or next) [solve]
-    call.  Safe to call from any domain.  The search loop checks the
-    flag once per iteration and returns [Unknown "interrupted"], leaving
-    the solver at level 0 and fully reusable; the request is consumed,
-    so a subsequent [solve] runs to completion.  Counted in the
-    [interrupts] field of {!Types.stats}. *)
-
-val interrupt_requested : t -> bool
-(** [true] while an {!interrupt} request is pending (not yet consumed by
-    a [solve] loop iteration). *)
-
-val clear_interrupt : t -> unit
-(** Withdraws a pending {!interrupt} request.  For session pools: a
-    cancellation that races with the end of the solve it meant to stop
-    would otherwise leave the flag set and spuriously abort the {e next}
-    query on the same solver.  Only the owner of the solver (the worker
-    that knows no solve is running) may call this. *)
-
 val set_learn_hook : t -> (Cnf.Lit.t list -> int -> unit) option -> unit
 (** [set_learn_hook s (Some h)] makes the solver call [h lits lbd] once
     for every recorded learned clause (unit learned clauses report
@@ -148,6 +129,8 @@ val solve :
   ?assumptions:Cnf.Lit.t list ->
   ?max_conflicts:int ->
   ?max_decisions:int ->
+  ?stop:bool Atomic.t ->
+  ?deadline:float ->
   t ->
   Types.outcome
 (** Runs the search.  The solver backtracks to level 0 afterwards and can
@@ -156,7 +139,24 @@ val solve :
     [max_conflicts] / [max_decisions] bound {e this call only} — they are
     measured from the call's starting counters, unlike the lifetime
     budgets in {!Types.config}.  A budgeted call returns
-    [Unknown "budget"] and leaves the solver reusable. *)
+    [Unknown "budget"] and leaves the solver reusable.
+
+    [stop] is a cancellation token owned by the caller.  The solver reads
+    it and never writes it, so one token may stop any number of solvers
+    on any number of domains.  Once it is true the call returns
+    [Unknown "interrupted"] at its next search-loop iteration, or at once
+    if it was already true on entry.  A token stays set: a later call
+    passing the same token stops at once too.
+
+    [deadline] is an absolute {!Monotime.now_s} instant.  It is checked
+    on entry and after each conflict, next to the budgets; once it has
+    passed the call returns [Unknown "timeout"].  A search that finds no
+    conflict does not read the clock.
+
+    Without [stop] and [deadline] the search loop reads no clock and
+    allocates nothing for them.  A stopped or timed-out call leaves the
+    solver at level 0 and reusable, and counts in the [interrupts] field
+    of {!Types.stats}. *)
 
 val stats : t -> Types.stats
 (** Cumulative across [solve] calls; snapshot with {!Types.copy_stats}

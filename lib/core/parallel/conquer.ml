@@ -111,7 +111,7 @@ let pick_split sess cube =
   done;
   Option.map snd !best
 
-let conquer ~opts ~t0 ~la f =
+let conquer ~opts ~t0 ~deadline ~la f =
   (match opts.metrics with
    | Some m -> Metrics.phase_begin m "cube/conquer"
    | None -> ());
@@ -126,7 +126,10 @@ let conquer ~opts ~t0 ~la f =
   let outstanding = Atomic.make (List.length la.Cube.cubes) in
   let splits = Atomic.make 0 in
   let solved = Atomic.make 0 in
-  let finished = Atomic.make false in
+  (* the caller's token, or a fresh one, doubles as the finish flag:
+     every cube query reads it, and [declare] sets it *)
+  let stop = Option.value opts.stop ~default:(Atomic.make false) in
+  let timed_out = Atomic.make false in
   let lock = Mutex.create () in
   let decided = ref None in
   let configs =
@@ -153,8 +156,7 @@ let conquer ~opts ~t0 ~la f =
     Mutex.lock lock;
     if !decided = None then decided := Some o;
     Mutex.unlock lock;
-    Atomic.set finished true;
-    Array.iter Session.interrupt sessions
+    Atomic.set stop true
   in
   let worker_regs =
     match opts.metrics with
@@ -198,10 +200,10 @@ let conquer ~opts ~t0 ~la f =
       Cdcl.set_restart_hook s
         (Some
            (fun () ->
-              let fresh, stop =
+              let fresh, next =
                 Portfolio.Pool.drain pool ~cursor:!cursor ~self:i
               in
-              cursor := stop;
+              cursor := next;
               List.iter
                 (fun e ->
                    Cdcl.import_clause ~lbd:e.Portfolio.Pool.lbd s
@@ -229,7 +231,10 @@ let conquer ~opts ~t0 ~la f =
     let budget =
       if e.unbounded then None else Some (opts.cutoff * (1 lsl min e.gen 16))
     in
-    let o = Session.solve ?max_conflicts:budget ~assumptions:e.lits sess in
+    let o =
+      Session.solve ?max_conflicts:budget ~stop ?deadline ~assumptions:e.lits
+        sess
+    in
     if worker_sinks <> [||] then
       Trace.emit worker_sinks.(i)
         (Trace.Cube_solve
@@ -246,9 +251,10 @@ let conquer ~opts ~t0 ~la f =
       if Atomic.fetch_and_add outstanding (-1) = 1 then
         (* that was the last open cube: the cover is exhausted *)
         declare Types.Unsat
-    | Types.Unknown "interrupted" ->
-      Session.clear_interrupt sess;
-      Deque.push deques.(i) e
+    | Types.Unknown "interrupted" -> () (* the run is over *)
+    | Types.Unknown "timeout" ->
+      Atomic.set timed_out true;
+      Atomic.set stop true
     | Types.Unknown _ when budget = None ->
       (* no per-cube budget was set, so the limit came from the user's
          config; requeueing would loop forever — report it globally *)
@@ -275,7 +281,7 @@ let conquer ~opts ~t0 ~la f =
   let worker i =
     let sess = sessions.(i) in
     let rec loop () =
-      if Atomic.get finished then ()
+      if Atomic.get stop then ()
       else
         match try_pop i with
         | Some e ->
@@ -289,39 +295,8 @@ let conquer ~opts ~t0 ~la f =
     in
     loop ()
   in
-  let mon_stop = Atomic.make false in
-  let timed_out = Atomic.make false in
-  let monitor =
-    match (opts.timeout, opts.stop) with
-    | None, None -> None
-    | _ ->
-      let deadline = Option.map (fun s -> t0 +. s) opts.timeout in
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get mon_stop) do
-               let fire_timeout =
-                 match deadline with
-                 | Some d -> Unix.gettimeofday () >= d
-                 | None -> false
-               in
-               let fire_stop =
-                 match opts.stop with
-                 | Some a -> Atomic.get a
-                 | None -> false
-               in
-               if fire_timeout then Atomic.set timed_out true;
-               if fire_timeout || fire_stop then begin
-                 Atomic.set finished true;
-                 (* keep pressing: requests are consumed per solve *)
-                 Array.iter Session.interrupt sessions
-               end;
-               Unix.sleepf 0.005
-             done))
-  in
   let domains = Array.init jobs (fun i -> Domain.spawn (fun () -> worker i)) in
   Array.iter Domain.join domains;
-  Atomic.set mon_stop true;
-  Option.iter Domain.join monitor;
   let outcome =
     match !decided with
     | Some (Types.Sat _ as sat) -> validate_sat f sat
@@ -365,6 +340,9 @@ let conquer ~opts ~t0 ~la f =
 
 let solve ?(options = default_options) f =
   let t0 = Unix.gettimeofday () in
+  let deadline =
+    Option.map (fun secs -> Monotime.now_s () +. secs) options.timeout
+  in
   let opts =
     { options with
       jobs = max 1 options.jobs;
@@ -385,4 +363,4 @@ let solve ?(options = default_options) f =
       stats = Types.copy_stats la.Cube.stats;
       time_seconds = Unix.gettimeofday () -. t0;
     }
-  | None -> conquer ~opts ~t0 ~la f
+  | None -> conquer ~opts ~t0 ~deadline ~la f

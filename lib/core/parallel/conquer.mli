@@ -31,10 +31,19 @@ type options = {
   sharing : Portfolio.sharing;  (** clause-exchange policy *)
   cutoff : int;              (** base conflict budget per cube *)
   max_splits : int;          (** dynamic-split cap; then run unbounded *)
-  timeout : float option;    (** wall-clock seconds; [Unknown "timeout"] *)
+  timeout : float option;
+      (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
+          one absolute deadline passed to every cube query
+          ({!Session.solve}); the first cube that answers [timeout] ends
+          the run *)
   stop : bool Atomic.t option;
-      (** external cancellation flag (e.g. a service scheduler): once
-          true the run winds down and reports [Unknown "interrupted"] *)
+      (** caller-owned cancellation token (e.g. a service scheduler's
+          job token), passed to every cube query: once the caller sets
+          it the run winds down and reports [Unknown "interrupted"].
+          The run also uses it as its own finish flag, so {e the token
+          is set when the conquer phase ends}, whatever ended it.  A
+          formula settled by lookahead alone leaves it untouched.
+          [None] means a fresh private token *)
   metrics : Metrics.t option;
       (** per-worker registries merged in after the join, plus the
           [cube/*] counters and gauges (see docs/METRICS.md) *)

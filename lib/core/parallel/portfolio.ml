@@ -157,43 +157,16 @@ let validate_sat f outcome =
     else Types.Unknown "portfolio: model failed validation"
   | o -> o
 
-(* --- wall-clock interruption ---------------------------------------------- *)
-
-(* The monitor re-asserts the interrupt every tick until told to stop:
-   [Cdcl.interrupt] requests are consumed one search at a time, so a
-   single press could be swallowed by a solve that finishes for another
-   reason just before the deadline. *)
-let spawn_monitor ~seconds targets =
-  let stop = Atomic.make false in
-  let fired = Atomic.make false in
-  let deadline = Unix.gettimeofday () +. seconds in
-  let d =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          if Unix.gettimeofday () >= deadline then begin
-            Atomic.set fired true;
-            List.iter Cdcl.interrupt targets
-          end;
-          Unix.sleepf 0.005
-        done)
-  in
-  (d, stop, fired)
-
-let run_with_timeout ?timeout targets body =
-  match timeout with
-  | None -> (body (), false)
-  | Some seconds ->
-    let mon, stop, fired = spawn_monitor ~seconds targets in
-    let r = body () in
-    Atomic.set stop true;
-    Domain.join mon;
-    (r, Atomic.get fired)
-
 (* --- sequential path (jobs = 1) ------------------------------------------- *)
 
+(* [timeout] becomes one absolute deadline, checked inside the search *)
+let deadline_of opts =
+  Option.map (fun secs -> Monotime.now_s () +. secs) opts.timeout
+
 let solve_sequential ~opts f =
-  let config = opts.config and timeout = opts.timeout in
+  let config = opts.config in
   let t0 = Unix.gettimeofday () in
+  let deadline = deadline_of opts in
   let s = Cdcl.create ~config f in
   (match opts.metrics with
    | Some m ->
@@ -202,14 +175,7 @@ let solve_sequential ~opts f =
      Metrics.set_gauge (Metrics.gauge m "portfolio/jobs") 1.
    | None -> ());
   Cdcl.set_tracer s opts.trace;
-  let outcome, timed_out =
-    run_with_timeout ?timeout [ s ] (fun () -> Cdcl.solve s)
-  in
-  let outcome =
-    match outcome with
-    | Types.Unknown "interrupted" when timed_out -> Types.Unknown "timeout"
-    | o -> validate_sat f o
-  in
+  let outcome = validate_sat f (Cdcl.solve ?deadline s) in
   let stats = Types.copy_stats (Cdcl.stats s) in
   (match opts.metrics with
    | Some m -> Metrics.add_stats m stats
@@ -228,13 +194,14 @@ let solve_sequential ~opts f =
 
 let solve_parallel ~opts f =
   let t0 = Unix.gettimeofday () in
+  let deadline = deadline_of opts in
   let jobs = opts.jobs in
   let sharing = opts.sharing in
   let pool = Pool.create sharing.capacity in
   let configs = Array.init jobs (fun i -> diversify ~base:opts.config i) in
   (* solvers are created in the parent domain, before the workers spawn:
      the spawn is the publication point, and the parent keeps the
-     handles it needs for [interrupt] *)
+     handles it reads the statistics from after the join *)
   let solvers = Array.map (fun cfg -> Cdcl.create ~config:cfg f) configs in
   (* each worker gets a private registry and trace sink — no locking on
      the emission paths — merged into the caller's after the join *)
@@ -257,12 +224,10 @@ let solve_parallel ~opts f =
        end;
        if worker_sinks <> [||] then Cdcl.set_tracer s (Some worker_sinks.(i)))
     solvers;
-  let lock = Mutex.create () in
-  let winner = ref None in
+  (* one token stops every worker: the first definitive answer sets it *)
+  let stop = Atomic.make false in
+  let winner = Atomic.make None in
   let outcomes = Array.make jobs None in
-  let interrupt_others i =
-    Array.iteri (fun j s -> if j <> i then Cdcl.interrupt s) solvers
-  in
   let install_sharing i s =
     if sharing.share then begin
       let st = Cdcl.stats s in
@@ -281,8 +246,8 @@ let solve_parallel ~opts f =
       Cdcl.set_restart_hook s
         (Some
            (fun () ->
-              let fresh, stop = Pool.drain pool ~cursor:!cursor ~self:i in
-              cursor := stop;
+              let fresh, next = Pool.drain pool ~cursor:!cursor ~self:i in
+              cursor := next;
               List.iter
                 (fun e -> Cdcl.import_clause ~lbd:e.Pool.lbd s e.Pool.lits)
                 fresh))
@@ -290,44 +255,16 @@ let solve_parallel ~opts f =
   in
   Array.iteri install_sharing solvers;
   let worker i =
-    let s = solvers.(i) in
-    let o = Cdcl.solve s in
-    Mutex.lock lock;
+    let o = Cdcl.solve ~stop ?deadline solvers.(i) in
     outcomes.(i) <- Some o;
-    if definitive o && !winner = None then winner := Some (i, o);
-    Mutex.unlock lock;
-    (* losing workers stop at their next loop iteration *)
-    if definitive o then interrupt_others i
+    if definitive o then begin
+      ignore (Atomic.compare_and_set winner None (Some (i, o)));
+      (* the losers stop at their next loop iteration *)
+      Atomic.set stop true
+    end
   in
-  let domains = Array.init jobs (fun i -> Domain.spawn (fun () -> worker i)) in
-  let deadline = Option.map (fun s -> t0 +. s) opts.timeout in
-  let timed_out = ref false in
-  let finished () =
-    Mutex.lock lock;
-    let done_ =
-      !winner <> None || Array.for_all Option.is_some outcomes
-    in
-    Mutex.unlock lock;
-    done_
-  in
-  while not (finished ()) do
-    (match deadline with
-     | Some d when Unix.gettimeofday () >= d ->
-       if not !timed_out then begin
-         timed_out := true;
-         Array.iter Cdcl.interrupt solvers
-       end
-       else
-         (* keep pressing: each request is consumed per solve iteration *)
-         Array.iter
-           (fun s -> if not (Cdcl.interrupt_requested s) then Cdcl.interrupt s)
-           solvers
-     | _ -> ());
-    Unix.sleepf 0.002
-  done;
-  (* a winner may still be racing the stragglers: stop them and join *)
-  (match !winner with Some (i, _) -> interrupt_others i | None -> ());
-  Array.iter Domain.join domains;
+  Array.init jobs (fun i -> Domain.spawn (fun () -> worker i))
+  |> Array.iter Domain.join;
   let per_worker =
     Array.init jobs (fun i ->
         {
@@ -340,10 +277,11 @@ let solve_parallel ~opts f =
   let stats = Types.mk_stats () in
   Array.iter (fun w -> Types.add_stats_into stats w.worker_stats) per_worker;
   let winner_idx, outcome =
-    match !winner with
+    match Atomic.get winner with
     | Some (i, o) -> (Some i, validate_sat f o)
     | None ->
-      if !timed_out then (None, Types.Unknown "timeout")
+      let timed_out w = w.worker_outcome = Types.Unknown "timeout" in
+      if Array.exists timed_out per_worker then (None, Types.Unknown "timeout")
       else (None, per_worker.(0).worker_outcome)
   in
   (match opts.metrics with

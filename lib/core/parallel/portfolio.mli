@@ -66,7 +66,11 @@ type options = {
   jobs : int;                (** number of worker domains *)
   config : Types.config;     (** base configuration (worker 0 verbatim) *)
   sharing : sharing;
-  timeout : float option;    (** wall-clock seconds; [Unknown "timeout"] *)
+  timeout : float option;
+      (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
+          one absolute deadline that every worker's search checks after
+          each conflict ({!Cdcl.solve}), so no domain watches the clock:
+          at [jobs = 1] a timed run spawns no domain at all *)
   metrics : Metrics.t option;
       (** each worker observes into a private registry (standard
           {!Metrics.solver_instruments}); after the race settles the
@@ -109,7 +113,10 @@ type result = {
 }
 
 val solve : ?options:options -> Cnf.Formula.t -> result
-(** Races the workers; returns when a definitive answer is in (the
-    losers are interrupted cooperatively and joined), when every worker
-    gave up ([Unknown]), or when the timeout fires.  Never deadlocks:
-    workers check the interrupt flag once per search-loop iteration. *)
+(** Races the workers and joins them all; the parent does nothing else.
+    Every worker's search reads one shared stop token, and the first
+    worker with a definitive answer sets it, so the losers answer
+    [Unknown "interrupted"] at their next loop iteration.  The call
+    returns that answer, or [Unknown "timeout"] when the deadline ends
+    the race first, or worker 0's [Unknown] when every worker gave up
+    for another reason. *)

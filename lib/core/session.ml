@@ -54,9 +54,6 @@ let of_formula ?(config = Types.default) ?(retention = Drop_released) f =
   }
 
 let set_retention t r = t.retention <- r
-let interrupt t = Cdcl.interrupt t.cdcl
-let interrupt_requested t = Cdcl.interrupt_requested t.cdcl
-let clear_interrupt t = Cdcl.clear_interrupt t.cdcl
 let nvars t = Cdcl.nvars t.cdcl
 let new_var t = Cdcl.new_var t.cdcl
 let apply_guidance t g = Cdcl.apply_guidance t.cdcl g
@@ -144,11 +141,15 @@ let apply_retention t =
 
 (* --- queries -------------------------------------------------------------- *)
 
-let solve ?(assumptions = []) ?max_conflicts ?max_decisions t =
+let solve ?(assumptions = []) ?max_conflicts ?max_decisions ?stop ?deadline t
+  =
   if t.queries > 0 then apply_retention t;
   let before = Types.copy_stats (Cdcl.stats t.cdcl) in
   let t0 = match t.obs with Some _ -> Monotime.now_s () | None -> 0. in
-  let outcome = Cdcl.solve ~assumptions ?max_conflicts ?max_decisions t.cdcl in
+  let outcome =
+    Cdcl.solve ~assumptions ?max_conflicts ?max_decisions ?stop ?deadline
+      t.cdcl
+  in
   t.queries <- t.queries + 1;
   t.last <- Types.diff_stats (Cdcl.stats t.cdcl) before;
   (match t.obs with

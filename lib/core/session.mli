@@ -86,13 +86,24 @@ val solve :
   ?assumptions:Cnf.Lit.t list ->
   ?max_conflicts:int ->
   ?max_decisions:int ->
+  ?stop:bool Atomic.t ->
+  ?deadline:float ->
   t ->
   Types.outcome
 (** One query.  [assumptions] typically include activation literals of
     the clause groups the query should see.  The budgets bound this call
     only; a budgeted [Unknown "budget"] leaves the session fully
     reusable.  Before searching, the between-query retention policy is
-    applied to the learned-clause database (from the second query on). *)
+    applied to the learned-clause database (from the second query on).
+
+    [stop] and [deadline] pass through to {!Cdcl.solve}: a caller-owned
+    token that answers [Unknown "interrupted"] once set (from any
+    domain), and an absolute {!Monotime.now_s} instant that answers
+    [Unknown "timeout"] once passed.  This is how a SAT service cancels
+    a query whose client went away, or that ran out of time.  Either
+    way the session stays fully reusable (learned clauses, activations
+    and variable order intact) and holds no cancellation state, so it
+    can go straight back to a pool. *)
 
 val minimize_assumptions :
   ?max_rounds:int ->
@@ -121,22 +132,6 @@ val minimize_assumptions :
     minimal.  Every query goes through {!solve}, so retention, metrics
     and {!queries} accounting all apply. *)
 
-val interrupt : t -> unit
-(** Requests cooperative interruption of the running (or next) [solve]
-    — {!Cdcl.interrupt} on the underlying solver.  Safe to call from
-    any domain: this is how a SAT service cancels a query whose client
-    disconnected mid-solve.  The interrupted query returns
-    [Unknown "interrupted"] and leaves the session fully reusable
-    (learned clauses, activations and variable order intact). *)
-
-val interrupt_requested : t -> bool
-(** [true] while an {!interrupt} request is pending. *)
-
-val clear_interrupt : t -> unit
-(** Withdraws a pending {!interrupt} request — see
-    {!Cdcl.clear_interrupt}.  Session pools call this before pooling an
-    idle session so a cancellation that raced with query completion
-    cannot abort the next tenant's query. *)
 
 val model : t -> bool array option
 (** The model cached by the last satisfiable [solve], or [None] if the

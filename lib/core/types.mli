@@ -111,7 +111,8 @@ type stats = {
   mutable imported : int;
       (** foreign clauses accepted through {!Cdcl.import_clause} *)
   mutable interrupts : int;
-      (** searches abandoned by a cooperative {!Cdcl.interrupt} *)
+      (** solve calls ended by their stop token ([Unknown "interrupted"])
+          or their deadline ([Unknown "timeout"]); see {!Cdcl.solve} *)
 }
 
 val mk_stats : unit -> stats

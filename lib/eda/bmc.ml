@@ -132,28 +132,15 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
   let result = ref None in
   let timed_out = ref false in
   let k = ref 0 in
-  (* wall clock: a monitor domain presses the cooperative interrupt on
-     whichever solver is current once the deadline passes; requests are
-     consumed per query, so it keeps pressing until the loop stops it *)
-  let current : Sat.Cdcl.t option Atomic.t = Atomic.make None in
-  let stop_monitor = Atomic.make false in
-  let monitor =
-    Option.map
-      (fun secs ->
-         let deadline = t0 +. secs in
-         Domain.spawn (fun () ->
-             while not (Atomic.get stop_monitor) do
-               if Unix.gettimeofday () >= deadline then
-                 Option.iter Sat.Cdcl.interrupt (Atomic.get current);
-               Unix.sleepf 0.005
-             done))
-      timeout
+  (* one absolute deadline for the whole run, checked inside each
+     frame query's search *)
+  let deadline =
+    Option.map (fun secs -> Sat.Monotime.now_s () +. secs) timeout
   in
   let solve_frame sess assumptions =
-    Atomic.set current (Some (Session.raw sess));
-    let o = Session.solve ~assumptions sess in
+    let o = Session.solve ~assumptions ?deadline sess in
     (match o with
-     | Sat.Types.Unknown "interrupted" -> timed_out := true
+     | Sat.Types.Unknown "timeout" -> timed_out := true
      | _ -> ());
     o
   in
@@ -218,8 +205,6 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
       Option.iter (fun g -> Sat.Metrics.set_gauge g (float_of_int !k)) bound_gauge;
       incr k
     done;
-  Atomic.set stop_monitor true;
-  Option.iter Domain.join monitor;
   Option.iter
     (fun c -> Sat.Metrics.set_counter c !frames_encoded)
     frames_counter;

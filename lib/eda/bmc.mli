@@ -56,11 +56,14 @@ val check :
     re-encodes frames [0..k] — the from-scratch reference mode the
     Section 6 comparison benchmarks against.
 
-    [timeout] bounds the whole run in wall-clock seconds.  A monitor
-    domain presses {!Sat.Cdcl.interrupt} on the active solver once the
-    deadline passes; the interrupted query is reported in the statistics
-    ([interrupts] counter) and the report carries [timed_out = true]
-    with all per-bound statistics intact.
+    [timeout] bounds the whole run in wall-clock seconds.  It becomes
+    one absolute deadline, computed once and passed to every frame
+    query ({!Sat.Session.solve} [?deadline]); no domain watches the
+    clock.  The first query past the deadline answers
+    [Unknown "timeout"] and ends the run: it is counted in the
+    statistics ([interrupts] counter) and the report carries
+    [timed_out = true] with all per-bound statistics intact, the
+    timed-out bound included.
 
     [metrics] attaches a registry: every underlying session contributes
     its per-query deltas, each bound's wall time (encode + solve) lands

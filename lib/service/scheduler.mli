@@ -12,10 +12,13 @@
       repeat answers from the result cache, a grown query checks out
       the warm session holding its longest pooled prefix, anything
       else solves cold — and every session returns to the pool
-      afterwards, including after an interrupt (nothing leaks);
-    - {!cancel} marks a queued query dead or interrupts a running one
-      ({!Sat.Session.interrupt}, safe cross-domain); {!tick} interrupts
-      running queries whose wall-clock deadline has passed;
+      afterwards, including after a cancelled or timed-out query, with
+      no cancellation state to clear;
+    - every query owns one stop token from {!submit} on.  {!cancel}
+      sets it (safe from any domain); the worker passes it and the
+      query's deadline straight into {!Sat.Session.solve} (or
+      {!Sat.Conquer}), whose search loop enforces both.  Nothing polls
+      the clock on the query's behalf;
     - per-query solver metrics accumulate into a per-tenant
       {!Sat.Metrics} registry via the existing {!Sat.Metrics.merge_into},
       exposed by {!stats_json} (the [stats] verb payload). *)
@@ -43,7 +46,8 @@ type submit_error = Overloaded | Draining
     cube, [cutoff] conflicts before a cube splits dynamically).
     Budgeted or assumption-carrying queries keep the exact semantics of
     the incremental path.  Results still land in the result cache;
-    cancellation and deadlines stop the decomposed run cooperatively. *)
+    the query's stop token and deadline go to every cube query, so
+    cancellation and deadlines stop the decomposed run the same way. *)
 type decompose = {
   threshold_clauses : int;
   decompose_jobs : int;
@@ -87,23 +91,20 @@ val submit :
 (** Queues a query.  [on_done] runs in the worker domain that served
     it (callers bridge to their own thread; the socket server pushes
     to a completion queue).  [deadline] is an absolute
-    {!Sat.Monotime.now_s} instant enforced by {!tick}. *)
+    {!Sat.Monotime.now_s} instant: a query still queued when it passes
+    answers [Unknown "timeout"] without solving, and a running query's
+    search checks it after each conflict and answers
+    [Unknown "timeout"]. *)
 
 val cancel : t -> job -> unit
-(** Cancels a queued or running query.  Queued: it answers
-    [Unknown "cancelled"] without solving.  Running: the session is
-    interrupted; the query answers [Unknown "cancelled"] and the
-    session survives into the pool. *)
+(** Sets the query's stop token.  Queued: it answers
+    [Unknown "cancelled"] without solving.  Running: its search stops
+    at the next loop iteration; the query answers [Unknown "cancelled"]
+    and the session survives into the pool.  Finished: no effect. *)
 
 val solve : t -> Protocol.solve_params -> (answer, submit_error) result
 (** Blocking convenience over {!submit} — the in-process client used
     by benchmarks and tests. *)
-
-val tick : t -> unit
-(** Interrupts running queries whose deadline has passed (they answer
-    [Unknown "timeout"]).  The socket server calls this once per event
-    loop turn; queued queries past their deadline are refused when a
-    worker picks them up. *)
 
 val queue_depth : t -> int
 val inflight : t -> int

@@ -423,7 +423,6 @@ let run t =
       Scheduler.set_draining t.sched
     end;
     deliver_completions t;
-    Scheduler.tick t.sched;
     (* shutdown completes once all work has drained *)
     if t.draining && Scheduler.quiescent t.sched then begin
       Mutex.lock t.completions_lock;

@@ -62,6 +62,39 @@ let per_bound_stats () =
   Alcotest.(check int) "stats rows" r.B.bound_reached
     (List.length r.B.per_bound_conflicts)
 
+let timeout_marks_report () =
+  (* bad is unreachable within 5 steps of a 4-bit counter.  A zero
+     timeout has passed by the first frame query, which answers
+     "timeout" at entry: the run stops there, deterministically *)
+  let c = S.counter ~bits:4 ~buggy_at:None in
+  List.iter
+    (fun incremental ->
+       let r = B.check ~incremental ~timeout:0. ~max_bound:5 c in
+       Alcotest.(check bool) "timed out" true r.B.timed_out;
+       (match r.B.result with
+        | B.No_counterexample -> ()
+        | B.Counterexample _ -> Alcotest.fail "no counterexample exists");
+       Alcotest.(check int) "stopped at the first bound" 1 r.B.bound_reached;
+       Alcotest.(check (list int)) "one stats row per bound reached"
+         (List.init r.B.bound_reached Fun.id)
+         (List.map fst r.B.per_bound_stats);
+       Alcotest.(check (list int)) "conflict rows match"
+         (List.map fst r.B.per_bound_stats)
+         (List.map fst r.B.per_bound_conflicts);
+       Alcotest.(check int) "the timed-out query is counted" 1
+         r.B.total_stats.Sat.Types.interrupts;
+       (* without a timeout the same call runs to the bound, as before *)
+       let full = B.check ~incremental ~max_bound:5 c in
+       Alcotest.(check bool) "not timed out" false full.B.timed_out;
+       Alcotest.(check int) "bound reached" 5 full.B.bound_reached;
+       Alcotest.(check int) "stats rows" 5 (List.length full.B.per_bound_stats);
+       Alcotest.(check int) "nothing stopped" 0
+         full.B.total_stats.Sat.Types.interrupts;
+       match full.B.result with
+       | B.No_counterexample -> ()
+       | B.Counterexample _ -> Alcotest.fail "no counterexample exists")
+    [ true; false ]
+
 let missing_bad_output () =
   let c = S.lfsr ~bits:3 ~taps:[ 1; 2 ] in
   Alcotest.check_raises "no bad output"
@@ -131,6 +164,7 @@ let suite =
     Th.case "minimal counterexample" counterexample_is_minimal;
     Th.case "enable chosen" enable_can_be_held_low;
     Th.case "per-bound stats" per_bound_stats;
+    Th.case "timeout marks the report" timeout_marks_report;
     Th.case "missing bad output" missing_bad_output;
     Th.case "custom property" custom_property_name;
     Th.case "explain bound" explain_bound_names_needed_frames;

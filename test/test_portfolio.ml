@@ -1,5 +1,5 @@
 (* Parallel portfolio solving (Sat.Portfolio) and the core hooks it is
-   built on: cooperative interrupt, the learn hook, level-0 clause
+   built on: the stop token, the learn hook, level-0 clause
    import, and the jobs=1 sequential-path guarantee. *)
 
 module T = Sat.Types
@@ -54,18 +54,22 @@ let opts ?(jobs = 4) ?(share = true) ?timeout () =
 
 let interrupt_leaves_solver_reusable () =
   let s = Sat.Cdcl.create (php 7 6) in
-  (* interrupt from inside the search, through the learn hook *)
+  (* set the token from inside the search, through the learn hook *)
+  let stop = Atomic.make false in
   let learns = ref 0 in
   Sat.Cdcl.set_learn_hook s
     (Some (fun _ _ ->
          incr learns;
-         if !learns = 5 then Sat.Cdcl.interrupt s));
-  (match Sat.Cdcl.solve s with
+         if !learns = 5 then Atomic.set stop true));
+  (match Sat.Cdcl.solve ~stop s with
    | T.Unknown "interrupted" -> ()
    | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
-  Alcotest.(check int) "interrupt counted" 1 (Sat.Cdcl.stats s).T.interrupts;
-  Alcotest.(check bool) "request consumed" false (Sat.Cdcl.interrupt_requested s);
-  (* the request was consumed: the same solver finishes the job *)
+  Alcotest.(check int) "stop counted" 1 (Sat.Cdcl.stats s).T.interrupts;
+  Alcotest.(check int) "stopped right after the learn" 5
+    (Sat.Cdcl.stats s).T.conflicts;
+  Alcotest.(check bool) "token left set" true (Atomic.get stop);
+  Alcotest.(check int) "level 0" 0 (Sat.Cdcl.decision_level s);
+  (* without the token the same solver finishes the job *)
   Sat.Cdcl.set_learn_hook s None;
   (match Sat.Cdcl.solve s with
    | T.Unsat -> ()
@@ -208,21 +212,20 @@ let repeated_timeouts_under_concurrent_cancellation () =
   | o -> Alcotest.failf "portfolio poisoned by timeouts: %a" T.pp_outcome o
 
 let sessions_cancelled_in_parallel () =
-  (* N sessions each solving in its own domain, one canceller sweeping
-     across all of them — the concurrent-cancellation shape of a daemon
-     dropping a client with many in-flight queries *)
-  let n = 4 in
+  (* N sessions each solving in its own domain, all reading one token —
+     the shape of a daemon dropping a client with many in-flight
+     queries *)
+  let n = 8 in
   let sessions = Array.init n (fun _ -> Sat.Session.of_formula (php 10 9)) in
+  let stop = Atomic.make false in
   let workers =
-    Array.map (fun s -> Domain.spawn (fun () -> Sat.Session.solve s)) sessions
+    Array.map
+      (fun s -> Domain.spawn (fun () -> Sat.Session.solve ~stop s))
+      sessions
   in
-  let canceller =
-    Domain.spawn (fun () ->
-        Unix.sleepf 0.05;
-        Array.iter Sat.Session.interrupt sessions)
-  in
+  Unix.sleepf 0.05;
+  Atomic.set stop true;
   let outcomes = Array.map Domain.join workers in
-  Domain.join canceller;
   Array.iteri
     (fun i o ->
        match o with
@@ -230,10 +233,9 @@ let sessions_cancelled_in_parallel () =
        | o -> Alcotest.failf "session %d: expected interrupted, got %a" i
                 T.pp_outcome o)
     outcomes;
-  (* every session returns to the pool reusable *)
+  (* every session returns to the pool reusable, nothing to clear *)
   Array.iter
     (fun s ->
-       Sat.Session.clear_interrupt s;
        Sat.Session.add_clause s [ Th.lit 1 ];
        Sat.Session.add_clause s [ Th.lit (-1) ];
        match Sat.Session.solve s with

@@ -338,7 +338,6 @@ let scheduler_deadline () =
    | Ok _ ->
      let rec wait n =
        if n = 0 then Alcotest.fail "deadline never enforced";
-       Service.Scheduler.tick sch;
        match Atomic.get got with
        | Some a ->
          (match a.Service.Scheduler.outcome with
@@ -350,6 +349,96 @@ let scheduler_deadline () =
      in
      wait 200
    | Error _ -> Alcotest.fail "refused");
+  Service.Scheduler.shutdown sch
+
+(* --- cube-and-conquer decomposition inside the scheduler ------------------- *)
+
+(* every query below has at least 10 clauses, no assumptions and no
+   budget, so each one is decomposed *)
+let decompose =
+  { Service.Scheduler.threshold_clauses = 10; decompose_jobs = 2; depth = 3;
+    cutoff = 1_000 }
+
+let service_counter sch name =
+  match J.member "service" (Service.Scheduler.stats_json sch) with
+  | Some svc -> (
+      match J.member name svc with
+      | Some (J.Int n) -> n
+      | _ -> Alcotest.failf "no %s counter" name)
+  | None -> Alcotest.fail "no service section"
+
+let expect_answer what sch params want =
+  match Service.Scheduler.solve sch params with
+  | Ok a ->
+    let o = a.Service.Scheduler.outcome in
+    let ok =
+      match (want, o) with
+      | `Sat, T.Sat _ | `Unsat, T.Unsat -> true
+      | _ -> false
+    in
+    if not ok then Alcotest.failf "%s: wrong verdict %a" what T.pp_outcome o;
+    a
+  | Error _ -> Alcotest.failf "%s: refused" what
+
+(* submit a slow decomposed query, optionally cancel it, and wait for
+   its answer *)
+let decomposed_slow_query ?deadline ~cancel_after sch =
+  let got = Atomic.make None in
+  match
+    Service.Scheduler.submit sch ?deadline
+      ~on_done:(fun a -> Atomic.set got (Some a))
+      (P.mk_solve ~use_cache:false (php_clauses 10 9))
+  with
+  | Error _ -> Alcotest.fail "refused"
+  | Ok job ->
+    Option.iter
+      (fun secs ->
+         Unix.sleepf secs;
+         Service.Scheduler.cancel sch job)
+      cancel_after;
+    let rec wait n =
+      if n = 0 then Alcotest.fail "decomposed query never answered";
+      match Atomic.get got with
+      | Some a -> a.Service.Scheduler.outcome
+      | None ->
+        Unix.sleepf 0.05;
+        wait (n - 1)
+    in
+    wait 400
+
+let scheduler_decomposed_unsat_cached () =
+  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  let q = P.mk_solve (php_clauses 7 6) in
+  let first = expect_answer "php(7,6)" sch q `Unsat in
+  Alcotest.(check bool) "first answer searched" false
+    first.Service.Scheduler.cached;
+  let again = expect_answer "repeat" sch q `Unsat in
+  Alcotest.(check bool) "repeat from the result cache" true
+    again.Service.Scheduler.cached;
+  ignore (expect_answer "following query" sch (P.mk_solve (php_clauses 5 5)) `Sat);
+  Alcotest.(check int) "decomposed runs" 2 (service_counter sch "decomposed");
+  Service.Scheduler.shutdown sch
+
+let scheduler_decomposed_cancel () =
+  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  (match decomposed_slow_query ~cancel_after:(Some 0.1) sch with
+   | T.Unknown "cancelled" -> ()
+   | o -> Alcotest.failf "expected cancelled, got %a" T.pp_outcome o);
+  Alcotest.(check int) "cancellation counted" 1
+    (service_counter sch "cancelled");
+  ignore
+    (expect_answer "following query" sch (P.mk_solve (php_clauses 5 4)) `Unsat);
+  Service.Scheduler.shutdown sch
+
+let scheduler_decomposed_deadline () =
+  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  let deadline = Sat.Monotime.now_s () +. 0.1 in
+  (match decomposed_slow_query ~deadline ~cancel_after:None sch with
+   | T.Unknown "timeout" -> ()
+   | o -> Alcotest.failf "expected timeout, got %a" T.pp_outcome o);
+  Alcotest.(check int) "timeout counted" 1 (service_counter sch "timeouts");
+  ignore
+    (expect_answer "following query" sch (P.mk_solve (php_clauses 5 4)) `Unsat);
   Service.Scheduler.shutdown sch
 
 let scheduler_overload_and_drain () =
@@ -560,6 +649,32 @@ let daemon_survives_midquery_disconnect () =
        | None -> Alcotest.fail "no stats data");
       Service.Client.close polite)
 
+let daemon_timeout_ms () =
+  (* the deadline is enforced inside the solve: the reply comes about
+     [timeout_ms] after admission, not at the event loop's next turn *)
+  with_daemon ~jobs:1 (fun path ->
+      let c = Service.Client.connect_unix path in
+      let t0 = Unix.gettimeofday () in
+      let r =
+        expect_ok "timed query"
+          (Service.Client.solve c
+             (P.mk_solve ~timeout_ms:50 ~use_cache:false (php_clauses 10 9)))
+      in
+      let latency = Unix.gettimeofday () -. t0 in
+      Printf.printf "timeout_ms 50 on php(10,9): reply after %.1f ms\n"
+        (latency *. 1000.);
+      Alcotest.(check string) "status" "unknown" r.P.r_status;
+      Alcotest.(check (option string)) "reason" (Some "timeout") r.P.r_reason;
+      (* 50 ms deadline + 150 ms slack for a loaded shared host; an event
+         loop enforcing deadlines once per 0.2 s select turn misses this *)
+      Alcotest.(check bool) "answered near the deadline" true (latency < 0.2);
+      let ok =
+        expect_ok "following query"
+          (Service.Client.solve c (P.mk_solve (php_clauses 5 4)))
+      in
+      Alcotest.(check string) "still serving" "unsat" ok.P.r_status;
+      Service.Client.close c)
+
 let daemon_concurrent_clients () =
   with_daemon ~jobs:2 (fun path ->
       (* 8 client domains, mixed SAT/UNSAT, all answered correctly *)
@@ -612,12 +727,17 @@ let suite =
     Th.case "scheduler warm sessions" scheduler_warm_sessions;
     Th.case "scheduler cancellation" scheduler_cancellation;
     Th.case "scheduler deadline" scheduler_deadline;
+    Th.case "scheduler decomposed unsat is cached"
+      scheduler_decomposed_unsat_cached;
+    Th.case "scheduler decomposed cancellation" scheduler_decomposed_cancel;
+    Th.case "scheduler decomposed deadline" scheduler_decomposed_deadline;
     Th.case "scheduler overload and drain" scheduler_overload_and_drain;
     Th.case "scheduler tenant metrics" scheduler_tenant_metrics;
     Th.case "daemon solves and caches" daemon_solves_and_caches;
     Th.case "daemon survives malformed frames" daemon_survives_malformed_frames;
     Th.case "daemon survives mid-query disconnect"
       daemon_survives_midquery_disconnect;
+    Th.case "daemon answers timeout_ms as timeout" daemon_timeout_ms;
     Th.case "daemon serves concurrent clients" daemon_concurrent_clients;
     Th.case "daemon graceful shutdown" daemon_graceful_shutdown;
   ]

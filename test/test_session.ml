@@ -211,21 +211,27 @@ let solver_pipeline_sessions () =
    | _ -> Alcotest.fail "expected UNSAT after adding ~x2");
   Alcotest.(check int) "queries counted" 2 (Sat.Solver.Incremental.queries inc)
 
-(* --- cooperative cancellation (the SAT-service contract) ----------------- *)
+(* --- stop tokens and deadlines (the SAT-service contract) ------------------ *)
+
+let expect what want o =
+  if o <> T.Unknown want then
+    Alcotest.failf "%s: expected %s, got %a" what want T.pp_outcome o
 
 let cross_domain_interrupt_keeps_session_reusable () =
-  (* a service worker solves; the event loop cancels from another domain *)
+  (* a service worker solves; the event loop sets the query's token from
+     another domain *)
   let s = S.of_formula (php 10 9) in
+  let stop = Atomic.make false in
   let canceller =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
-        S.interrupt s)
+        Atomic.set stop true)
   in
-  (match S.solve s with
-   | T.Unknown "interrupted" -> ()
-   | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
+  expect "mid-search stop" "interrupted" (S.solve ~stop s);
   Domain.join canceller;
-  Alcotest.(check bool) "request consumed" false (S.interrupt_requested s);
+  Alcotest.(check bool) "the solver never clears the token" true
+    (Atomic.get stop);
+  Alcotest.(check int) "stop counted" 1 (S.last_stats s).T.interrupts;
   (* the session survives into the pool: growth + a fresh query work *)
   S.add_clause s [ Th.lit 1 ];
   S.add_clause s [ Th.lit (-1) ];
@@ -234,66 +240,78 @@ let cross_domain_interrupt_keeps_session_reusable () =
   | o -> Alcotest.failf "expected unsat after reuse, got %a" T.pp_outcome o
 
 let interrupt_storm_single_query () =
-  (* many cancellers racing one query: exactly one interruption, and the
-     session still answers correctly afterwards *)
+  (* many domains racing to set one token: the query stops once, the
+     set token stops every later call at once, and a fresh token gives
+     the same session its exact answers back *)
   let s = S.of_formula (php 10 9) in
+  let stop = Atomic.make false in
   let cancellers =
     Array.init 8 (fun _ ->
         Domain.spawn (fun () ->
             Unix.sleepf 0.02;
             for _ = 1 to 100 do
-              S.interrupt s
+              Atomic.set stop true
             done))
   in
-  (match S.solve s with
-   | T.Unknown "interrupted" -> ()
-   | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
+  expect "stormed query" "interrupted" (S.solve ~stop s);
   Array.iter Domain.join cancellers;
-  (* late interrupts may still be pending: a pool must be able to
-     withdraw them before the next tenant's query *)
-  S.clear_interrupt s;
-  Alcotest.(check bool) "withdrawn" false (S.interrupt_requested s);
-  match S.solve ~assumptions:[ Th.lit 1 ] (S.of_formula (php 5 5)) with
-  | T.Sat _ -> (
-      (* and the stormed session itself still solves under budget *)
-      match S.solve ~max_conflicts:5 s with
-      | T.Unknown ("budget" | "interrupted") | T.Unsat -> ()
-      | o -> Alcotest.failf "stormed session unusable: %a" T.pp_outcome o)
-  | o -> Alcotest.failf "fresh session broken: %a" T.pp_outcome o
+  expect "token still set" "interrupted" (S.solve ~stop s);
+  Alcotest.(check int) "stopped at entry" 0 (S.last_stats s).T.conflicts;
+  let fresh = Atomic.make false in
+  expect "budget with an unset token" "budget"
+    (S.solve ~stop:fresh ~max_conflicts:5 s);
+  (* two pigeons in hole 0: refuted under an unset token *)
+  let v i j = (i * 9) + j + 1 in
+  match S.solve ~stop:fresh ~assumptions:[ Th.lit (v 0 0); Th.lit (v 1 0) ] s with
+  | T.Unsat_assuming _ -> ()
+  | o -> Alcotest.failf "stormed session unusable: %a" T.pp_outcome o
 
-let clear_interrupt_withdraws_pending () =
-  (* a cancellation racing with completion leaves the flag set; pooling
-     the session without clearing would abort the next tenant's query *)
+let preset_token_returns_at_once () =
+  (* a token set before the call stops it before any search; the
+     session answers normally once the caller stops passing it *)
   let s = S.of_formula (Th.formula_of [ [ 1; 2 ]; [ -1; 2 ] ]) in
-  S.interrupt s;
-  Alcotest.(check bool) "pending" true (S.interrupt_requested s);
-  S.clear_interrupt s;
-  Alcotest.(check bool) "withdrawn" false (S.interrupt_requested s);
-  match S.solve s with
+  expect "preset token" "interrupted" (S.solve ~stop:(Atomic.make true) s);
+  let d = S.last_stats s in
+  Alcotest.(check int) "no conflicts" 0 d.T.conflicts;
+  Alcotest.(check int) "no decisions" 0 d.T.decisions;
+  Alcotest.(check int) "counted" 1 d.T.interrupts;
+  match S.solve ~stop:(Atomic.make false) s with
   | T.Sat _ -> ()
-  | o -> Alcotest.failf "expected sat after withdrawal, got %a" T.pp_outcome o
+  | o -> Alcotest.failf "expected sat with an unset token, got %a" T.pp_outcome o
+
+let past_deadline_times_out_at_entry () =
+  let s = S.of_formula (php 8 7) in
+  expect "past deadline" "timeout"
+    (S.solve ~deadline:(Sat.Monotime.now_s () -. 1.) s);
+  let d = S.last_stats s in
+  Alcotest.(check int) "no conflicts" 0 d.T.conflicts;
+  Alcotest.(check int) "counted" 1 d.T.interrupts;
+  (* a far deadline lets the same session finish exactly *)
+  match S.solve ~deadline:(Sat.Monotime.now_s () +. 3600.) s with
+  | T.Unsat -> ()
+  | o -> Alcotest.failf "expected unsat, got %a" T.pp_outcome o
 
 let timeout_then_interrupt_sequence () =
-  (* the scheduler's two Unknown flavours compose on one session *)
-  let s = S.of_formula (php 8 7) in
-  (match S.solve ~max_conflicts:5 s with
-   | T.Unknown "budget" -> ()
-   | T.Unsat -> Alcotest.fail "php 8 7 cannot finish in 5 conflicts"
-   | o -> Alcotest.failf "expected budget, got %a" T.pp_outcome o);
+  (* the scheduler's Unknown flavours compose on one session *)
+  let s = S.of_formula (php 10 9) in
+  expect "budget" "budget" (S.solve ~max_conflicts:5 s);
+  expect "deadline mid-search" "timeout"
+    (S.solve ~deadline:(Sat.Monotime.now_s () +. 0.05) s);
+  Alcotest.(check bool) "searched before the deadline" true
+    ((S.last_stats s).T.conflicts > 0);
+  let stop = Atomic.make false in
   let canceller =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
-        S.interrupt s)
+        Atomic.set stop true)
   in
-  (match S.solve s with
-   | T.Unknown "interrupted" | T.Unsat -> ()
-   | o -> Alcotest.failf "expected interrupted/unsat, got %a" T.pp_outcome o);
+  expect "stop token" "interrupted" (S.solve ~stop s);
   Domain.join canceller;
-  S.clear_interrupt s;
-  (* budgets still enforced after the interrupt *)
-  match S.solve ~max_decisions:0 s with
-  | T.Unknown _ | T.Unsat -> ()
-  | o -> Alcotest.failf "budget ignored after interrupt: %a" T.pp_outcome o
+  Alcotest.(check int) "timeout and stop counted" 2
+    (S.cumulative_stats s).T.interrupts;
+  (* budgets are still enforced after the timeout and the stop *)
+  expect "budget after" "budget" (S.solve ~max_conflicts:5 s);
+  expect "decision budget after" "budget" (S.solve ~max_decisions:0 s)
 
 let minimize_assumptions_shrinks () =
   (* x1 ∨ x2 forces one of them on: assuming both off is contradictory,
@@ -345,7 +363,8 @@ let suite =
     Th.case "cross-domain interrupt keeps session reusable"
       cross_domain_interrupt_keeps_session_reusable;
     Th.case "interrupt storm, single query" interrupt_storm_single_query;
-    Th.case "clear_interrupt withdraws pending" clear_interrupt_withdraws_pending;
+    Th.case "preset stop token returns at once" preset_token_returns_at_once;
+    Th.case "past deadline times out at entry" past_deadline_times_out_at_entry;
     Th.case "timeout then interrupt sequence" timeout_then_interrupt_sequence;
     Th.case "minimize assumptions" minimize_assumptions_shrinks;
     Th.case "minimize assumptions php" minimize_assumptions_php;
