@@ -1,14 +1,14 @@
 (** The "conquer" half of cube-and-conquer.
 
     {!module:Cube} turns a hard formula into a cover of cubes; this
-    module farms the cubes out to [jobs] worker domains.  Each worker
-    owns one incremental {!Session} on the full formula — pre-loaded
-    with the units and refuted-prefix implicates lookahead already
-    proved — and solves cubes as {e assumption queries}, so learned
-    clauses, activities and phases carry over from cube to cube.  Cubes
-    live in per-worker work-stealing deques: a worker pops its own
-    front (split children stay hot in its session) and steals from the
-    back of a neighbour when it runs dry (the oldest, coarsest cube).
+    module runs each cube as one task of an {!Exec.run} group of width
+    [jobs].  Each slot of the group owns one incremental {!Session} on
+    the full formula — made on the slot's first cube, pre-loaded with
+    the units and refuted-prefix implicates lookahead already proved —
+    and solves cubes as {e assumption queries}, so learned clauses,
+    activities and phases carry over from cube to cube.  A split pushes
+    both children into its own slot, so they stay hot in its session;
+    idle participants steal the oldest, coarsest cube.
 
     Strong learned clauses flow between workers through the
     {!Portfolio.Pool}; the exchange is sound because a clause learned
@@ -25,31 +25,35 @@
     before being reported). *)
 
 type options = {
-  jobs : int;                (** number of conquer worker domains *)
+  jobs : int;
+      (** the group's width: at most this many cubes run at once *)
   cube : Cube.options;       (** lookahead (generation) options *)
-  config : Types.config;     (** base config; worker [i] reseeds it *)
+  config : Types.config;     (** base config; slot [i] reseeds it *)
   sharing : Portfolio.sharing;  (** clause-exchange policy *)
   cutoff : int;              (** base conflict budget per cube *)
   max_splits : int;          (** dynamic-split cap; then run unbounded *)
   timeout : float option;
       (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
-          one absolute deadline passed to every cube query
-          ({!Session.solve}); the first cube that answers [timeout] ends
-          the run *)
+          one absolute deadline checked once per lookahead node and
+          passed to every cube query ({!Session.solve}); the first cube
+          that answers [timeout] ends the run *)
   stop : bool Atomic.t option;
       (** caller-owned cancellation token (e.g. a service scheduler's
-          job token), passed to every cube query: once the caller sets
-          it the run winds down and reports [Unknown "interrupted"].
+          job token), read once per lookahead node and passed to every
+          cube query: once the caller sets it the run winds down and
+          reports [Unknown "interrupted"].
           The run also uses it as its own finish flag, so {e the token
           is set when the conquer phase ends}, whatever ended it.  A
           formula settled by lookahead alone leaves it untouched.
           [None] means a fresh private token *)
   metrics : Metrics.t option;
-      (** per-worker registries merged in after the join, plus the
-          [cube/*] counters and gauges (see docs/METRICS.md) *)
+      (** per-slot registries ({!Exec.metrics}) merged in after the
+          join, plus the [cube/*] counters and gauges (see
+          docs/METRICS.md) *)
   trace : Trace.sink option;
-      (** per-worker sinks absorbed after the join: [cube-emit],
-          [cube-solve], [cube-split] and the usual solver events *)
+      (** per-slot sinks ({!Exec.trace}) absorbed after the join:
+          [cube-emit], [cube-solve], [cube-split] and the usual solver
+          events *)
 }
 
 val default_options : options
@@ -66,7 +70,9 @@ type result = {
   time_seconds : float;
 }
 
-val solve : ?options:options -> Cnf.Formula.t -> result
-(** Generate the cube cover, then conquer it.  If lookahead alone
-    settles the formula (root refuted, all branches refuted, or
-    propagation completed a model) no workers are spawned. *)
+val solve : ?exec:Exec.t -> ?options:options -> Cnf.Formula.t -> result
+(** Generate the cube cover, then conquer it on [exec] (a service
+    passes its own pool), or, without one, on a pool of [jobs - 1]
+    domains made for the call.  If lookahead alone settles the formula
+    (root refuted, all branches refuted, or propagation completed a
+    model), or a stop or the deadline cuts it short, no cube runs. *)

@@ -27,7 +27,7 @@ type t = {
   time_seconds : float;
 }
 
-let generate ?(options = default_options) ?metrics ?trace f =
+let generate ?(options = default_options) ?stop ?deadline ?metrics ?trace f =
   let t0 = Unix.gettimeofday () in
   (match metrics with
    | Some m -> Metrics.phase_begin m "cube/lookahead"
@@ -105,8 +105,19 @@ let generate ?(options = default_options) ?metrics ?trace f =
       Array.to_list (Array.sub arr 0 opts.candidates)
     end
   in
+  (* checked once per node: a stop or a passed deadline ends the
+     lookahead as [Unknown] *)
+  let stopped () =
+    (match (stop, deadline) with
+     | Some st, _ when Atomic.get st ->
+       decided := Some (Types.Unknown "interrupted")
+     | _, Some d when Monotime.now_s () > d ->
+       decided := Some (Types.Unknown "timeout")
+     | _ -> ());
+    !decided <> None
+  in
   let rec node ~decisions ~path ~depth =
-    if !decided <> None then ()
+    if !decided <> None || stopped () then ()
     else if not (Cdcl.consistent s) then decided := Some Types.Unsat
     else if Cdcl.trail_size s >= nvars then decided := Some (full_model ())
     else if

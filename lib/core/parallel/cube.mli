@@ -7,7 +7,7 @@
     cube independently — CDCL is good at the deep, narrow subproblems
     while lookahead is good at picking the globally important splitting
     variables.  This module is the lookahead half; {!module:Conquer}
-    farms the cubes out to worker domains.
+    solves the cubes as {!Exec} tasks.
 
     Splitting variables are chosen by {e measured} propagation, not a
     static heuristic: each candidate variable is probed in both phases
@@ -57,7 +57,9 @@ type t = {
       (** [Some outcome] when lookahead alone settled the formula:
           [Sat model] if propagation completed an assignment, [Unsat] if
           the root was refuted or every branch was; in that case [cubes]
-          need not cover anything *)
+          need not cover anything.  [Some (Unknown "interrupted")] or
+          [Some (Unknown "timeout")] when [stop] or [deadline] cut the
+          lookahead short *)
   probes : int;            (** probes performed *)
   failed_literals : int;   (** failed literals detected (incl. units) *)
   stats : Types.stats;     (** propagation counts of the probing solver *)
@@ -65,9 +67,12 @@ type t = {
 }
 
 val generate :
-  ?options:options -> ?metrics:Metrics.t -> ?trace:Trace.sink ->
-  Cnf.Formula.t -> t
-(** Run the lookahead DFS.  Emits [cube/generated], [cube/probes],
-    [cube/failed_literals], [cube/units] and [cube/refuted_branches]
-    counters under the [cube/lookahead] phase, and a {!Trace.Cube_emit}
-    event per cube. *)
+  ?options:options -> ?stop:bool Atomic.t -> ?deadline:float ->
+  ?metrics:Metrics.t -> ?trace:Trace.sink -> Cnf.Formula.t -> t
+(** Run the lookahead DFS.  Once per node it reads [stop] (a
+    caller-owned token it never writes) and compares [deadline] (an
+    absolute {!Monotime.now_s} instant) with the clock; either ends the
+    search, as for {!Cdcl.solve}.  Emits [cube/generated],
+    [cube/probes], [cube/failed_literals], [cube/units] and
+    [cube/refuted_branches] counters under the [cube/lookahead] phase,
+    and a {!Trace.Cube_emit} event per cube. *)

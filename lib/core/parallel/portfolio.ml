@@ -1,5 +1,5 @@
-(* Parallel portfolio solving on OCaml 5 domains: N diversified CDCL
-   workers race on one formula, the first definitive answer wins, and
+(* Parallel portfolio solving: N diversified CDCL workers race on one
+   formula as one Exec group, the first definitive answer wins, and
    strong learned clauses flow between workers through a mutex-protected
    pool.  See portfolio.mli for the contract. *)
 
@@ -79,6 +79,43 @@ module Pool = struct
     n
 end
 
+(* The exchange hooks: export a learnt clause within the bounds into
+   the pool, import the others' exports at every level-0 boundary.
+   [self] tags this solver's exports so it never re-imports them. *)
+let share sharing pool ~self ?trace s =
+  if sharing.share then begin
+    let st = Cdcl.stats s in
+    Cdcl.set_learn_hook s
+      (Some
+         (fun lits lbd ->
+            if lbd <= sharing.max_lbd && List.length lits <= sharing.max_len
+            then begin
+              st.Types.exported <- st.Types.exported + 1;
+              Option.iter
+                (fun tr ->
+                   Trace.emit tr (Trace.Export { lbd; size = List.length lits }))
+                trace;
+              Pool.publish pool { Pool.origin = self; lbd; lits }
+            end));
+    let cursor = ref 0 in
+    Cdcl.set_restart_hook s
+      (Some
+         (fun () ->
+            let fresh, next = Pool.drain pool ~cursor:!cursor ~self in
+            cursor := next;
+            List.iter
+              (fun e -> Cdcl.import_clause ~lbd:e.Pool.lbd s e.Pool.lits)
+              fresh))
+  end
+
+let validate_sat f outcome =
+  match outcome with
+  | Types.Sat m ->
+    let value v = v < Array.length m && m.(v) in
+    if Cnf.Formula.eval value f then outcome
+    else Types.Unknown "model failed validation"
+  | o -> o
+
 (* --- options -------------------------------------------------------------- *)
 
 type options = {
@@ -145,132 +182,51 @@ type result = {
   time_seconds : float;
 }
 
-let definitive = function
-  | Types.Sat _ | Types.Unsat | Types.Unsat_assuming _ -> true
-  | Types.Unknown _ -> false
-
-let validate_sat f outcome =
-  match outcome with
-  | Types.Sat m ->
-    let value v = v < Array.length m && m.(v) in
-    if Cnf.Formula.eval value f then outcome
-    else Types.Unknown "portfolio: model failed validation"
-  | o -> o
-
-(* --- sequential path (jobs = 1) ------------------------------------------- *)
-
-(* [timeout] becomes one absolute deadline, checked inside the search *)
-let deadline_of opts =
-  Option.map (fun secs -> Monotime.now_s () +. secs) opts.timeout
-
-let solve_sequential ~opts f =
-  let config = opts.config in
-  let t0 = Unix.gettimeofday () in
-  let deadline = deadline_of opts in
-  let s = Cdcl.create ~config f in
-  (match opts.metrics with
-   | Some m ->
-     Cdcl.set_instruments s (Some (Metrics.solver_instruments m));
-     Cdcl.set_metrics s (Some m);
-     Metrics.set_gauge (Metrics.gauge m "portfolio/jobs") 1.
-   | None -> ());
-  Cdcl.set_tracer s opts.trace;
-  let outcome = validate_sat f (Cdcl.solve ?deadline s) in
-  let stats = Types.copy_stats (Cdcl.stats s) in
-  (match opts.metrics with
-   | Some m -> Metrics.add_stats m stats
-   | None -> ());
-  {
-    outcome;
-    winner = (if definitive outcome then Some 0 else None);
-    per_worker = [| { worker_config = config; worker_outcome = outcome;
-                      worker_stats = stats } |];
-    stats;
-    pool_size = 0;
-    time_seconds = Unix.gettimeofday () -. t0;
-  }
-
 (* --- the portfolio --------------------------------------------------------- *)
 
-let solve_parallel ~opts f =
+let solve ?options:(opts = default_options) f =
   let t0 = Unix.gettimeofday () in
-  let deadline = deadline_of opts in
-  let jobs = opts.jobs in
-  let sharing = opts.sharing in
+  (* [timeout] becomes one absolute deadline, checked inside the search *)
+  let deadline =
+    Option.map (fun secs -> Monotime.now_s () +. secs) opts.timeout
+  in
+  let jobs = max 1 opts.jobs in
+  (* a lone worker has no peer to share with *)
+  let sharing = { opts.sharing with share = opts.sharing.share && jobs > 1 } in
   let pool = Pool.create sharing.capacity in
   let configs = Array.init jobs (fun i -> diversify ~base:opts.config i) in
-  (* solvers are created in the parent domain, before the workers spawn:
-     the spawn is the publication point, and the parent keeps the
-     handles it reads the statistics from after the join *)
+  (* the caller keeps the handles it reads the statistics from *)
   let solvers = Array.map (fun cfg -> Cdcl.create ~config:cfg f) configs in
-  (* each worker gets a private registry and trace sink — no locking on
-     the emission paths — merged into the caller's after the join *)
-  let worker_regs =
-    match opts.metrics with
-    | Some _ -> Array.init jobs (fun _ -> Metrics.create ())
-    | None -> [||]
-  in
-  let worker_sinks =
-    match opts.trace with
-    | Some _ -> Array.init jobs (fun i -> Trace.make_sink ~worker:i ())
-    | None -> [||]
-  in
-  Array.iteri
-    (fun i s ->
-       if worker_regs <> [||] then begin
-         Cdcl.set_instruments s
-           (Some (Metrics.solver_instruments worker_regs.(i)));
-         Cdcl.set_metrics s (Some worker_regs.(i))
-       end;
-       if worker_sinks <> [||] then Cdcl.set_tracer s (Some worker_sinks.(i)))
-    solvers;
   (* one token stops every worker: the first definitive answer sets it *)
   let stop = Atomic.make false in
   let winner = Atomic.make None in
-  let outcomes = Array.make jobs None in
-  let install_sharing i s =
-    if sharing.share then begin
-      let st = Cdcl.stats s in
-      Cdcl.set_learn_hook s
-        (Some
-           (fun lits lbd ->
-              if lbd <= sharing.max_lbd && List.length lits <= sharing.max_len
-              then begin
-                st.Types.exported <- st.Types.exported + 1;
-                if worker_sinks <> [||] then
-                  Trace.emit worker_sinks.(i)
-                    (Trace.Export { lbd; size = List.length lits });
-                Pool.publish pool { Pool.origin = i; lbd; lits }
-              end));
-      let cursor = ref 0 in
-      Cdcl.set_restart_hook s
-        (Some
-           (fun () ->
-              let fresh, next = Pool.drain pool ~cursor:!cursor ~self:i in
-              cursor := next;
-              List.iter
-                (fun e -> Cdcl.import_clause ~lbd:e.Pool.lbd s e.Pool.lits)
-                fresh))
-    end
-  in
-  Array.iteri install_sharing solvers;
-  let worker i =
-    let o = Cdcl.solve ~stop ?deadline solvers.(i) in
-    outcomes.(i) <- Some o;
-    if definitive o then begin
+  let outcomes = Array.make jobs (Types.Unknown "not run") in
+  let worker i ctx =
+    let s = solvers.(i) in
+    Option.iter
+      (fun m ->
+         Cdcl.set_instruments s (Some (Metrics.solver_instruments m));
+         Cdcl.set_metrics s (Some m))
+      (Exec.metrics ctx);
+    Cdcl.set_tracer s (Exec.trace ctx);
+    share sharing pool ~self:i ?trace:(Exec.trace ctx) s;
+    let o = Cdcl.solve ~stop ?deadline s in
+    outcomes.(i) <- o;
+    match o with
+    | Types.Unknown _ -> ()
+    | Types.Sat _ | Types.Unsat | Types.Unsat_assuming _ ->
       ignore (Atomic.compare_and_set winner None (Some (i, o)));
       (* the losers stop at their next loop iteration *)
       Atomic.set stop true
-    end
   in
-  Array.init jobs (fun i -> Domain.spawn (fun () -> worker i))
-  |> Array.iter Domain.join;
+  Exec.with_pool (jobs - 1) (fun exec ->
+      Exec.run exec ?metrics:opts.metrics ?trace:opts.trace ~width:jobs
+        (List.init jobs worker));
   let per_worker =
     Array.init jobs (fun i ->
         {
           worker_config = configs.(i);
-          worker_outcome =
-            (match outcomes.(i) with Some o -> o | None -> assert false);
+          worker_outcome = outcomes.(i);
           worker_stats = Types.copy_stats (Cdcl.stats solvers.(i));
         })
   in
@@ -286,7 +242,6 @@ let solve_parallel ~opts f =
   in
   (match opts.metrics with
    | Some m ->
-     Array.iter (fun r -> Metrics.merge_into ~into:m r) worker_regs;
      Metrics.add_stats m stats;
      Metrics.set_gauge (Metrics.gauge m "portfolio/jobs") (float_of_int jobs);
      Metrics.set_gauge
@@ -298,9 +253,6 @@ let solve_parallel ~opts f =
        (Metrics.gauge m "portfolio/winner")
        (match winner_idx with Some i -> float_of_int i | None -> -1.)
    | None -> ());
-  (match opts.trace with
-   | Some dst -> Array.iter (fun s -> Trace.absorb ~into:dst s) worker_sinks
-   | None -> ());
   {
     outcome;
     winner = winner_idx;
@@ -309,7 +261,3 @@ let solve_parallel ~opts f =
     pool_size = Pool.size pool;
     time_seconds = Unix.gettimeofday () -. t0;
   }
-
-let solve ?(options = default_options) f =
-  if options.jobs <= 1 then solve_sequential ~opts:options f
-  else solve_parallel ~opts:options f

@@ -4,8 +4,9 @@
     heuristic and of the restart policy as one of the most effective
     levers on hard EDA instances.  The modern realization is a
     {e portfolio}: [jobs] diversified CDCL workers race on the same
-    formula on OCaml 5 domains, the first definitive answer (SAT /
-    UNSAT) wins, and workers exchange strong learned clauses.
+    formula as one {!Exec.run} group of width [jobs], the first
+    definitive answer (SAT / UNSAT) wins, and workers exchange strong
+    learned clauses.
 
     Sharing policy: a worker {e exports} a learned clause when its
     literal-block distance and length are within the {!sharing} bounds,
@@ -16,9 +17,10 @@
     (identical formula, and imported clauses are themselves implicates),
     so every exported clause is an implicate of the shared formula.
 
-    Determinism: [jobs = 1] takes the plain sequential {!Cdcl} path —
-    same outcome and same statistics as [Cdcl.solve] on the same config
-    and seed — so existing deterministic experiments are unaffected.
+    Determinism: at [jobs = 1] the one worker runs on the caller's
+    domain with sharing off (it has no peer), so it gives the same
+    outcome and the same statistics as [Cdcl.solve] on the same config
+    and seed, and existing deterministic experiments are unaffected.
 
     Satisfiable answers are validated against the formula before being
     reported; unsatisfiable answers can be cross-checked against
@@ -38,49 +40,52 @@ val default_sharing : sharing
     cube-and-conquer workers ({!module:Conquer}). *)
 
 (** The shared clause pool behind the exchange: a mutex-protected
-    append-only array.  Each consumer keeps a private read cursor, so a
-    drain returns exactly the entries published since its previous
-    level-0 boundary; origin tags stop a worker re-importing its own
-    exports.  Exposed so other multi-worker engines ({!module:Conquer})
-    share clauses through the same structure. *)
+    append-only array of exported clauses, each tagged with its origin.
+    Each importer keeps a private read cursor, so an import takes
+    exactly the entries published since its previous level-0 boundary,
+    and skips its own. *)
 module Pool : sig
-  type entry = { origin : int; lbd : int; lits : Cnf.Lit.t list }
-
   type t
 
   val create : int -> t
   (** [create capacity] — entries published beyond [capacity] are
       counted as dropped, not stored. *)
 
-  val publish : t -> entry -> unit
-
-  val drain : t -> cursor:int -> self:int -> entry list * int
-  (** Entries published since [cursor], oldest first, skipping those
-      with origin [self]; returns the new cursor. *)
-
   val size : t -> int
   val dropped : t -> int
 end
 
+val share :
+  sharing -> Pool.t -> self:int -> ?trace:Trace.sink -> Cdcl.t -> unit
+(** Installs the exchange on one solver (nothing when [share] is off):
+    its learn hook publishes each learnt clause within the bounds,
+    tagged with origin [self] (plus an [export] event on [trace]), and
+    its restart hook imports the others' clauses at every level-0
+    boundary.  Portfolio and {!module:Conquer} workers both use it. *)
+
+val validate_sat : Cnf.Formula.t -> Types.outcome -> Types.outcome
+(** A [Sat] model that falsifies a clause of the formula becomes
+    [Unknown "model failed validation"]; other outcomes pass through. *)
+
 type options = {
-  jobs : int;                (** number of worker domains *)
+  jobs : int;
+      (** number of workers: the group's width, run on a pool of
+          [jobs - 1] domains plus the caller *)
   config : Types.config;     (** base configuration (worker 0 verbatim) *)
   sharing : sharing;
   timeout : float option;
       (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
           one absolute deadline that every worker's search checks after
-          each conflict ({!Cdcl.solve}), so no domain watches the clock:
-          at [jobs = 1] a timed run spawns no domain at all *)
+          each conflict ({!Cdcl.solve}), so no domain watches the clock *)
   metrics : Metrics.t option;
-      (** each worker observes into a private registry (standard
-          {!Metrics.solver_instruments}); after the race settles the
-          per-worker registries are merged into this one, the aggregate
-          statistics are added, and the [portfolio/jobs],
-          [portfolio/pool_size], [portfolio/pool_dropped] and
-          [portfolio/winner] metrics are set *)
+      (** each worker observes into its slot's registry ({!Exec.metrics},
+          standard {!Metrics.solver_instruments}), merged into this one
+          after the join; then the aggregate statistics are added and
+          the [portfolio/jobs], [portfolio/pool_size],
+          [portfolio/pool_dropped] and [portfolio/winner] metrics set *)
   trace : Trace.sink option;
-      (** each worker emits into a private sink tagged with its worker
-          id (plus an [export] event per shared clause); the sinks are
+      (** each worker emits into its slot's sink ({!Exec.trace}, tagged
+          with the slot; plus an [export] event per shared clause),
           absorbed into this one after the join, so {!Trace.merged} /
           {!Trace.write_file} yield a time-ordered interleaving that is
           monotone per worker *)
@@ -113,7 +118,7 @@ type result = {
 }
 
 val solve : ?options:options -> Cnf.Formula.t -> result
-(** Races the workers and joins them all; the parent does nothing else.
+(** Races the workers and joins them all; the caller runs workers too.
     Every worker's search reads one shared stop token, and the first
     worker with a definitive answer sets it, so the losers answer
     [Unknown "interrupted"] at their next loop iteration.  The call

@@ -70,98 +70,52 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(max_k = 4)
   let same_state_count =
     List.length s1.S.state_inputs = List.length s2.S.state_inputs
   in
-  if jobs <= 1 then begin
-    (* try the strengthened (register-correspondence) induction first *)
-    let inductive_attempt =
+  (* the induction chain (strengthened, then plain) and the bounded
+     search, as one group: in order at [jobs = 1], where a settled
+     induction makes the bounded search moot, else as a strategy race.
+     Proofs and counterexamples cannot both exist, so the combination
+     is order-independent. *)
+  let ind = Atomic.make `Open and bmc_r = ref `Clean in
+  let induction ctx =
+    let metrics = Sat.Exec.metrics ctx in
+    let strengthened =
       if not same_state_count then None
       else
         match
           Bmc.prove_inductive ?metrics ~config ~max_k
             (product ~match_states:true s1 s2)
         with
-        | Bmc.Proved k -> Some (Equivalent k)
+        | Bmc.Proved k -> Some (`Proved k)
         | Bmc.Refuted _ | Bmc.Bound_reached -> None
     in
-    match inductive_attempt with
-    | Some r -> r
-    | None -> (
-        (* outputs-only property: refute with BMC, or try plain induction *)
-        let prod = product ~match_states:false s1 s2 in
-        match Bmc.prove_inductive ?metrics ~config ~max_k prod with
-        | Bmc.Proved k -> Equivalent k
-        | Bmc.Refuted frames -> Different frames
-        | Bmc.Bound_reached -> (
-            match
-              (Bmc.check ?metrics ?trace ~config ~max_bound:bound prod)
-                .Bmc.result
-            with
-            | Bmc.Counterexample frames -> Different frames
-            | Bmc.No_counterexample -> Bounded_equivalent bound))
-  end
-  else begin
-    (* strategy race: the induction chain (strengthened, then plain) and
-       the bounded search run on separate domains; proofs and
-       counterexamples cannot both exist, so the combination is
-       order-independent.  Each side observes into a private registry
-       and sink, merged after the join. *)
-    let reg () =
-      match metrics with Some _ -> Some (Sat.Metrics.create ()) | None -> None
-    in
-    let sink i =
-      match trace with
-      | Some _ -> Some (Sat.Trace.make_sink ~worker:i ())
-      | None -> None
-    in
-    let ind_reg = reg () and bmc_reg = reg () in
-    let bmc_sink = sink 1 in
-    let induction () =
-      let strengthened =
-        if not same_state_count then None
-        else
-          match
-            Bmc.prove_inductive ?metrics:ind_reg ~config ~max_k
-              (product ~match_states:true s1 s2)
-          with
-          | Bmc.Proved k -> Some (`Proved k)
-          | Bmc.Refuted _ | Bmc.Bound_reached -> None
-      in
-      match strengthened with
-      | Some r -> r
-      | None -> (
-          match
-            Bmc.prove_inductive ?metrics:ind_reg ~config ~max_k
-              (product ~match_states:false s1 s2)
-          with
-          | Bmc.Proved k -> `Proved k
-          | Bmc.Refuted frames -> `Refuted frames
-          | Bmc.Bound_reached -> `Open)
-    in
-    let bounded () =
+    Atomic.set ind
+      (match strengthened with
+       | Some r -> r
+       | None -> (
+           match
+             Bmc.prove_inductive ?metrics ~config ~max_k
+               (product ~match_states:false s1 s2)
+           with
+           | Bmc.Proved k -> `Proved k
+           | Bmc.Refuted frames -> `Refuted frames
+           | Bmc.Bound_reached -> `Open))
+  in
+  let bounded ctx =
+    if jobs >= 2 || Atomic.get ind = `Open then
       match
-        (Bmc.check ?metrics:bmc_reg ?trace:bmc_sink ~config ~max_bound:bound
+        (Bmc.check ?metrics:(Sat.Exec.metrics ctx) ?trace:(Sat.Exec.trace ctx)
+           ~config ~max_bound:bound
            (product ~match_states:false s1 s2))
           .Bmc.result
       with
-      | Bmc.Counterexample frames -> `Cex frames
-      | Bmc.No_counterexample -> `Clean
-    in
-    let d = Domain.spawn bounded in
-    let ind = induction () in
-    let bmc_r = Domain.join d in
-    (match metrics with
-     | Some m ->
-       List.iter
-         (function
-           | Some r -> Sat.Metrics.merge_into ~into:m r
-           | None -> ())
-         [ ind_reg; bmc_reg ]
-     | None -> ());
-    (match (trace, bmc_sink) with
-     | Some dst, Some s -> Sat.Trace.absorb ~into:dst s
-     | _ -> ());
-    match (ind, bmc_r) with
-    | `Proved k, _ -> Equivalent k
-    | _, `Cex frames -> Different frames  (* BMC's counterexample is shortest *)
-    | `Refuted frames, _ -> Different frames
-    | `Open, `Clean -> Bounded_equivalent bound
-  end
+      | Bmc.Counterexample frames -> bmc_r := `Cex frames
+      | Bmc.No_counterexample -> bmc_r := `Clean
+  in
+  let width = if jobs >= 2 then 2 else 1 in
+  Sat.Exec.with_pool (width - 1) (fun exec ->
+      Sat.Exec.run exec ?metrics ?trace ~width [ induction; bounded ]);
+  match (Atomic.get ind, !bmc_r) with
+  | `Proved k, _ -> Equivalent k
+  | _, `Cex frames -> Different frames  (* BMC's counterexample is shortest *)
+  | `Refuted frames, _ -> Different frames
+  | `Open, `Clean -> Bounded_equivalent bound

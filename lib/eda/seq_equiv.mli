@@ -27,12 +27,15 @@ val check :
 (** [max_k] (default 4) bounds the induction attempt; [bound]
     (default 16) the fallback bounded search.  Raises
     [Invalid_argument] when primary-input or output counts differ.
-    With [jobs >= 2] the induction chain and the bounded search run as
-    a strategy race on separate domains — a proof answers [Equivalent]
-    without waiting for the bounded sweep, a counterexample answers
-    [Different] without waiting for the induction chain; the
-    combination is order-independent because both cannot exist.
-    [metrics] observes the underlying induction and BMC sessions
-    (per-query solver deltas plus the [bmc/*] instruments of the
-    bounded fallback); [trace] is attached to the bounded fallback's
-    solvers. *)
+    The induction chain and the bounded search are the two tasks of
+    one {!Sat.Exec.run} group: in order at [jobs = 1], where a proof or
+    refutation by induction skips the bounded search; with
+    [jobs >= 2] as a strategy race on a pool of one extra domain, where
+    both always run and a bounded counterexample (the shortest) wins.
+    The combination is order-independent because a proof and a
+    counterexample cannot both exist.  [metrics] observes the
+    underlying induction and BMC sessions (per-query solver deltas plus
+    the [bmc/*] instruments of the bounded fallback); [trace] is
+    attached to the bounded fallback's solvers.  In the race each side
+    observes into its slot's private registry and sink, merged after
+    the join. *)

@@ -1,4 +1,4 @@
-(* Domain-pool query scheduler.  See scheduler.mli for the contract. *)
+(* Query scheduler on an Exec pool.  See scheduler.mli for the contract. *)
 
 module J = Sat.Json
 module T = Sat.Types
@@ -22,29 +22,19 @@ type job = {
          serves the job reads it *)
 }
 
-type decompose = {
-  threshold_clauses : int;
-  decompose_jobs : int;
-  depth : int;
-  cutoff : int;
-}
-
 type submit_error = Overloaded | Draining
 
 type t = {
   lock : Mutex.t;
-  nonempty : Condition.t;  (* workers wait here for queue items *)
   idle : Condition.t;  (* drain waits here for quiescence *)
-  queue : job Queue.t;
+  exec : Sat.Exec.t;
   max_queue : int;
   max_conflicts_cap : int option;
-  decompose : decompose option;
+  cube_threshold : int option;
   autotune : bool;
   cache : Cache.t;
-  njobs : int;
-  mutable workers : unit Domain.t array;
+  mutable queued : int;  (* submitted to [exec], not yet started *)
   mutable inflight : int;
-  mutable stop : bool;
   mutable draining : bool;
   (* counters, all under [lock] *)
   mutable queries : int;
@@ -61,26 +51,7 @@ type t = {
   tenants : (string, Sat.Metrics.t) Hashtbl.t;
 }
 
-let queue_depth t =
-  Mutex.lock t.lock;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.lock;
-  n
-
-let inflight t =
-  Mutex.lock t.lock;
-  let n = t.inflight in
-  Mutex.unlock t.lock;
-  n
-
-let jobs t = t.njobs
 let cache t = t.cache
-
-let draining t =
-  Mutex.lock t.lock;
-  let d = t.draining in
-  Mutex.unlock t.lock;
-  d
 
 let set_draining t =
   Mutex.lock t.lock;
@@ -89,11 +60,11 @@ let set_draining t =
 
 let quiescent t =
   Mutex.lock t.lock;
-  let q = Queue.is_empty t.queue && t.inflight = 0 in
+  let q = t.queued = 0 && t.inflight = 0 in
   Mutex.unlock t.lock;
   q
 
-(* --- the worker ----------------------------------------------------------- *)
+(* --- serving a query ------------------------------------------------------ *)
 
 let combine_budget a b =
   match (a, b) with
@@ -145,47 +116,70 @@ let count_stop t = function
   | _ -> ()
 
 (* An oversized unbudgeted query bypasses the warm-session pool and is
-   decomposed by cube-and-conquer across its own worker domains; the
-   result still lands in the result cache. *)
-let process_decomposed t job d ~full ~nclauses ~t0 =
-  let p = job.params in
-  let f =
-    Cnf.Formula.of_clauses
-      (List.map Cnf.Clause.of_dimacs_list p.Protocol.clauses)
-  in
-  let reg = Sat.Metrics.create () in
+   decomposed by cube-and-conquer on the scheduler's own pool. *)
+let solve_decomposed t job reg f =
   let options =
     { Sat.Conquer.default_options with
-      Sat.Conquer.jobs = d.decompose_jobs;
-      cube = { Sat.Cube.default_options with Sat.Cube.depth = d.depth };
+      Sat.Conquer.jobs = Sat.Exec.size t.exec;
       config = Cache.config t.cache;
-      cutoff = d.cutoff;
       timeout =
         Option.map (fun dl -> dl -. Sat.Monotime.now_s ()) job.deadline;
       stop = Some job.stop;
       metrics = Some reg }
   in
-  let r = Sat.Conquer.solve ~options f in
-  let outcome = cancelled_if_stopped r.Sat.Conquer.outcome in
-  if p.use_cache then
-    Cache.store_result t.cache ~hash:full ~nclauses
-      ~assumptions:p.assumptions outcome;
-  roll_up t p.tenant reg;
-  let st = r.Sat.Conquer.stats in
-  finished t job
-    {
-      outcome;
-      cached = false;
-      warm = false;
-      matched_prefix = 0;
-      time_s = Sat.Monotime.now_s () -. t0;
-      conflicts = st.T.conflicts;
-      decisions = st.T.decisions;
-    }
-    (fun t ->
-       t.queries <- t.queries + 1;
-       t.decomposed_n <- t.decomposed_n + 1;
-       count_stop t outcome)
+  let r = Sat.Conquer.solve ~exec:t.exec ~options f in
+  (r.Sat.Conquer.outcome, r.Sat.Conquer.stats, 0, false)
+
+(* Take a warm session holding a prefix, or start cold.  A cold
+   unbudgeted query may be auto-tuned: measure the formula, pick
+   restart schedule / inprocessing / guidance from the decision table
+   (docs/TUNING.md) at jobs=1 — the engine choice is the scheduler's
+   own.  Warm sessions keep their existing configuration: their value
+   is the carried-over solver state. *)
+let solve_incremental t job reg ~budget ~hashes ~full ~nclauses f =
+  let p = job.params in
+  let sess, matched, tuned =
+    match if p.use_cache then Cache.checkout t.cache hashes else None with
+    | Some (sess, i) -> (sess, i, None)
+    | None ->
+      let tuned =
+        if (not t.autotune) || budget <> None || p.max_decisions <> None then
+          None
+        else
+          let f = f () in
+          Some
+            (f, Sat.Autotune.select ~jobs:1 (Sat.Autotune.extract ~probes:16 f))
+      in
+      let config =
+        match tuned with
+        | Some (_, pol) ->
+          { (Cache.config t.cache) with
+            T.restarts = pol.Sat.Autotune.restarts;
+            inprocessing = pol.Sat.Autotune.inprocessing }
+        | None -> Cache.config t.cache
+      in
+      (Sat.Session.create ~config (), 0, tuned)
+  in
+  Sat.Session.attach_metrics sess reg;
+  (* grow the session to the full clause sequence *)
+  let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+  List.iter
+    (fun c -> Sat.Session.add_clause sess (List.map Cnf.Lit.of_dimacs c))
+    (drop matched p.clauses);
+  (* guidance seeds need the variables to exist, i.e. after the
+     clauses are in *)
+  (match tuned with
+   | Some (f, pol) when pol.Sat.Autotune.guided ->
+     Sat.Session.apply_guidance sess (Sat.Guide.of_formula f)
+   | Some _ | None -> ());
+  let outcome =
+    Sat.Session.solve
+      ~assumptions:(List.map Cnf.Lit.of_dimacs p.assumptions)
+      ?max_conflicts:budget ?max_decisions:p.max_decisions ~stop:job.stop
+      ?deadline:job.deadline sess
+  in
+  if p.use_cache then Cache.checkin t.cache ~hash:full ~nclauses sess;
+  (outcome, Sat.Session.last_stats sess, matched, tuned <> None)
 
 let process t job =
   let p = job.params in
@@ -218,81 +212,32 @@ let process t job =
           cached = true;
           time_s = Sat.Monotime.now_s () -. t0 }
         (fun t -> t.queries <- t.queries + 1)
-    | None -> (
-      match t.decompose with
-      | Some d
-        when nclauses >= d.threshold_clauses
-             && p.assumptions = []
-             && combine_budget p.max_conflicts t.max_conflicts_cap = None
-             && p.max_decisions = None ->
-        (* budgeted queries keep their exact budget semantics on the
-           incremental path; only unbudgeted assumption-free bulk
-           queries decompose *)
-        process_decomposed t job d ~full ~nclauses ~t0
-      | _ ->
-      (* take a warm session holding a prefix, or start cold.  A cold
-         unbudgeted query may be auto-tuned: measure the formula, pick
-         restart schedule / inprocessing / guidance from the decision
-         table (docs/TUNING.md) at jobs=1 — the engine choice is the
-         scheduler's own.  Warm sessions keep their existing
-         configuration: their value is the carried-over solver state. *)
-      let autotune_cold () =
-        if
-          (not t.autotune)
-          || combine_budget p.max_conflicts t.max_conflicts_cap <> None
-          || p.max_decisions <> None
-        then None
-        else begin
-          let f =
-            Cnf.Formula.of_clauses
-              (List.map Cnf.Clause.of_dimacs_list p.clauses)
-          in
-          let ft = Sat.Autotune.extract ~probes:16 f in
-          let pol = Sat.Autotune.select ~jobs:1 ft in
-          Some (f, pol)
-        end
+    | None ->
+      let budget = combine_budget p.max_conflicts t.max_conflicts_cap in
+      let f () =
+        Cnf.Formula.of_clauses (List.map Cnf.Clause.of_dimacs_list p.clauses)
       in
-      let sess, matched, tuned =
-        match
-          if p.use_cache then Cache.checkout t.cache hashes else None
-        with
-        | Some (sess, i) -> (sess, i, None)
-        | None -> (
-          match autotune_cold () with
-          | Some (_, pol) as tuned ->
-            let config =
-              { (Cache.config t.cache) with
-                T.restarts = pol.Sat.Autotune.restarts;
-                inprocessing = pol.Sat.Autotune.inprocessing }
-            in
-            (Sat.Session.create ~config (), 0, tuned)
-          | None ->
-            (Sat.Session.create ~config:(Cache.config t.cache) (), 0, None))
+      (* budgeted queries keep their exact budget semantics on the
+         incremental path; only unbudgeted assumption-free bulk
+         queries decompose *)
+      let decomposed =
+        match t.cube_threshold with
+        | Some n ->
+          nclauses >= n && p.assumptions = [] && budget = None
+          && p.max_decisions = None
+        | None -> false
       in
       let reg = Sat.Metrics.create () in
-      Sat.Session.attach_metrics sess reg;
-      (* grow the session to the full clause sequence *)
-      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-      List.iter
-        (fun c ->
-           Sat.Session.add_clause sess (List.map Cnf.Lit.of_dimacs c))
-        (drop matched p.clauses);
-      (* guidance seeds need the variables to exist, i.e. after the
-         clauses are in *)
-      (match tuned with
-       | Some (f, pol) when pol.Sat.Autotune.guided ->
-         Sat.Session.apply_guidance sess (Sat.Guide.of_formula f)
-       | Some _ | None -> ());
-      let outcome =
-        Sat.Session.solve
-          ~assumptions:(List.map Cnf.Lit.of_dimacs p.assumptions)
-          ?max_conflicts:(combine_budget p.max_conflicts t.max_conflicts_cap)
-          ?max_decisions:p.max_decisions ~stop:job.stop ?deadline:job.deadline
-          sess
-        |> cancelled_if_stopped
+      let outcome, st, matched, tuned =
+        if decomposed then solve_decomposed t job reg (f ())
+        else solve_incremental t job reg ~budget ~hashes ~full ~nclauses f
       in
-      let st = Sat.Session.last_stats sess in
-      let answer =
+      let outcome = cancelled_if_stopped outcome in
+      if p.use_cache then
+        Cache.store_result t.cache ~hash:full ~nclauses
+          ~assumptions:p.assumptions outcome;
+      roll_up t p.tenant reg;
+      finished t job
         {
           outcome;
           cached = false;
@@ -302,95 +247,66 @@ let process t job =
           conflicts = st.T.conflicts;
           decisions = st.T.decisions;
         }
-      in
-      if p.use_cache then begin
-        Cache.store_result t.cache ~hash:full ~nclauses
-          ~assumptions:p.assumptions outcome;
-        Cache.checkin t.cache ~hash:full ~nclauses sess
-      end;
-      roll_up t p.tenant reg;
-      finished t job answer (fun t ->
-          t.queries <- t.queries + 1;
-          if tuned <> None then t.autotuned_n <- t.autotuned_n + 1;
-          count_stop t outcome)
-)
+        (fun t ->
+           t.queries <- t.queries + 1;
+           if decomposed then t.decomposed_n <- t.decomposed_n + 1;
+           if tuned then t.autotuned_n <- t.autotuned_n + 1;
+           count_stop t outcome)
   end
 
-let worker t =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.stop do
-      Condition.wait t.nonempty t.lock
-    done;
-    if Queue.is_empty t.queue then begin
-      (* stop requested and nothing left to do *)
-      Mutex.unlock t.lock;
-      ()
-    end
-    else begin
-      let job = Queue.pop t.queue in
-      t.inflight <- t.inflight + 1;
-      Mutex.unlock t.lock;
-      (try process t job
-       with e ->
-         (* the query dies, the worker and the daemon survive *)
-         Mutex.lock t.lock;
-         t.errors <- t.errors + 1;
-         Mutex.unlock t.lock;
-         (try
-            job.on_done
-              (no_search
-                 (T.Unknown ("error: " ^ Printexc.to_string e)))
-          with _ -> ()));
-      Mutex.lock t.lock;
-      t.inflight <- t.inflight - 1;
-      if t.inflight = 0 && Queue.is_empty t.queue then
-        Condition.broadcast t.idle;
-      Mutex.unlock t.lock;
-      loop ()
-    end
-  in
-  loop ()
+(* one admitted query, run by a pool domain *)
+let serve t job =
+  Mutex.lock t.lock;
+  t.queued <- t.queued - 1;
+  t.inflight <- t.inflight + 1;
+  Mutex.unlock t.lock;
+  (try process t job
+   with e ->
+     (* the query dies, the pool and the daemon survive *)
+     Mutex.lock t.lock;
+     t.errors <- t.errors + 1;
+     Mutex.unlock t.lock;
+     (try
+        job.on_done
+          (no_search (T.Unknown ("error: " ^ Printexc.to_string e)))
+      with _ -> ()));
+  Mutex.lock t.lock;
+  t.inflight <- t.inflight - 1;
+  if t.inflight = 0 && t.queued = 0 then Condition.broadcast t.idle;
+  Mutex.unlock t.lock
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
-let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?decompose
+let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?cube_threshold
     ?(autotune = false) ?cache () =
   let njobs =
     match jobs with
     | Some n -> max 1 n
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  let t =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      idle = Condition.create ();
-      queue = Queue.create ();
-      max_queue;
-      max_conflicts_cap;
-      decompose;
-      autotune;
-      cache = (match cache with Some c -> c | None -> Cache.create ());
-      njobs;
-      workers = [||];
-      inflight = 0;
-      stop = false;
-      draining = false;
-      queries = 0;
-      cancelled_n = 0;
-      timeouts = 0;
-      overloaded_n = 0;
-      errors = 0;
-      peak_queue = 0;
-      decomposed_n = 0;
-      autotuned_n = 0;
-      tenants_lock = Mutex.create ();
-      tenants = Hashtbl.create 8;
-    }
-  in
-  t.workers <- Array.init njobs (fun _ -> Domain.spawn (fun () -> worker t));
-  t
+  {
+    lock = Mutex.create ();
+    idle = Condition.create ();
+    exec = Sat.Exec.create njobs;
+    max_queue;
+    max_conflicts_cap;
+    cube_threshold;
+    autotune;
+    cache = (match cache with Some c -> c | None -> Cache.create ());
+    queued = 0;
+    inflight = 0;
+    draining = false;
+    queries = 0;
+    cancelled_n = 0;
+    timeouts = 0;
+    overloaded_n = 0;
+    errors = 0;
+    peak_queue = 0;
+    decomposed_n = 0;
+    autotuned_n = 0;
+    tenants_lock = Mutex.create ();
+    tenants = Hashtbl.create 8;
+  }
 
 let submit t ?deadline ~on_done params =
   let job =
@@ -403,19 +319,19 @@ let submit t ?deadline ~on_done params =
   in
   Mutex.lock t.lock;
   let verdict =
-    if t.draining || t.stop then Error Draining
-    else if Queue.length t.queue >= t.max_queue then begin
+    if t.draining then Error Draining
+    else if t.queued >= t.max_queue then begin
       t.overloaded_n <- t.overloaded_n + 1;
       Error Overloaded
     end
     else begin
-      Queue.add job t.queue;
-      t.peak_queue <- max t.peak_queue (Queue.length t.queue);
-      Condition.signal t.nonempty;
+      t.queued <- t.queued + 1;
+      t.peak_queue <- max t.peak_queue t.queued;
       Ok job
     end
   in
   Mutex.unlock t.lock;
+  if Result.is_ok verdict then Sat.Exec.submit t.exec (fun () -> serve t job);
   verdict
 
 let cancel _ (job : job) = Atomic.set job.stop true
@@ -443,19 +359,14 @@ let solve t params =
 let drain t =
   Mutex.lock t.lock;
   t.draining <- true;
-  while not (Queue.is_empty t.queue && t.inflight = 0) do
+  while not (t.queued = 0 && t.inflight = 0) do
     Condition.wait t.idle t.lock
   done;
   Mutex.unlock t.lock
 
 let shutdown t =
   drain t;
-  Mutex.lock t.lock;
-  t.stop <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.lock;
-  Array.iter Domain.join t.workers;
-  t.workers <- [||]
+  Sat.Exec.shutdown t.exec
 
 (* --- stats ---------------------------------------------------------------- *)
 
@@ -464,7 +375,7 @@ let stats_json t =
   let service =
     J.Obj
       [
-        ("jobs", J.Int t.njobs);
+        ("jobs", J.Int (Sat.Exec.size t.exec));
         ("queries", J.Int t.queries);
         ("cancelled", J.Int t.cancelled_n);
         ("timeouts", J.Int t.timeouts);
@@ -472,7 +383,7 @@ let stats_json t =
         ("errors", J.Int t.errors);
         ("decomposed", J.Int t.decomposed_n);
         ("autotuned", J.Int t.autotuned_n);
-        ("queue_depth", J.Int (Queue.length t.queue));
+        ("queue_depth", J.Int t.queued);
         ("peak_queue_depth", J.Int t.peak_queue);
         ("inflight", J.Int t.inflight);
         ("draining", J.Bool t.draining);

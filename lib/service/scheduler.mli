@@ -1,22 +1,22 @@
-(** Query scheduler: a bounded domain pool fed by a bounded work queue,
-    with admission control, per-query budgets, cooperative cancellation
-    and per-tenant metrics rollup.
+(** Query scheduler: admission control, per-query budgets, cooperative
+    cancellation and per-tenant metrics rollup in front of one
+    {!Sat.Exec} pool, which runs every admitted query.
 
     This is the daemon's engine room, usable without any socket in
     front of it (the benchmarks and tests drive it directly):
 
-    - {!submit} either queues the query or refuses it immediately —
-      [Overloaded] when the queue is at capacity (backpressure),
-      [Draining] once shutdown has begun;
-    - each worker domain serves queries through the {!Cache}: an exact
+    - {!submit} either hands the query to the pool or refuses it
+      immediately — [Overloaded] when [max_queue] queries already wait
+      for a domain (backpressure), [Draining] once shutdown has begun;
+    - each pool domain serves queries through the {!Cache}: an exact
       repeat answers from the result cache, a grown query checks out
       the warm session holding its longest pooled prefix, anything
       else solves cold — and every session returns to the pool
       afterwards, including after a cancelled or timed-out query, with
       no cancellation state to clear;
     - every query owns one stop token from {!submit} on.  {!cancel}
-      sets it (safe from any domain); the worker passes it and the
-      query's deadline straight into {!Sat.Session.solve} (or
+      sets it (safe from any domain); the serving domain passes it and
+      the query's deadline straight into {!Sat.Session.solve} (or
       {!Sat.Conquer}), whose search loop enforces both.  Nothing polls
       the clock on the query's behalf;
     - per-query solver metrics accumulate into a per-tenant
@@ -38,39 +38,36 @@ type answer = {
 type job
 type submit_error = Overloaded | Draining
 
-(** Cube-and-conquer decomposition policy for oversized queries.  A
-    query with at least [threshold_clauses] clauses, no assumptions and
-    no budget (neither its own nor a server cap) bypasses the
-    warm-session pool and is decomposed by {!Sat.Conquer} across
-    [decompose_jobs] worker domains ([depth] lookahead decisions per
-    cube, [cutoff] conflicts before a cube splits dynamically).
-    Budgeted or assumption-carrying queries keep the exact semantics of
-    the incremental path.  Results still land in the result cache;
-    the query's stop token and deadline go to every cube query, so
-    cancellation and deadlines stop the decomposed run the same way. *)
-type decompose = {
-  threshold_clauses : int;
-  decompose_jobs : int;
-  depth : int;
-  cutoff : int;
-}
-
 val create :
   ?jobs:int ->
   ?max_queue:int ->
   ?max_conflicts_cap:int ->
-  ?decompose:decompose ->
+  ?cube_threshold:int ->
   ?autotune:bool ->
   ?cache:Cache.t ->
   unit ->
   t
-(** Spawns the worker domains.  Defaults: [jobs] =
+(** Starts a {!Sat.Exec} pool of [jobs] domains, the only domains the
+    scheduler ever uses.  Defaults: [jobs] =
     [Domain.recommended_domain_count () - 1] (at least 1), [max_queue]
     = 128 pending queries, no conflict cap, no decomposition, a fresh
     default {!Cache.create}.  [max_conflicts_cap] bounds every query's
     conflict budget (applied on top of the query's own, whichever is
     smaller) — the admission-control backstop against a tenant
     submitting unbounded work.
+
+    With [cube_threshold], a query with at least that many clauses, no
+    assumptions and no budget (neither its own nor a server cap)
+    bypasses the warm-session pool and is decomposed by
+    {!Sat.Conquer.solve} on the scheduler's own pool (group width
+    [jobs], default lookahead depth, 10_000 conflicts before a cube
+    splits).  The serving domain runs the cubes itself and idle pool
+    domains join in, so a decomposed query never spawns a domain.
+    Budgeted or assumption-carrying queries keep the exact semantics of
+    the incremental path.  Results still land in the result cache; the
+    query's stop token and deadline reach the lookahead and every cube
+    query, so cancellation and deadlines stop the decomposed run the
+    same way.
 
     With [autotune] (default off), each {e cold, unbudgeted} query is
     measured with {!Sat.Autotune.extract} and its fresh session gets
@@ -88,7 +85,7 @@ val submit :
   on_done:(answer -> unit) ->
   Protocol.solve_params ->
   (job, submit_error) result
-(** Queues a query.  [on_done] runs in the worker domain that served
+(** Queues a query.  [on_done] runs in the pool domain that served
     it (callers bridge to their own thread; the socket server pushes
     to a completion queue).  [deadline] is an absolute
     {!Sat.Monotime.now_s} instant: a query still queued when it passes
@@ -106,16 +103,11 @@ val solve : t -> Protocol.solve_params -> (answer, submit_error) result
 (** Blocking convenience over {!submit} — the in-process client used
     by benchmarks and tests. *)
 
-val queue_depth : t -> int
-val inflight : t -> int
-val jobs : t -> int
 val cache : t -> Cache.t
 
 val set_draining : t -> unit
 (** Stop admitting new queries ({!submit} answers [Draining]);
     already-queued and running queries complete normally. *)
-
-val draining : t -> bool
 
 val quiescent : t -> bool
 (** No queued and no running queries. *)
@@ -124,8 +116,8 @@ val drain : t -> unit
 (** {!set_draining} then block until {!quiescent}. *)
 
 val shutdown : t -> unit
-(** {!drain}, then stop and join the worker domains.  The scheduler
-    must not be used afterwards. *)
+(** {!drain}, then shut the pool down.  The scheduler must not be used
+    afterwards. *)
 
 val stats_json : t -> Sat.Json.t
 (** The [stats]-verb payload: service counters (queries, cancellations,

@@ -156,14 +156,7 @@ let create (cfg : config) =
     sched =
       Scheduler.create ~jobs:cfg.jobs ~max_queue:cfg.max_queue
         ?max_conflicts_cap:cfg.max_conflicts_cap
-        ?decompose:
-          (Option.map
-             (fun n ->
-                { Scheduler.threshold_clauses = n;
-                  decompose_jobs = max 2 cfg.jobs;
-                  depth = Sat.Cube.default_options.Sat.Cube.depth;
-                  cutoff = 10_000 })
-             cfg.cube_threshold)
+        ?cube_threshold:cfg.cube_threshold
         ~autotune:cfg.autotune ~cache ();
     listeners;
     unix_path = cfg.unix_path;

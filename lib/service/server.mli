@@ -28,13 +28,14 @@
 type config = {
   unix_path : string option;  (** listen on a Unix-domain socket path *)
   tcp : (string * int) option;  (** listen on [host, port] *)
-  jobs : int;  (** worker domains ({!Scheduler.create}) *)
+  jobs : int;  (** pool domains ({!Scheduler.create}) *)
   max_queue : int;  (** admission-control queue bound *)
   max_frame : int;  (** bytes; longer frames close the connection *)
   max_conflicts_cap : int option;  (** server-wide per-query budget cap *)
   cube_threshold : int option;
       (** decompose unbudgeted assumption-free queries with at least
-          this many clauses by cube-and-conquer ({!Scheduler.decompose});
+          this many clauses by cube-and-conquer on the same pool
+          ({!Scheduler.create});
           [None] disables decomposition *)
   autotune : bool;
       (** tune each cold unbudgeted query's restarts, inprocessing and

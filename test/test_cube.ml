@@ -184,6 +184,32 @@ let conquer_stop_flag () =
   | T.Unsat -> () (* refuted during lookahead before the flag is polled *)
   | o -> Alcotest.failf "expected interrupted or unsat, got %a" T.pp_outcome o
 
+let lookahead_stops_on_token () =
+  (* lookahead alone takes seconds here; a token set 50 ms in must end
+     it at the next lookahead node *)
+  let f = random_3cnf ~seed:1 ~nvars:20_000 ~ratio:4.2 in
+  let stop = Atomic.make false in
+  let setter =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Atomic.set stop true)
+  in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Sat.Conquer.solve
+      ~options:
+        { Sat.Conquer.default_options with Sat.Conquer.jobs = 2;
+                                           stop = Some stop }
+      f
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Domain.join setter;
+  (match r.Sat.Conquer.outcome with
+   | T.Unknown "interrupted" -> ()
+   | o -> Alcotest.failf "expected interrupted, got %a" T.pp_outcome o);
+  Alcotest.(check bool) "answered well before lookahead ends" true
+    (elapsed < 1.)
+
 (* 300 random 3-CNF instances straddling the phase transition:
    cube-and-conquer (jobs=2, sharing on) agrees with the certified
    sequential solver; every SAT model is evaluated against the formula,
@@ -230,6 +256,7 @@ let suite =
       conquer_splits_under_tiny_cutoff;
     Th.case "conquer timeout, no deadlock" conquer_timeout_no_deadlock;
     Th.case "external stop flag honoured" conquer_stop_flag;
+    Th.case "lookahead stops on the token" lookahead_stops_on_token;
     Th.case "cube-conquer vs certified on 300 phase-transition instances"
       property_cube_conquer_agrees_with_certified;
   ]

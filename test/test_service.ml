@@ -355,9 +355,7 @@ let scheduler_deadline () =
 
 (* every query below has at least 10 clauses, no assumptions and no
    budget, so each one is decomposed *)
-let decompose =
-  { Service.Scheduler.threshold_clauses = 10; decompose_jobs = 2; depth = 3;
-    cutoff = 1_000 }
+let cube_threshold = 10
 
 let service_counter sch name =
   match J.member "service" (Service.Scheduler.stats_json sch) with
@@ -407,7 +405,7 @@ let decomposed_slow_query ?deadline ~cancel_after sch =
     wait 400
 
 let scheduler_decomposed_unsat_cached () =
-  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  let sch = Service.Scheduler.create ~jobs:1 ~cube_threshold () in
   let q = P.mk_solve (php_clauses 7 6) in
   let first = expect_answer "php(7,6)" sch q `Unsat in
   Alcotest.(check bool) "first answer searched" false
@@ -420,7 +418,7 @@ let scheduler_decomposed_unsat_cached () =
   Service.Scheduler.shutdown sch
 
 let scheduler_decomposed_cancel () =
-  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  let sch = Service.Scheduler.create ~jobs:1 ~cube_threshold () in
   (match decomposed_slow_query ~cancel_after:(Some 0.1) sch with
    | T.Unknown "cancelled" -> ()
    | o -> Alcotest.failf "expected cancelled, got %a" T.pp_outcome o);
@@ -431,7 +429,7 @@ let scheduler_decomposed_cancel () =
   Service.Scheduler.shutdown sch
 
 let scheduler_decomposed_deadline () =
-  let sch = Service.Scheduler.create ~jobs:1 ~decompose () in
+  let sch = Service.Scheduler.create ~jobs:1 ~cube_threshold () in
   let deadline = Sat.Monotime.now_s () +. 0.1 in
   (match decomposed_slow_query ~deadline ~cancel_after:None sch with
    | T.Unknown "timeout" -> ()
@@ -439,6 +437,36 @@ let scheduler_decomposed_deadline () =
   Alcotest.(check int) "timeout counted" 1 (service_counter sch "timeouts");
   ignore
     (expect_answer "following query" sch (P.mk_solve (php_clauses 5 4)) `Unsat);
+  Service.Scheduler.shutdown sch
+
+(* sixteen concurrent decomposed queries on sixteen domains: every
+   cube-and-conquer runs on the scheduler's own pool, so none can run
+   the runtime out of domains (128 in OCaml 5.1).  Every query runs to
+   its answer (about 12 s on two cores) rather than being cancelled
+   early: the domains a decomposed query could add appear only once its
+   cubes run, after a lookahead that takes seconds here. *)
+let scheduler_decomposed_concurrent () =
+  let sch = Service.Scheduler.create ~jobs:16 ~cube_threshold () in
+  let got = Array.init 16 (fun _ -> Atomic.make None) in
+  Array.iter
+    (fun cell ->
+       match
+         Service.Scheduler.submit sch
+           ~on_done:(fun a ->
+               Atomic.set cell (Some a.Service.Scheduler.outcome))
+           (P.mk_solve ~use_cache:false (php_clauses 9 8))
+       with
+       | Ok _ -> ()
+       | Error _ -> Alcotest.fail "refused")
+    got;
+  Service.Scheduler.drain sch;
+  Array.iteri
+    (fun i cell ->
+       match Atomic.get cell with
+       | Some T.Unsat -> ()
+       | Some o -> Alcotest.failf "query %d: %a" i T.pp_outcome o
+       | None -> Alcotest.failf "query %d never answered" i)
+    got;
   Service.Scheduler.shutdown sch
 
 let scheduler_overload_and_drain () =
@@ -731,6 +759,8 @@ let suite =
       scheduler_decomposed_unsat_cached;
     Th.case "scheduler decomposed cancellation" scheduler_decomposed_cancel;
     Th.case "scheduler decomposed deadline" scheduler_decomposed_deadline;
+    Th.case "sixteen concurrent decomposed queries"
+      scheduler_decomposed_concurrent;
     Th.case "scheduler overload and drain" scheduler_overload_and_drain;
     Th.case "scheduler tenant metrics" scheduler_tenant_metrics;
     Th.case "daemon solves and caches" daemon_solves_and_caches;
