@@ -8,6 +8,7 @@ let of_dimacs_list ints = of_list (List.map Lit.of_dimacs ints)
 let to_list c = Array.to_list c
 let to_array c = Array.copy c
 let size c = Array.length c
+let get c i = c.(i)
 let is_empty c = Array.length c = 0
 
 (* Literals are sorted, so l and negate l are adjacent when both present. *)

@@ -18,6 +18,11 @@ val to_array : t -> Lit.t array
 (** [to_array c] is a fresh array of the literals of [c]. *)
 
 val size : t -> int
+
+val get : t -> int -> Lit.t
+(** [get c i] is the [i]-th literal of [c] in sorted order, for
+    [0 <= i < size c]. *)
+
 val is_empty : t -> bool
 
 val is_tautology : t -> bool

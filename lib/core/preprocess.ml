@@ -10,7 +10,6 @@ type stats = {
   mutable eliminated : int;
   mutable elim_clauses_removed : int;
   mutable elim_resolvents : int;
-  mutable rounds : int;
 }
 
 type elimination = {
@@ -30,10 +29,33 @@ type result = Unsat | Simplified of simplified
 
 exception Found_unsat
 
+(* Elimination candidates have at most [elim_occ_cap] occurrences per
+   polarity, and no committed resolvent is longer than [elim_clause_cap]
+   literals: long resolvents make poor watch-list citizens. *)
+let elim_occ_cap = 10
+let elim_clause_cap = 8
+
+(* Every pass works over one clause store with per-literal occurrence
+   lists.  A slot is immutable once written: removing a clause clears
+   [live], and strengthening removes the old slot and adds the shorter
+   clause as a new one, so an entry of [occ.(l)] is valid exactly while
+   its slot is live.  Dead entries are skipped on traversal and dropped
+   when an elimination attempt rescans the list — the SatELite
+   discipline, matching the solver's lazy watcher deletion. *)
+type slot = { c : Clause.t; mutable live : bool }
+
 type state = {
   nvars : int;
-  mutable clauses : Clause.t list;
   assign : int array; (* var -> -1/0/1 *)
+  frozen : bool array; (* var -> never eliminated *)
+  store : slot Vec.t; (* insertion order, which is output order *)
+  occ : slot list array;
+  nocc : int array; (* live occurrences per literal *)
+  mark : bool array; (* per literal; scratch for [backward] *)
+  fixed : Lit.t Queue.t; (* fixed, not yet propagated through [occ] *)
+  touched : slot Queue.t; (* not yet checked by [backward] *)
+  vars : int Queue.t; (* due a pure-literal check and an elimination attempt *)
+  queued : bool array; (* var -> in [vars] or in the batch being tried *)
   mutable fix : (int * bool) list;
   mutable elim : elimination list; (* newest first *)
   emit : Types.proof_step -> unit; (* DRAT sink; a no-op without ?proof *)
@@ -58,449 +80,288 @@ let fix_lit s reason l =
      | `Pure -> ());
     s.assign.(v) <- (if Lit.is_pos l then 1 else 0);
     s.fix <- (v, Lit.is_pos l) :: s.fix;
+    Queue.add l s.fixed;
     (match reason with
      | `Unit -> s.st.units <- s.st.units + 1
      | `Pure -> s.st.pures <- s.st.pures + 1
      | `Failed -> s.st.failed_literals <- s.st.failed_literals + 1)
 
-(* Remove satisfied clauses and false literals; fix unit clauses.
-   Returns true when anything changed. *)
-let simplify_clauses s =
-  let changed = ref false in
-  let rec stable () =
-    let local = ref false in
-    let keep c =
-      let lits = Clause.to_list c in
-      if List.exists (fun l -> lit_value s l = 1) lits then begin
-        s.emit (Types.Delete c);
-        local := true;
-        None
-      end
-      else
-        let free = List.filter (fun l -> lit_value s l <> 0) lits in
-        match free with
-        | [] -> raise Found_unsat
-        | [ l ] ->
-          fix_lit s `Unit l;
+let touch_var s v =
+  if not s.queued.(v) then begin
+    s.queued.(v) <- true;
+    Queue.add v s.vars
+  end
+
+(* Insert a clause simplified against the fixed assignment: satisfied
+   clauses and tautologies vanish, false literals are dropped, units are
+   fixed.  The argument's content must already be active in the proof
+   (an input clause, or a clause the caller just emitted), so any
+   simplification emits its replacement before deleting the original. *)
+let add s c =
+  let lits = Clause.to_list c in
+  if Clause.is_tautology c then ()
+  else if List.exists (fun l -> lit_value s l = 1) lits then
+    s.emit (Types.Delete c)
+  else
+    match List.filter (fun l -> lit_value s l <> 0) lits with
+    | [] -> raise Found_unsat
+    | [ l ] ->
+      fix_lit s `Unit l;
+      s.emit (Types.Delete c)
+    | free ->
+      let c =
+        if List.compare_lengths free lits = 0 then c
+        else begin
+          let stripped = Clause.of_list free in
+          s.emit (Types.Add stripped);
           s.emit (Types.Delete c);
-          local := true;
-          None
-        | _ ->
-          if List.length free < List.length lits then begin
-            local := true;
-            (* the stripped clause is RUP while the original is active:
-               add first, then delete *)
-            s.emit (Types.Add (Clause.of_list free));
-            s.emit (Types.Delete c)
-          end;
-          Some (Clause.of_list free)
-    in
-    s.clauses <- List.filter_map keep s.clauses;
-    if !local then begin
-      changed := true;
-      stable ()
-    end
-  in
-  stable ();
-  !changed
-
-let pure_literals s =
-  let occ = Array.make (2 * max 1 s.nvars) 0 in
-  List.iter
-    (fun c -> List.iter (fun l -> occ.(l) <- occ.(l) + 1) (Clause.to_list c))
-    s.clauses;
-  let changed = ref false in
-  for v = 0 to s.nvars - 1 do
-    if s.assign.(v) < 0 then begin
-      let p = occ.(Lit.pos v) and q = occ.(Lit.neg_of_var v) in
-      if p > 0 && q = 0 then begin
-        fix_lit s `Pure (Lit.pos v);
-        changed := true
-      end
-      else if q > 0 && p = 0 then begin
-        fix_lit s `Pure (Lit.neg_of_var v);
-        changed := true
-      end
-    end
-  done;
-  !changed
-
-let occurrence_table s =
-  let occ = Array.make (2 * max 1 s.nvars) [] in
-  List.iteri
-    (fun ci c -> List.iter (fun l -> occ.(l) <- ci :: occ.(l)) (Clause.to_list c))
-    s.clauses;
-  occ
-
-let subsume_pass s =
-  let arr = Array.of_list s.clauses in
-  let alive = Array.make (Array.length arr) true in
-  let occ = occurrence_table s in
-  let changed = ref false in
-  Array.iteri
-    (fun ci c ->
-       if alive.(ci) then begin
-         (* candidates share c's rarest literal *)
-         let rare =
-           Clause.to_list c
-           |> List.fold_left
-                (fun best l ->
-                   match best with
-                   | Some b when List.length occ.(b) <= List.length occ.(l) -> best
-                   | Some _ | None -> Some l)
-                None
-         in
-         match rare with
-         | None -> ()
-         | Some l ->
-           List.iter
-             (fun cj ->
-                if cj <> ci && alive.(cj) && Clause.size c <= Clause.size arr.(cj)
-                   && Clause.subsumes c arr.(cj)
-                then begin
-                  alive.(cj) <- false;
-                  s.emit (Types.Delete arr.(cj));
-                  s.st.subsumed <- s.st.subsumed + 1;
-                  changed := true
-                end)
-             occ.(l)
-       end)
-    arr;
-  s.clauses <-
-    Array.to_list arr
-    |> List.filteri (fun i _ -> alive.(i));
-  !changed
-
-(* self-subsuming resolution: if d contains (c \ {l}) and ~l, drop ~l
-   from d — the resolvent of c and d on l strengthens d *)
-let strengthen_pass s =
-  let arr = Array.of_list s.clauses |> Array.map (fun c -> ref c) in
-  let occ = Array.make (2 * max 1 s.nvars) [] in
-  Array.iteri
-    (fun ci rc ->
-       List.iter (fun l -> occ.(l) <- ci :: occ.(l)) (Clause.to_list !rc))
-    arr;
-  let changed = ref false in
-  Array.iteri
-    (fun ci rc ->
-       List.iter
-         (fun l ->
-            let rest =
-              List.filter (fun m -> not (Lit.equal m l)) (Clause.to_list !rc)
-            in
-            List.iter
-              (fun cj ->
-                 if cj <> ci then begin
-                   let d = !(arr.(cj)) in
-                   if Clause.mem (Lit.negate l) d
-                      && List.for_all (fun m -> Clause.mem m d) rest
-                   then begin
-                     let d' =
-                       Clause.of_list
-                         (List.filter
-                            (fun m -> not (Lit.equal m (Lit.negate l)))
-                            (Clause.to_list d))
-                     in
-                     (* the resolvent is RUP while both parents are
-                        active: add it before deleting the weaker one *)
-                     s.emit (Types.Add d');
-                     s.emit (Types.Delete d);
-                     arr.(cj) := d';
-                     s.st.strengthened <- s.st.strengthened + 1;
-                     changed := true
-                   end
-                 end)
-              occ.(Lit.negate l))
-         (Clause.to_list !rc))
-    arr;
-  s.clauses <- Array.to_list arr |> List.map ( ! );
-  !changed
-
-(* --- bounded variable elimination ---------------------------------------- *)
-
-(* The pass works over its own growable clause store with per-literal
-   occurrence lists.  Clause slots are immutable once written: removing or
-   strengthening a clause kills its slot and (for strengthening) adds the
-   replacement under a fresh index, so an occurrence entry [i] in
-   [occ.(l)] is valid exactly while [alive.(i)] holds.  Stale entries are
-   skipped on traversal — the SatELite discipline, matching the solver's
-   lazy watcher deletion. *)
-let bve_pass s ~frozen ~clause_cap ~occ_cap =
-  let nlits = 2 * max 1 s.nvars in
-  let empty = Clause.of_list [] in
-  let cl = ref (Array.make (max 16 (2 * List.length s.clauses)) empty) in
-  let alive = ref (Array.make (Array.length !cl) false) in
-  let n = ref 0 in
-  let occ = Array.make nlits [] in
-  let touched = Queue.create () in
-  let changed = ref false in
-  let grow () =
-    let cap = 2 * Array.length !cl in
-    let c2 = Array.make cap empty in
-    Array.blit !cl 0 c2 0 !n;
-    cl := c2;
-    let a2 = Array.make cap false in
-    Array.blit !alive 0 a2 0 !n;
-    alive := a2
-  in
-  let push_raw c =
-    if !n = Array.length !cl then grow ();
-    let i = !n in
-    !cl.(i) <- c;
-    !alive.(i) <- true;
-    n := i + 1;
-    List.iter (fun l -> occ.(l) <- i :: occ.(l)) (Clause.to_list c);
-    i
-  in
-  let kill i =
-    !alive.(i) <- false;
-    s.emit (Types.Delete !cl.(i))
-  in
-  (* Insert a clause simplified against the current fixed assignment:
-     satisfied clauses vanish, false literals are dropped, units are
-     fixed, tautologies are discarded outright.  The argument's content
-     must already be active in the proof (an input clause, or a
-     resolvent the caller just emitted), so any simplification emits
-     its replacement before deleting the original. *)
-  let add ~touch c =
-    let lits = Clause.to_list c in
-    if (not (Clause.is_tautology c))
-       && not (List.exists (fun l -> lit_value s l = 1) lits)
-    then begin
-      let free = List.filter (fun l -> lit_value s l <> 0) lits in
-      match free with
-      | [] -> raise Found_unsat
-      | [ l ] ->
-        fix_lit s `Unit l;
-        s.emit (Types.Delete c);
-        changed := true
-      | _ ->
-        if List.length free < List.length lits then begin
-          s.emit (Types.Add (Clause.of_list free));
-          s.emit (Types.Delete c)
-        end;
-        let i = push_raw (Clause.of_list free) in
-        if touch then Queue.add i touched
-    end
-    else if List.length lits > 0 && not (Clause.is_tautology c) then begin
-      s.emit (Types.Delete c);
-      changed := true (* a satisfied clause was dropped *)
-    end
-  in
-  (* Backward subsumption and self-subsuming resolution seeded from one
-     clause — run over every resolvent the elimination loop inserts. *)
-  let backward ci =
-    if !alive.(ci) then begin
-      let c = !cl.(ci) in
-      let lits = Clause.to_list c in
-      (* subsumption candidates share c's rarest literal *)
-      let rare =
-        List.fold_left
-          (fun best l ->
-             match best with
-             | Some b when List.length occ.(b) <= List.length occ.(l) -> best
-             | Some _ | None -> Some l)
-          None lits
+          stripped
+        end
       in
-      (match rare with
-       | None -> ()
-       | Some l ->
-         List.iter
-           (fun cj ->
-              if cj <> ci && !alive.(cj)
-                 && Clause.size c <= Clause.size !cl.(cj)
-                 && Clause.subsumes c !cl.(cj)
-              then begin
-                kill cj;
-                s.st.subsumed <- s.st.subsumed + 1;
-                changed := true
-              end)
-           occ.(l));
-      (* self-subsumption: d ⊇ (c \ {l}) ∪ {¬l} loses ¬l *)
+      let d = { c; live = true } in
+      Vec.push s.store d;
       List.iter
         (fun l ->
-           if !alive.(ci) then begin
-             let rest =
-               List.filter (fun m -> not (Lit.equal m l)) lits
-             in
-             List.iter
-               (fun cj ->
-                  if cj <> ci && !alive.(cj) then begin
-                    let d = !cl.(cj) in
-                    if Clause.mem (Lit.negate l) d
-                       && List.for_all (fun m -> Clause.mem m d) rest
-                    then begin
-                      let d' =
-                        Clause.of_list
-                          (List.filter
-                             (fun m -> not (Lit.equal m (Lit.negate l)))
-                             (Clause.to_list d))
-                      in
-                      (* emit the strengthened clause while both parents
-                         are still active, then delete the weaker one *)
-                      s.emit (Types.Add d');
-                      kill cj;
-                      s.st.strengthened <- s.st.strengthened + 1;
-                      changed := true;
-                      add ~touch:true d'
-                    end
-                  end)
-               occ.(Lit.negate l)
-           end)
-        lits
-    end
-  in
-  let drain () =
-    while not (Queue.is_empty touched) do
-      backward (Queue.pop touched)
-    done
-  in
-  let try_eliminate v =
-    if s.assign.(v) < 0 && not frozen.(v) then begin
-      let lp = Lit.pos v and ln = Lit.neg_of_var v in
-      let pos = List.filter (fun i -> !alive.(i)) occ.(lp) in
-      let neg = List.filter (fun i -> !alive.(i)) occ.(ln) in
-      let np = List.length pos and nn = List.length neg in
-      if np + nn > 0 && np <= occ_cap && nn <= occ_cap then begin
-        (* stage the resolvent set; abort if one resolvent exceeds the
-           clause-size cap or the set outgrows the clauses removed *)
-        let limit = np + nn in
-        let resolve_pair i j =
-          let ci =
-            List.filter (fun l -> Lit.var l <> v) (Clause.to_list !cl.(i))
-          in
-          let cj =
-            List.filter (fun l -> Lit.var l <> v) (Clause.to_list !cl.(j))
-          in
-          Clause.of_list (ci @ cj)
-        in
-        let stage pairs =
-          let resolvents = ref [] in
-          let count = ref 0 in
-          let ok = ref true in
-          (try
-             List.iter
-               (fun (i, j) ->
-                  let r = resolve_pair i j in
-                  if not (Clause.is_tautology r) then begin
-                    if Clause.size r > clause_cap then begin
-                      ok := false;
-                      raise Exit
-                    end;
-                    incr count;
-                    if !count > limit then begin
-                      ok := false;
-                      raise Exit
-                    end;
-                    resolvents := r :: !resolvents
-                  end)
-               pairs
-           with Exit -> ());
-          if !ok then Some (!resolvents, !count) else None
-        in
-        (* Definition substitution (SatELite): when [v] is the output of
-           an AND/OR-shaped gate — one clause (p ∨ m₁ ∨ … ∨ mₖ) whose
-           every [mᵢ] has a matching binary (¬p ∨ ¬mᵢ) — only gate ×
-           non-gate resolvents are needed; non-gate × non-gate pairs are
-           implied by them.  Tseitin-encoded netlists are full of such
-           definitions, and the restricted set lets fanout variables be
-           eliminated where the full product would blow the bound. *)
-        let find_definition p side_p side_n =
-          List.find_map
-            (fun i ->
-               let others =
-                 List.filter (fun l -> not (Lit.equal l p))
-                   (Clause.to_list !cl.(i))
-               in
-               if others = [] then None
-               else
-                 let bins =
-                   List.map
-                     (fun m ->
-                        List.find_opt
-                          (fun j ->
-                             Clause.size !cl.(j) = 2
-                             && List.exists (Lit.equal (Lit.negate m))
-                                  (Clause.to_list !cl.(j)))
-                          side_n)
-                     others
-                 in
-                 if List.for_all Option.is_some bins then
-                   Some (i, List.filter_map Fun.id bins)
-                 else None)
-            side_p
-        in
-        let substitution_pairs () =
-          let pairs_for (def, bins) side_p side_n =
-            let rest_n =
-              List.filter (fun j -> not (List.mem j bins)) side_n
-            in
-            let rest_p = List.filter (fun i -> i <> def) side_p in
-            List.map (fun j -> (def, j)) rest_n
-            @ List.concat_map
-                (fun b -> List.map (fun i -> (i, b)) rest_p)
-                bins
-          in
-          match find_definition lp pos neg with
-          | Some d -> Some (pairs_for d pos neg)
-          | None -> (
-              match find_definition ln neg pos with
-              | Some d -> Some (pairs_for d neg pos)
-              | None -> None)
-        in
-        let full_pairs =
-          List.concat_map (fun i -> List.map (fun j -> (i, j)) neg) pos
-        in
-        let staged =
-          match substitution_pairs () with
-          | Some pairs -> stage pairs
-          | None -> stage full_pairs
-        in
-        match staged with
-        | None -> ()
-        | Some (resolvents, count) ->
-          (* commit: emit every resolvent into the proof while both
-             parent sides are still active (each is RUP against them),
-             push the removed clauses on the elimination stack
-             (complete_model replays them), then swap in the
-             resolvents *)
-          List.iter (fun r -> s.emit (Types.Add r)) resolvents;
-          s.elim <-
-            { evar = v;
-              pos = List.map (fun i -> !cl.(i)) pos;
-              neg = List.map (fun i -> !cl.(i)) neg }
-            :: s.elim;
-          List.iter kill pos;
-          List.iter kill neg;
-          s.st.eliminated <- s.st.eliminated + 1;
-          s.st.elim_clauses_removed <- s.st.elim_clauses_removed + limit;
-          s.st.elim_resolvents <- s.st.elim_resolvents + count;
-          List.iter (fun r -> add ~touch:true r) resolvents;
-          changed := true;
-          drain ()
-      end
-    end
-  in
-  List.iter (fun c -> add ~touch:false c) s.clauses;
-  (* cheapest variables first: few occurrences means few resolvents *)
-  let order = Array.init s.nvars (fun v -> v) in
-  let cost = Array.make (max 1 s.nvars) 0 in
-  for i = 0 to !n - 1 do
-    if !alive.(i) then
-      List.iter (fun l -> cost.(Lit.var l) <- cost.(Lit.var l) + 1)
-        (Clause.to_list !cl.(i))
-  done;
-  Array.sort (fun a b -> Int.compare cost.(a) cost.(b)) order;
-  Array.iter try_eliminate order;
-  let out = ref [] in
-  for i = !n - 1 downto 0 do
-    if !alive.(i) then out := !cl.(i) :: !out
-  done;
-  s.clauses <- !out;
-  !changed
+           s.occ.(l) <- d :: s.occ.(l);
+           s.nocc.(l) <- s.nocc.(l) + 1)
+        free;
+      Queue.add d s.touched
 
+(* Take a clause out of the store without a proof step; its variables
+   are due another pure-literal check and elimination attempt. *)
+let detach s d =
+  d.live <- false;
+  for k = 0 to Clause.size d.c - 1 do
+    let l = Clause.get d.c k in
+    s.nocc.(l) <- s.nocc.(l) - 1;
+    touch_var s (Lit.var l)
+  done
+
+let kill s d =
+  detach s d;
+  s.emit (Types.Delete d.c)
+
+(* A fixed literal kills the clauses it satisfies and strips its
+   complement from the rest, re-adding them as touched clauses. *)
+let propagate s l =
+  List.iter (fun d -> if d.live then kill s d) s.occ.(l);
+  List.iter
+    (fun d ->
+       if d.live then begin
+         detach s d;
+         add s d.c
+       end)
+    s.occ.(Lit.negate l);
+  s.occ.(l) <- [];
+  s.occ.(Lit.negate l) <- []
+
+let count_marked s c =
+  let n = ref 0 in
+  for k = 0 to Clause.size c - 1 do
+    if s.mark.(Clause.get c k) then incr n
+  done;
+  !n
+
+(* [d] loses [l]: the resolvent of [d] and its strengthener, emitted
+   while both parents are still active, replaces [d]. *)
+let strengthen s d l =
+  let d' =
+    Clause.of_list (List.filter (fun m -> m <> l) (Clause.to_list d.c))
+  in
+  s.emit (Types.Add d');
+  kill s d;
+  s.st.strengthened <- s.st.strengthened + 1;
+  add s d'
+
+(* Subsumption and self-subsuming resolution seeded from one touched
+   clause [cs], with [cs]'s literals marked.  It kills the clauses it
+   subsumes and dies itself when an older clause subsumes it; it loses
+   [l] when an older clause [(¬l ∨ R)] has [R ⊆ cs], and otherwise
+   strengthens every [d ⊇ (cs \ {l}) ∪ {¬l}] by dropping [¬l].  The
+   older-clause checks catch resolvents and strengthened clauses that
+   arrive after their subsumer or strengthener was checked.  A touched
+   clause also queues its variables: new occurrences can enable an
+   elimination, for instance by completing a gate definition. *)
+let backward s cs =
+  if cs.live then begin
+    let c = cs.c and k = Clause.size cs.c in
+    let rare = ref (Clause.get c 0) in
+    for i = 0 to k - 1 do
+      let l = Clause.get c i in
+      s.mark.(l) <- true;
+      touch_var s (Lit.var l);
+      if s.nocc.(l) < s.nocc.(!rare) then rare := l
+    done;
+    let other d = d.live && d != cs in
+    List.iter
+      (fun d ->
+         if other d && Clause.size d.c >= k && count_marked s d.c = k then begin
+           kill s d;
+           s.st.subsumed <- s.st.subsumed + 1
+         end)
+      s.occ.(!rare);
+    let subsumer d =
+      other d && Clause.size d.c < k && count_marked s d.c = Clause.size d.c
+    in
+    let rec subsumed i =
+      i < k && (List.exists subsumer s.occ.(Clause.get c i) || subsumed (i + 1))
+    in
+    if subsumed 0 then begin
+      kill s cs;
+      s.st.subsumed <- s.st.subsumed + 1
+    end
+    else begin
+      let strengthens_cs d =
+        other d && Clause.size d.c <= k
+        && count_marked s d.c = Clause.size d.c - 1
+      in
+      let rec self_subsume i =
+        if i < k then begin
+          let l = Clause.get c i in
+          let nl = Lit.negate l in
+          if List.exists strengthens_cs s.occ.(nl) then strengthen s cs l
+          else begin
+            List.iter
+              (fun d ->
+                 if other d && Clause.size d.c >= k
+                    && count_marked s d.c = k - 1
+                 then strengthen s d nl)
+              s.occ.(nl);
+            self_subsume (i + 1)
+          end
+        end
+      in
+      self_subsume 0
+    end;
+    for i = 0 to k - 1 do
+      s.mark.(Clause.get c i) <- false
+    done
+  end
+
+let try_eliminate s v =
+  let lp = Lit.pos v and ln = Lit.neg_of_var v in
+  let np = s.nocc.(lp) and nn = s.nocc.(ln) in
+  if np + nn > 0 && np <= elim_occ_cap && nn <= elim_occ_cap then begin
+    let live l =
+      let ds = List.filter (fun d -> d.live) s.occ.(l) in
+      s.occ.(l) <- ds;
+      ds
+    in
+    let pos = live lp and neg = live ln in
+    (* stage the resolvent set; abort if one resolvent exceeds the
+       clause-size cap or the set outgrows the clauses removed *)
+    let limit = np + nn in
+    let resolve_pair a b =
+      let side d = List.filter (fun l -> Lit.var l <> v) (Clause.to_list d.c) in
+      Clause.of_list (side a @ side b)
+    in
+    let stage pairs =
+      let resolvents = ref [] in
+      let count = ref 0 in
+      let ok = ref true in
+      (try
+         List.iter
+           (fun (a, b) ->
+              let r = resolve_pair a b in
+              if not (Clause.is_tautology r) then begin
+                if Clause.size r > elim_clause_cap then begin
+                  ok := false;
+                  raise Exit
+                end;
+                incr count;
+                if !count > limit then begin
+                  ok := false;
+                  raise Exit
+                end;
+                resolvents := r :: !resolvents
+              end)
+           pairs
+       with Exit -> ());
+      if !ok then Some (!resolvents, !count) else None
+    in
+    (* Definition substitution (SatELite): when [v] is the output of an
+       AND/OR-shaped gate — one clause (p ∨ m₁ ∨ … ∨ mₖ) whose every [mᵢ]
+       has a matching binary (¬p ∨ ¬mᵢ) — only gate × non-gate
+       resolvents are needed; non-gate × non-gate pairs are implied by
+       them.  Tseitin-encoded netlists are full of such definitions, and
+       the restricted set lets fanout variables be eliminated where the
+       full product would blow the bound. *)
+    let find_definition p side_p side_n =
+      List.find_map
+        (fun d ->
+           let others =
+             List.filter (fun l -> not (Lit.equal l p)) (Clause.to_list d.c)
+           in
+           if others = [] then None
+           else
+             let bins =
+               List.map
+                 (fun m ->
+                    List.find_opt
+                      (fun b ->
+                         Clause.size b.c = 2 && Clause.mem (Lit.negate m) b.c)
+                      side_n)
+                 others
+             in
+             if List.for_all Option.is_some bins then
+               Some (d, List.filter_map Fun.id bins)
+             else None)
+        side_p
+    in
+    let substitution_pairs () =
+      let pairs_for (def, bins) side_p side_n =
+        let rest_n = List.filter (fun b -> not (List.memq b bins)) side_n in
+        let rest_p = List.filter (fun a -> a != def) side_p in
+        List.map (fun b -> (def, b)) rest_n
+        @ List.concat_map (fun b -> List.map (fun a -> (a, b)) rest_p) bins
+      in
+      match find_definition lp pos neg with
+      | Some d -> Some (pairs_for d pos neg)
+      | None -> (
+          match find_definition ln neg pos with
+          | Some d -> Some (pairs_for d neg pos)
+          | None -> None)
+    in
+    let full_pairs =
+      List.concat_map (fun a -> List.map (fun b -> (a, b)) neg) pos
+    in
+    let staged =
+      match substitution_pairs () with
+      | Some pairs -> stage pairs
+      | None -> stage full_pairs
+    in
+    match staged with
+    | None -> ()
+    | Some (resolvents, count) ->
+      (* commit: emit every resolvent into the proof while both parent
+         sides are still active (each is RUP against them), push the
+         removed clauses on the elimination stack (complete_model
+         replays them), then swap in the resolvents *)
+      List.iter (fun r -> s.emit (Types.Add r)) resolvents;
+      s.elim <-
+        { evar = v;
+          pos = List.map (fun d -> d.c) pos;
+          neg = List.map (fun d -> d.c) neg }
+        :: s.elim;
+      List.iter (kill s) pos;
+      List.iter (kill s) neg;
+      s.st.eliminated <- s.st.eliminated + 1;
+      s.st.elim_clauses_removed <- s.st.elim_clauses_removed + limit;
+      s.st.elim_resolvents <- s.st.elim_resolvents + count;
+      List.iter (add s) resolvents
+  end
+
+let live_clauses s =
+  List.filter_map (fun d -> if d.live then Some d.c else None)
+    (Vec.to_list s.store)
+
+(* Probes both phases of every open variable on a solver built from the
+   live clauses; failed literals are fixed (and so queued for
+   propagation).  Returns whether any literal failed. *)
 let probe s =
-  let solver = Cdcl.create (Cnf.Formula.of_clauses ~nvars:s.nvars s.clauses) in
+  let solver =
+    Cdcl.create (Cnf.Formula.of_clauses ~nvars:s.nvars (live_clauses s))
+  in
   if not (Cdcl.propagate_root solver) then raise Found_unsat;
   let survives l =
     match Cdcl.probe_push solver l with
@@ -509,11 +370,11 @@ let probe s =
       true
     | Cdcl.Probe_conflict -> false
   in
-  let changed = ref false in
+  let found = ref false in
   let fold_back l =
     fix_lit s `Failed l;
     if not (Cdcl.probe_assert solver l) then raise Found_unsat;
-    changed := true
+    found := true
   in
   for v = 0 to s.nvars - 1 do
     if s.assign.(v) < 0 && Cdcl.value_var solver v < 0 then begin
@@ -531,63 +392,90 @@ let probe s =
       | true, true -> ()
     end
   done;
-  !changed
+  !found
 
-(* most occurrences per polarity of an elimination candidate *)
-let elim_occ_cap = 10
+(* Drain the fixed-literal and touched-clause queues. *)
+let settle s =
+  while not (Queue.is_empty s.fixed && Queue.is_empty s.touched) do
+    match Queue.take_opt s.fixed with
+    | Some l -> propagate s l
+    | None -> backward s (Queue.take s.touched)
+  done
 
-let run ?(subsumption = true) ?(strengthen = true) ?pures
-    ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
-    ?(elim_clause_cap = 8) ?proof f =
+let visit s ~pures v =
+  s.queued.(v) <- false;
+  if s.assign.(v) < 0 then begin
+    let p = s.nocc.(Lit.pos v) and q = s.nocc.(Lit.neg_of_var v) in
+    if pures && p > 0 && q = 0 then fix_lit s `Pure (Lit.pos v)
+    else if pures && q > 0 && p = 0 then fix_lit s `Pure (Lit.neg_of_var v)
+    else if not s.frozen.(v) then try_eliminate s v
+  end
+
+let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
+    ?proof f =
   (* Pure-literal fixes are RAT but not RUP, so they cannot enter the
      DRAT stream this pipeline emits: with a proof sink, [pures]
      defaults to — and must be — off. *)
   let pures = match pures with Some p -> p | None -> proof = None in
   if pures && proof <> None then
     invalid_arg "Preprocess.run: ~pures is incompatible with ~proof";
-  let st =
-    { units = 0; pures = 0; subsumed = 0; strengthened = 0;
-      failed_literals = 0; eliminated = 0; elim_clauses_removed = 0;
-      elim_resolvents = 0; rounds = 0 }
-  in
   let nvars = Cnf.Formula.nvars f in
+  let nlits = 2 * max 1 nvars in
   let s =
     {
       nvars;
-      clauses = Array.to_list (Cnf.Formula.clauses f);
       assign = Array.make (max 1 nvars) (-1);
+      (* without [elim], every variable is frozen *)
+      frozen = Array.make (max 1 nvars) (not elim);
+      store = Vec.create ~dummy:{ c = Clause.of_list []; live = false } ();
+      occ = Array.make nlits [];
+      nocc = Array.make nlits 0;
+      mark = Array.make nlits false;
+      fixed = Queue.create ();
+      touched = Queue.create ();
+      vars = Queue.create ();
+      queued = Array.make (max 1 nvars) false;
       fix = [];
       elim = [];
       emit = (match proof with Some e -> e | None -> fun _ -> ());
-      st;
+      st =
+        { units = 0; pures = 0; subsumed = 0; strengthened = 0;
+          failed_literals = 0; eliminated = 0; elim_clauses_removed = 0;
+          elim_resolvents = 0 };
     }
   in
-  let frozen_arr = Array.make (max 1 nvars) false in
-  List.iter (fun v -> if v >= 0 && v < nvars then frozen_arr.(v) <- true) frozen;
-  let subsumption_on = subsumption in
+  List.iter (fun v -> if v >= 0 && v < nvars then s.frozen.(v) <- true) frozen;
   try
-    let continue = ref true in
-    while !continue do
-      st.rounds <- st.rounds + 1;
-      let c1 = simplify_clauses s in
-      let c2 = if pures then pure_literals s else false in
-      let c3 = if subsumption_on then subsume_pass s else false in
-      let c4 = if strengthen then strengthen_pass s else false in
-      let c5 =
-        if elim then
-          bve_pass s ~frozen:frozen_arr ~clause_cap:elim_clause_cap
-            ~occ_cap:elim_occ_cap
-        else false
-      in
-      let c6 = if probe_failed_literals then probe s else false in
-      continue := (c1 || c2 || c3 || c4 || c5 || c6) && st.rounds < 20
+    Array.iter (add s) (Cnf.Formula.clauses f);
+    for v = 0 to nvars - 1 do
+      touch_var s v
     done;
+    (* Touched variables are tried in batches, cheapest first: few
+       occurrences mean few resolvents.  Each step fixes or eliminates a
+       variable, kills a clause or removes a literal, so the loop ends
+       without a round cap, once a batch touches no variable and probing
+       (when on) finds no failed literal. *)
+    let cost v = s.nocc.(Lit.pos v) + s.nocc.(Lit.neg_of_var v) in
+    let rec loop () =
+      settle s;
+      let batch = Array.of_seq (Queue.to_seq s.vars) in
+      Queue.clear s.vars;
+      Array.sort (fun a b -> Int.compare (cost a) (cost b)) batch;
+      Array.iter
+        (fun v ->
+           visit s ~pures v;
+           settle s)
+        batch;
+      let found = probe_failed_literals && probe s in
+      if found || not (Queue.is_empty s.vars) then loop ()
+    in
+    loop ();
     Simplified
       {
-        formula = Cnf.Formula.of_clauses ~nvars:s.nvars s.clauses;
+        formula = Cnf.Formula.of_clauses ~nvars (live_clauses s);
         fix = List.rev s.fix;
         elim = s.elim;
-        stats = st;
+        stats = s.st;
       }
   with Found_unsat ->
     (* every raise site leaves the active clause set root-inconsistent
@@ -642,6 +530,6 @@ let complete_model (simp : simplified) model =
 let pp_stats ppf st =
   Format.fprintf ppf
     "units=%d pures=%d subsumed=%d strengthened=%d failed_literals=%d \
-     vars_eliminated=%d clauses_removed=%d resolvents_added=%d rounds=%d"
+     vars_eliminated=%d clauses_removed=%d resolvents_added=%d"
     st.units st.pures st.subsumed st.strengthened st.failed_literals
-    st.eliminated st.elim_clauses_removed st.elim_resolvents st.rounds
+    st.eliminated st.elim_clauses_removed st.elim_resolvents

@@ -8,18 +8,39 @@
     variables it {e eliminates by resolution} are recorded on the
     {!simplified.elim} stack that {!complete_model} replays.
 
+    {2 One store, driven by queues}
+
+    Every pass works on one clause store with per-literal occurrence
+    lists, driven by queues rather than whole-formula rounds (Eén &
+    Biere, SAT 2005):
+    - every clause that enters the store — input clause, resolvent,
+      strengthened or stripped clause — is {e touched}, and each touched
+      clause is checked once for the clauses it subsumes or strengthens
+      and for an older clause that subsumes or strengthens it;
+    - fixing a literal [l] (a unit, a pure literal or a failed literal)
+      deletes the clauses containing [l] and strips [¬l] from the rest;
+    - the variables of a touched, removed or strengthened clause are
+      queued for another pure-literal check and elimination attempt.
+      The variable queue is drained in batches, cheapest variables
+      (fewest occurrences) first;
+    - with probing on, failed-literal probing runs on the live clauses
+      after each batch, and its failed literals take the same fix path.
+
+    Each step fixes or eliminates a variable, removes a clause or
+    removes a literal, so the queues run dry without a round cap: [run]
+    stops once a batch touches no variable and probing finds no failed
+    literal.  The surviving clauses keep their store order.
+
     {2 Bounded variable elimination}
 
     A variable [v] is eliminated by replacing the clauses containing it
     with all non-tautological resolvents on [v] (Davis–Putnam
     resolution), {e bounded} so the clause database never grows: the
     elimination is committed only when the resolvent set is no larger
-    than the set of clauses removed, no resolvent exceeds
-    [elim_clause_cap] literals, and neither polarity of [v] occurs more
-    than 10 times.  Backward subsumption and self-subsuming
-    resolution run interleaved on a queue of touched (freshly inserted)
-    clauses, so resolvents are immediately simplified against the rest
-    of the database.
+    than the set of clauses removed, no resolvent exceeds 8 literals,
+    and neither polarity of [v] occurs more than 10 times.  Resolvents
+    are touched clauses, so they are simplified against the rest of the
+    store before the next elimination attempt.
 
     When [v] is the output of an AND/OR-shaped gate — one clause
     [(v ∨ m₁ ∨ … ∨ mₖ)] with a matching binary [(¬v ∨ ¬mᵢ)] for every
@@ -64,7 +85,6 @@ type stats = {
           replace them are counted in [elim_resolvents]) *)
   mutable elim_resolvents : int;
       (** resolvent clauses inserted by bounded elimination *)
-  mutable rounds : int;
 }
 
 type elimination = {
@@ -92,23 +112,19 @@ type simplified = {
 type result = Unsat | Simplified of simplified
 
 val run :
-  ?subsumption:bool ->
-  ?strengthen:bool ->
   ?pures:bool ->
   ?probe_failed_literals:bool ->
   ?elim:bool ->
   ?frozen:int list ->
-  ?elim_clause_cap:int ->
   ?proof:(Types.proof_step -> unit) ->
   Cnf.Formula.t ->
   result
-(** Defaults: subsumption, strengthening, pure literals and bounded
-    variable elimination on; probing off; [frozen = []];
-    [elim_clause_cap = 8] (longest resolvent committed — long resolvents
-    also make poor watch-list citizens, so the cap is deliberately
-    tighter than the subsumption limits).  The occurrence bound is a
-    constant: at most 10 occurrences per polarity of an elimination
-    candidate.
+(** Defaults: pure literals and bounded variable elimination on;
+    probing off; [frozen = []].  Unit propagation, subsumption and
+    strengthening always run.  The elimination bounds are constants: at
+    most 10 occurrences per polarity of a candidate, and no resolvent
+    longer than 8 literals — long resolvents also make poor watch-list
+    citizens.
 
     [frozen] lists variables bounded elimination must not touch.
     Freeze every variable that later clauses or assumptions may
@@ -117,8 +133,8 @@ val run :
     meaningless.  [Sat.Session] growth variables and incremental
     assumption variables are the canonical frozen set —
     [Solver.Incremental] goes further and disables [elim] entirely
-    because its sessions may grow clauses over {e any} original
-    variable.
+    (which freezes every variable) because its sessions may grow
+    clauses over {e any} original variable.
 
     Disable [pures] when the formula will be extended later
     (incremental sessions): unlike units and failed literals, a pure

@@ -1,10 +1,7 @@
 module P = Sat.Preprocess
 
-let run ?subsumption ?strengthen ?probe_failed_literals f =
-  P.run ?subsumption ?strengthen ?probe_failed_literals f
-
 let units_propagated () =
-  match run (Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ]; [ 3; 4 ] ]) with
+  match P.run (Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ]; [ 3; 4 ] ]) with
   | P.Simplified s ->
     Alcotest.(check int) "units" 3 s.P.stats.P.units;
     Alcotest.(check int) "everything satisfied" 0
@@ -14,26 +11,25 @@ let units_propagated () =
   | P.Unsat -> Alcotest.fail "not unsat"
 
 let unsat_detected () =
-  (match run (Th.formula_of [ [ 1 ]; [ -1 ] ]) with
+  (match P.run (Th.formula_of [ [ 1 ]; [ -1 ] ]) with
    | P.Unsat -> ()
    | P.Simplified _ -> Alcotest.fail "expected unsat");
-  match run (Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2 ] ]) with
+  match P.run (Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2 ] ]) with
   | P.Unsat -> ()
   | P.Simplified _ -> Alcotest.fail "expected chained unsat"
 
 let pure_literals () =
   (* x1 appears only positively *)
-  match run (Th.formula_of [ [ 1; 2 ]; [ 1; -2; 3 ]; [ 3; -2 ] ]) with
+  match P.run (Th.formula_of [ [ 1; 2 ]; [ 1; -2; 3 ]; [ 3; -2 ] ]) with
   | P.Simplified s ->
     Alcotest.(check bool) "pures found" true (s.P.stats.P.pures > 0)
   | P.Unsat -> Alcotest.fail "not unsat"
 
 let subsumption_removes () =
-  (* (~1 2) subsumes the longer clauses; mixed polarities keep the pure-
-     literal pass from consuming everything before subsumption counts *)
+  (* (~1 2) subsumes the longer clauses: every input clause is checked
+     before any pure literal is fixed *)
   match
-    run ~strengthen:false
-      (Th.formula_of [ [ -1; 2 ]; [ -1; 2; 3 ]; [ -1; 2; 4 ]; [ 1; -2 ] ])
+    P.run (Th.formula_of [ [ -1; 2 ]; [ -1; 2; 3 ]; [ -1; 2; 4 ]; [ 1; -2 ] ])
   with
   | P.Simplified s ->
     Alcotest.(check int) "subsumed" 2 s.P.stats.P.subsumed
@@ -41,7 +37,7 @@ let subsumption_removes () =
 
 let strengthening_fires () =
   (* (1 2) strengthens (-1 2 3) to (2 3), which then subsumes (2 3 4) *)
-  match run (Th.formula_of [ [ 1; 2 ]; [ -1; 2; 3 ]; [ 2; 3; 4 ] ]) with
+  match P.run (Th.formula_of [ [ 1; 2 ]; [ -1; 2; 3 ]; [ 2; 3; 4 ] ]) with
   | P.Simplified s ->
     Alcotest.(check bool) "strengthened" true (s.P.stats.P.strengthened > 0)
   | P.Unsat -> Alcotest.fail "not unsat"
@@ -51,7 +47,7 @@ let probing_finds_failed_literals () =
      every variable occurs in both polarities so pure literals can't
      pre-empt the probe *)
   match
-    run ~probe_failed_literals:true
+    P.run ~probe_failed_literals:true
       (Th.formula_of [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 3; 4 ]; [ -3; -4 ] ])
   with
   | P.Simplified s ->
@@ -89,13 +85,16 @@ let bve_respects_frozen () =
     Alcotest.(check (list (pair int bool))) "no fixes invented" [] s.P.fix
 
 let bve_respects_caps () =
-  (* every variable resolves to at least one non-tautological resolvent,
-     so a clause cap of 0 must abort every elimination attempt *)
-  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 3 ]; [ -2; -3 ]; [ -3; 1 ] ] in
-  match
-    P.run ~subsumption:false ~strengthen:false ~pures:false ~elim_clause_cap:0
-      f
-  with
+  (* Only x1 and x2 are candidates; each has a 12-literal resolvent
+     (with (-1 8 .. 13) and (-2 14 .. 19) respectively), so the 8-literal
+     cap must abort both eliminations that the clause-count bound alone
+     would allow. *)
+  let f =
+    Th.formula_of
+      [ [ 1; 2; 3; 4; 5; 6; 7 ]; [ -1; 8; 9; 10; 11; 12; 13 ];
+        [ -2; 14; 15; 16; 17; 18; 19 ]; [ -1; -2; 20 ] ]
+  in
+  match P.run ~pures:false ~frozen:(List.init 18 (fun i -> i + 2)) f with
   | P.Unsat -> Alcotest.fail "not unsat"
   | P.Simplified s ->
     Alcotest.(check int) "clause cap blocks elimination" 0
@@ -103,10 +102,28 @@ let bve_respects_caps () =
     Alcotest.(check int) "clauses untouched" 4
       (Cnf.Formula.nclauses s.P.formula)
 
+(* The output is a fixpoint of the passes: no unit clause, no clause over
+   a fixed or eliminated variable, no clause subsumed by another. *)
+let at_fixpoint (s : P.simplified) =
+  let cs = Cnf.Formula.clauses s.P.formula in
+  let gone v =
+    List.mem_assoc v s.P.fix || List.exists (fun e -> e.P.evar = v) s.P.elim
+  in
+  let open_clause c =
+    Cnf.Clause.size c > 1
+    && List.for_all (fun l -> not (gone (Cnf.Lit.var l))) (Cnf.Clause.to_list c)
+  in
+  let subsumed j d =
+    Array.exists Fun.id
+      (Array.mapi (fun i c -> i <> j && Cnf.Clause.subsumes c d) cs)
+  in
+  Array.for_all open_clause cs
+  && not (Array.exists Fun.id (Array.mapi subsumed cs))
+
 let prop_bve_vs_dpll =
-  (* verdicts against an independent DPLL arbiter, and every SAT model
+  (* verdicts against an independent DPLL arbiter, every SAT model
      reconstructed through the elimination stack must satisfy the
-     original clauses *)
+     original clauses, and the output must be at a fixpoint *)
   QCheck.Test.make ~name:"bve preserves verdicts and reconstructs models"
     ~count:1000
     QCheck.(int_bound 1_000_000)
@@ -119,6 +136,8 @@ let prop_bve_vs_dpll =
        match P.run f with
        | P.Unsat -> not expected
        | P.Simplified s -> (
+           at_fixpoint s
+           &&
            match Th.solve_cdcl s.P.formula with
            | Sat.Types.Sat m ->
              expected
@@ -135,7 +154,7 @@ let prop_equisatisfiable_and_model_complete =
        let rng = Sat.Rng.create (seed + 3) in
        let f = Th.random_cnf rng (3 + Sat.Rng.int rng 8) (3 + Sat.Rng.int rng 30) 4 in
        let expected = Th.outcome_sat (Sat.Brute.solve f) in
-       match run ~probe_failed_literals:(seed mod 2 = 0) f with
+       match P.run ~probe_failed_literals:(seed mod 2 = 0) f with
        | P.Unsat -> not expected
        | P.Simplified s -> (
            match Th.solve_cdcl s.P.formula with
