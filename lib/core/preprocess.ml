@@ -394,7 +394,6 @@ let probe s =
   done;
   !found
 
-(* Drain the fixed-literal and touched-clause queues. *)
 let settle s =
   while not (Queue.is_empty s.fixed && Queue.is_empty s.touched) do
     match Queue.take_opt s.fixed with
