@@ -1,22 +1,18 @@
-(* Experiment E26: preprocessing ablation — bounded variable elimination
-   and inprocessing.
+(* Experiment E26: preprocessing ablation — bounded variable elimination.
 
-   Three variants of the same solver run interleaved (one rep = all
+   Two variants of the same solver run interleaved (one rep = both
    variants back to back, so machine drift hits them equally):
 
-     base      full pipeline with elimination off — the pre-elimination
-               solver this PR started from
+     base      full pipeline with elimination off
      bve       full pipeline, bounded variable elimination on (default)
-     bve+inp   bve plus the in-search simplification hook
-               (learnt subsumption + vivification at restart boundaries)
 
    Families: CEC miters (array vs Wallace multiplier), pigeonhole,
    ATPG test-generation instances, and random 3-SAT at the phase
    transition.  Every SAT model is validated against the *original*
    formula after model reconstruction through the elimination stack,
    and the UNSAT anchors are re-certified through the proof checker
-   with elimination and inprocessing both enabled (their additions and
-   deletions land in the DRAT stream; see docs/PROOFS.md).
+   with elimination enabled (its additions and deletions land in the
+   DRAT stream; see docs/PROOFS.md).
 
    Flags (read from the bench command line, after "--"):
      --smoke   tiny instance sizes: asserts the harness runs end to end
@@ -31,7 +27,6 @@ type row = {
   answer : string;
   base_s : float;
   bve_s : float;
-  bve_inp_s : float;
   eliminated : int;       (* vars removed by elimination, bve variant *)
   clauses_removed : int;  (* clause count change from elimination *)
 }
@@ -39,17 +34,11 @@ type row = {
 let smoke () = Array.exists (( = ) "--smoke") Sys.argv
 let json () = Array.exists (( = ) "--json") Sys.argv
 
-let inp_config =
-  { T.default with T.inprocessing = true; inprocess_interval = 1_000 }
-
 let variants =
   [
     ("base",
      fun f -> S.solve ~pipeline:{ S.full_pipeline with S.elim = false } f);
     ("bve", fun f -> S.solve ~pipeline:S.full_pipeline f);
-    ("bve+inp",
-     fun f ->
-       S.solve ~engine:(S.Cdcl inp_config) ~pipeline:S.full_pipeline f);
   ]
 
 let validate name f (r : S.report) =
@@ -94,7 +83,6 @@ let run_case ~reps ~family name mk_formula =
     answer = !answer;
     base_s = best.(0);
     bve_s = best.(1);
-    bve_inp_s = best.(2);
     eliminated = !eliminated;
     clauses_removed = !clauses_removed;
   }
@@ -170,10 +158,9 @@ let write_json path ~mode rows certified medians =
        Buffer.add_string b
          (Printf.sprintf
             "    {\"name\": \"%s\", \"family\": \"%s\", \"answer\": \"%s\", \
-             \"base_s\": %.6f, \"bve_s\": %.6f, \"bve_inprocess_s\": %.6f, \
-             \"speedup_bve\": %.3f, \"vars_eliminated\": %d, \
-             \"clauses_removed\": %d}%s\n"
-            r.name r.family r.answer r.base_s r.bve_s r.bve_inp_s
+             \"base_s\": %.6f, \"bve_s\": %.6f, \"speedup_bve\": %.3f, \
+             \"vars_eliminated\": %d, \"clauses_removed\": %d}%s\n"
+            r.name r.family r.answer r.base_s r.bve_s
             (r.base_s /. r.bve_s) r.eliminated r.clauses_removed
             (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -196,7 +183,7 @@ let write_json path ~mode rows certified medians =
 let e26 () =
   let smoke = smoke () in
   let mode = if smoke then "smoke" else "full" in
-  Util.header "E26 preprocessing ablation (variable elimination + inprocessing)"
+  Util.header "E26 preprocessing ablation (variable elimination)"
     "SatELite-style bounded elimination ahead of search; interleaved A/B \
      against the pre-elimination pipeline";
   let reps = if smoke then 1 else 5 in
@@ -229,14 +216,13 @@ let e26 () =
          (fun () -> Util.random_3sat ~seed ~nvars ~ratio:4.26))
     (if smoke then [ 3 ] else [ 3; 5 ]);
   let rows = List.rev !rows in
-  Util.row "%-16s %-6s %-6s %9s %9s %9s %8s %6s@." "instance" "family" "ans"
-    "base" "bve" "bve+inp" "speedup" "elim";
+  Util.row "%-16s %-6s %-6s %9s %9s %8s %6s@." "instance" "family" "ans"
+    "base" "bve" "speedup" "elim";
   Util.line ();
   List.iter
     (fun r ->
-       Util.row "%-16s %-6s %-6s %8.3fs %8.3fs %8.3fs %7.2fx %6d@." r.name
-         r.family r.answer r.base_s r.bve_s r.bve_inp_s (r.base_s /. r.bve_s)
-         r.eliminated)
+       Util.row "%-16s %-6s %-6s %8.3fs %8.3fs %7.2fx %6d@." r.name
+         r.family r.answer r.base_s r.bve_s (r.base_s /. r.bve_s) r.eliminated)
     rows;
   let medians =
     List.map
@@ -252,15 +238,14 @@ let e26 () =
   List.iter
     (fun (fam, m) -> Util.row "median speedup %-6s %.2fx@." fam m)
     medians;
-  (* elimination now emits DRAT: the UNSAT anchors certify end to end
-     through the full pipeline, BVE and inprocessing included *)
+  (* elimination emits DRAT: the UNSAT anchors certify end to end
+     through the full pipeline, BVE included *)
   let certified =
     List.filter_map
       (fun (name, f) ->
          let r =
            S.solve
-             ~engine:
-               (S.Cdcl { inp_config with T.proof_logging = true })
+             ~engine:(S.Cdcl { T.default with T.proof_logging = true })
              ~pipeline:S.full_pipeline f
          in
          match r.S.outcome, r.S.proof with
@@ -274,7 +259,7 @@ let e26 () =
         ("miter-mult3", miter 3 ());
       ]
   in
-  Util.row "UNSAT certified with elimination + inprocessing: %s@."
+  Util.row "UNSAT certified with elimination: %s@."
     (String.concat ", " certified);
   if json () then begin
     write_json "BENCH_preprocessing.json" ~mode rows certified medians;
@@ -282,8 +267,7 @@ let e26 () =
   end;
   Util.row
     "@.base is the pre-elimination pipeline (elim off); bve adds bounded \
-     variable elimination; bve+inp additionally simplifies the learnt \
-     database during search.  Best of %d interleaved run(s) per variant; \
+     variable elimination.  Best of %d interleaved run(s) per variant; \
      every SAT model is validated against the original formula after \
      reconstruction through the elimination stack.@."
     reps

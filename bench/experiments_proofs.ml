@@ -1,7 +1,7 @@
 (* Experiment E30: proof logging overhead and backward trimming.
 
    Every instance is solved twice with the full pipeline (bounded
-   variable elimination + inprocessing), interleaved: once with proof
+   variable elimination on), interleaved: once with proof
    logging off (the production configuration) and once with the DRAT
    stream on.  The UNSAT stream is then backward-trimmed into an LRAT
    certificate, which is re-validated by the independent LRAT replayer.
@@ -38,10 +38,7 @@ type row = {
 let smoke () = Array.exists (( = ) "--smoke") Sys.argv
 let json () = Array.exists (( = ) "--json") Sys.argv
 
-let plain_config = { T.default with T.inprocessing = true }
-
-let proof_config =
-  { T.default with T.inprocessing = true; proof_logging = true }
+let proof_config = { T.default with T.proof_logging = true }
 
 let solve config f = S.solve ~engine:(S.Cdcl config) ~pipeline:S.full_pipeline f
 
@@ -54,7 +51,7 @@ let run_case ~reps ~family name mk =
   for _ = 1 to reps do
     let f = mk () in
     nclauses := Cnf.Formula.nclauses f;
-    let r_plain, dt_plain = Util.time (fun () -> solve plain_config f) in
+    let r_plain, dt_plain = Util.time (fun () -> solve T.default f) in
     (match r_plain.S.outcome with
      | T.Unsat | T.Unsat_assuming _ -> ()
      | o -> failwith (name ^ ": expected UNSAT, got " ^ Util.outcome_label o));
@@ -147,7 +144,7 @@ let e30 () =
   let smoke = smoke () in
   let mode = if smoke then "smoke" else "full" in
   Util.header "E30 proof logging overhead + backward trimming"
-    "full pipeline (BVE + inprocessing) with DRAT logging on vs off; \
+    "full pipeline (BVE) with DRAT logging on vs off; \
      backward trim into LRAT, re-validated independently";
   let reps = if smoke then 1 else 5 in
   let rows = ref [] in

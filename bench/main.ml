@@ -32,7 +32,7 @@ let experiments =
     ("E23", "parallel portfolio with clause sharing", Experiments_parallel.e23);
     ("E24", "propagation throughput + parse timing", Experiments_propagation.e24);
     ("E25", "observability overhead (metrics + tracing)", Experiments_observability.e25);
-    ("E26", "preprocessing ablation (BVE + inprocessing)", Experiments_preprocessing.e26);
+    ("E26", "preprocessing ablation (BVE)", Experiments_preprocessing.e26);
     ("E27", "fraiging CEC vs monolithic miter", Experiments_fraig.e27);
     ("E28", "SAT service daemon (satd)", Experiments_service.e28);
     ("E29", "cube-and-conquer vs portfolio vs sequential",

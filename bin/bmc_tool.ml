@@ -2,7 +2,7 @@
    counter family or an ISCAS-89-style BENCH file with DFFs.
 
    bmc_tool [--bits N] [--buggy-at K] [--bound B] [--bench FILE --bad OUT]
-            [--inprocess] [--guide] [--timeout SECS]
+            [--guide] [--timeout SECS]
             [--metrics FILE.json] [--trace FILE.jsonl]
    bmc_tool --induction ... additionally attempts a k-induction proof.
 
@@ -13,11 +13,8 @@
 open Cmdliner
 
 let run bits buggy_at bound bench bad induction explain from_scratch stats
-    inprocess guide timeout metrics_path trace_path =
+    guide timeout metrics_path trace_path =
   let obs = Obs.setup ~tool:"bmc_tool" metrics_path trace_path in
-  let config =
-    { Sat.Types.default with Sat.Types.inprocessing = inprocess }
-  in
   let seq =
     match bench with
     | Some path -> Circuit.Bench_format.parse_sequential_file path
@@ -25,7 +22,7 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
   in
   if induction then begin
     match
-      Eda.Bmc.prove_inductive ?metrics:obs.Obs.metrics ~config ~bad_output:bad
+      Eda.Bmc.prove_inductive ?metrics:obs.Obs.metrics ~bad_output:bad
         ~max_k:bound seq
     with
     | Eda.Bmc.Proved k -> Printf.printf "PROVED for all depths (k=%d)\n" k
@@ -36,7 +33,7 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
       Printf.printf "inconclusive up to k=%d\n" bound
   end;
   let r =
-    Eda.Bmc.check ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ~config
+    Eda.Bmc.check ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
       ~incremental:(not from_scratch) ~bad_output:bad ~guide ?timeout
       ~max_bound:bound seq
   in
@@ -59,7 +56,7 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
      (* core-driven assumption minimization: which frames' transition
         logic does the final bound's refutation actually rest on? *)
      let b = r.Eda.Bmc.bound_reached in
-     match Eda.Bmc.explain_bound ~config ~bad_output:bad ~bound:b seq with
+     match Eda.Bmc.explain_bound ~bad_output:bad ~bound:b seq with
      | Some frames ->
        Printf.printf "unreachability at bound %d depends on frames {%s}\n"
          (b - 1)
@@ -117,11 +114,6 @@ let from_scratch =
 let stats =
   Arg.(value & flag & info [ "stats" ] ~doc:"print per-bound query statistics")
 
-let inprocess =
-  Arg.(value & flag
-       & info [ "inprocess" ]
-         ~doc:"simplify the learnt-clause database during search")
-
 let guide =
   Arg.(value & flag
        & info [ "guide" ]
@@ -139,7 +131,7 @@ let cmd =
   Cmd.v
     (Cmd.info "bmc_tool" ~doc:"bounded model checker demo")
     Term.(const run $ bits $ buggy_at $ bound $ bench $ bad $ induction
-          $ explain $ from_scratch $ stats $ inprocess $ guide $ timeout
+          $ explain $ from_scratch $ stats $ guide $ timeout
           $ Obs.metrics_term $ Obs.trace_term)
 
 let () = exit (Cmd.eval cmd)

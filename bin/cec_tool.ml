@@ -1,7 +1,7 @@
 (* Combinational equivalence checking of two BENCH netlists.
 
    cec_tool A.bench B.bench [--engine mono|fraig|bdd] [--stats]
-            [--jobs N] [--no-elim] [--inprocess] [--guide]
+            [--jobs N] [--no-elim] [--guide]
             [--metrics FILE.json] [--trace FILE.jsonl]
 
    The default engine is the fraiging pipeline: structural hashing,
@@ -12,8 +12,7 @@
 
 open Cmdliner
 
-let run a b engine method_ stats jobs no_elim inprocess guide metrics_path
-    trace_path =
+let run a b engine method_ stats jobs no_elim guide metrics_path trace_path =
   let obs = Obs.setup ~tool:"cec_tool" metrics_path trace_path in
   let metrics = obs.Obs.metrics and trace = obs.Obs.trace in
   let c1 = Circuit.Bench_format.parse_file a in
@@ -47,17 +46,12 @@ let run a b engine method_ stats jobs no_elim inprocess guide metrics_path
         bdd_nodes = r.Eda.Sweep.stats.Eda.Sweep.fraig_nodes;
       }
     | "mono" ->
-      let config =
-        { Sat.Types.default with Sat.Types.inprocessing = inprocess }
-      in
       let engine =
         if jobs > 1 then
           Some
             (Sat.Solver.Portfolio
-               { Sat.Portfolio.default_options with
-                 Sat.Portfolio.jobs;
-                 config })
-        else Some (Sat.Solver.Cdcl config)
+               { Sat.Portfolio.default_options with Sat.Portfolio.jobs })
+        else Some (Sat.Solver.Cdcl Sat.Types.default)
       in
       let pipeline =
         { Sat.Solver.full_pipeline with Sat.Solver.elim = not no_elim }
@@ -136,12 +130,6 @@ let no_elim =
          ~doc:"disable bounded variable elimination on the miter CNF \
                (mono engine only)")
 
-let inprocess =
-  Arg.(value & flag
-       & info [ "inprocess" ]
-         ~doc:"simplify the learnt-clause database during search \
-               (mono engine only)")
-
 let guide =
   Arg.(value & flag
        & info [ "guide" ]
@@ -154,6 +142,6 @@ let cmd =
   Cmd.v
     (Cmd.info "cec_tool" ~doc:"combinational equivalence checker")
     Term.(const run $ a $ b $ engine $ method_ $ stats $ jobs $ no_elim
-          $ inprocess $ guide $ Obs.metrics_term $ Obs.trace_term)
+          $ guide $ Obs.metrics_term $ Obs.trace_term)
 
 let () = exit (Cmd.eval cmd)

@@ -101,9 +101,9 @@ let autotune =
   Arg.(value & flag
        & info [ "auto" ]
          ~doc:"auto-tune each cold unbudgeted query: measure its CNF \
-               (docs/TUNING.md feature set, 16 probes) and pick restarts, \
-               inprocessing and guidance from the decision table; warm \
-               and budgeted queries are untouched")
+               (docs/TUNING.md feature set, 16 probes) and pick restarts \
+               and guidance from the decision table; warm and budgeted \
+               queries are untouched")
 
 let max_results =
   Arg.(value & opt int 4096

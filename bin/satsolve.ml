@@ -1,7 +1,7 @@
 (* DIMACS CNF solver front-end.
 
    satsolve FILE [--engine cdcl|dpll|walksat] [--preprocess] [--no-elim]
-                 [--inprocess] [--equiv] [--rl DEPTH] [--seed N] [--stats]
+                 [--equiv] [--rl DEPTH] [--seed N] [--stats]
                  [--jobs N] [--timeout SECS] [--no-share] [--share-lbd N]
                  [--cube-conquer] [--cube-depth N] [--cube-cutoff N]
                  [--auto] [--explain-tuning] [--guide]
@@ -24,7 +24,7 @@ let read_stdin () =
   go ();
   Buffer.contents b
 
-let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
+let solve_file path engine_name preprocess no_elim equiv rl seed
     stats certify jobs timeout no_share share_lbd cube_conquer cube_depth
     cube_cutoff auto explain_tuning guide proof_path check core_path
     metrics_path trace_path =
@@ -67,7 +67,6 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
   let config =
     { Sat.Types.default with
       Sat.Types.random_seed = seed;
-      inprocessing = inprocess;
       proof_logging = want_proof }
   in
   let config =
@@ -179,12 +178,11 @@ let solve_file path engine_name preprocess no_elim inprocess equiv rl seed
           (Sat.Autotune.feature_fields plan.Sat.Solver.Auto.features);
         let p = plan.Sat.Solver.Auto.policy in
         Printf.printf
-          "c autotune policy engine=%s preprocess=%s restarts=%s \
-           inprocessing=%b guided=%b\n"
+          "c autotune policy engine=%s preprocess=%s restarts=%s guided=%b\n"
           (Sat.Autotune.engine_label p.Sat.Autotune.engine)
           (Sat.Autotune.preprocess_label p.Sat.Autotune.preprocess)
           (Sat.Autotune.restarts_label p.Sat.Autotune.restarts)
-          p.Sat.Autotune.inprocessing p.Sat.Autotune.guided;
+          p.Sat.Autotune.guided;
         Printf.printf "c autotune rules %s\n"
           (String.concat " " p.Sat.Autotune.reason)
       end;
@@ -275,11 +273,6 @@ let no_elim =
                (elimination is proof-complete: it emits its resolvent \
                additions and clause deletions into --proof streams)")
 
-let inprocess =
-  Arg.(value & flag
-       & info [ "inprocess" ]
-         ~doc:"simplify the learnt-clause database during search \
-               (subsumption + vivification at restart boundaries)")
 let equiv = Arg.(value & flag & info [ "equiv" ] ~doc:"equivalency reasoning")
 let rl = Arg.(value & opt int 0 & info [ "rl" ] ~doc:"recursive learning depth")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
@@ -332,7 +325,7 @@ let auto =
        & info [ "auto" ]
          ~doc:"per-instance auto-tuning: measure the formula (clause shape \
                + probe-measured propagation density) and pick the engine, \
-               preprocessing, restart schedule, inprocessing and guidance \
+               preprocessing, restart schedule and guidance \
                from the published decision table (docs/TUNING.md).  \
                Answers are unchanged; incompatible with --proof/--check/\
                --core/--certify/--cube-conquer/--timeout and non-cdcl \
@@ -376,8 +369,8 @@ let core_path =
 let cmd =
   Cmd.v
     (Cmd.info "satsolve" ~doc:"SAT solver for DIMACS CNF")
-    Term.(const solve_file $ file $ engine $ preprocess $ no_elim $ inprocess
-          $ equiv $ rl $ seed $ stats $ certify $ jobs $ timeout $ no_share
+    Term.(const solve_file $ file $ engine $ preprocess $ no_elim $ equiv
+          $ rl $ seed $ stats $ certify $ jobs $ timeout $ no_share
           $ share_lbd $ cube_conquer $ cube_depth $ cube_cutoff
           $ auto $ explain_tuning $ guide
           $ proof_path $ check_flag $ core_path

@@ -34,7 +34,6 @@ type policy = {
   engine : engine_choice;
   preprocess : preprocess_level;
   restarts : Types.restart_policy;
-  inprocessing : bool;
   guided : bool;
   reason : string list;
 }
@@ -152,7 +151,7 @@ let extract ?(probes = 32) f =
 
 (* The decision table (docs/TUNING.md "Selector decision table").  Each
    dimension fires exactly one rule; [reason] records the fired ids in
-   order engine, preprocess, restarts, inprocessing, guidance. *)
+   order engine, preprocess, restarts, guidance. *)
 let select ?(jobs = 1) (ft : features) =
   let fired = ref [] in
   let fire id v = fired := id :: !fired; v in
@@ -174,11 +173,8 @@ let select ?(jobs = 1) (ft : features) =
       fire "R2" (Types.Luby 512)
     else fire "R3" (Types.Luby 100)
   in
-  let inprocessing =
-    if ft.nclauses >= 2000 then fire "I1" true else fire "I0" false
-  in
   let guided = if g >= 0.25 then fire "G1" true else fire "G0" false in
-  { engine; preprocess; restarts; inprocessing; guided; reason = List.rev !fired }
+  { engine; preprocess; restarts; guided; reason = List.rev !fired }
 
 (* --- rendering and metrics ----------------------------------------------- *)
 
@@ -219,12 +215,11 @@ let pp_features ppf ft =
 
 let pp_policy ppf p =
   Format.fprintf ppf
-    "engine=%s@ preprocess=%s@ restarts=%s@ inprocessing=%b@ guided=%b@ \
-     rules=%s"
+    "engine=%s@ preprocess=%s@ restarts=%s@ guided=%b@ rules=%s"
     (engine_label p.engine)
     (preprocess_label p.preprocess)
     (restarts_label p.restarts)
-    p.inprocessing p.guided
+    p.guided
     (String.concat "," p.reason)
 
 let emit_metrics reg ft p =

@@ -6,7 +6,7 @@
     — syntactic clause-shape statistics plus a probe-measured
     propagation density (cf. Semenov et al.'s LEC hardness estimation)
     — and maps the measurements to a solving policy (engine,
-    preprocessing level, restart schedule, inprocessing, guidance)
+    preprocessing level, restart schedule, guidance)
     through a small published decision table.
 
     The formulas and the table are a reimplementable contract in
@@ -51,12 +51,11 @@ type policy = {
   engine : engine_choice;
   preprocess : preprocess_level;
   restarts : Types.restart_policy;
-  inprocessing : bool;
   guided : bool;  (** seed activities/phases via {!Guide.of_formula} *)
   reason : string list;
       (** ids of the decision-table rules that fired, in dimension
-          order (engine, preprocess, restarts, inprocessing, guidance)
-          — e.g. [["E1"; "P2"; "R1"; "I1"; "G1"]] *)
+          order (engine, preprocess, restarts, guidance)
+          — e.g. [["E1"; "P2"; "R1"; "G1"]] *)
 }
 
 val extract : ?probes:int -> Cnf.Formula.t -> features

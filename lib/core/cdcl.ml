@@ -36,16 +36,6 @@ let dummy_clause =
   { lits = [||]; activity = 0.; learnt = false; deleted = true; lbd = 0;
     cid = 0 }
 
-type inprocess_stats = {
-  mutable inp_rounds : int;
-  mutable inp_subsumed : int;
-  mutable inp_vivified : int;
-  mutable inp_vivified_lits : int;
-}
-
-let mk_inprocess_stats () =
-  { inp_rounds = 0; inp_subsumed = 0; inp_vivified = 0; inp_vivified_lits = 0 }
-
 type t = {
   cfg : Types.config;
   stats : Types.stats;
@@ -96,14 +86,7 @@ type t = {
      comparison per site, off the propagation inner loop *)
   mutable tracer : Trace.sink option;
   mutable instruments : Metrics.solver_instruments option;
-  (* full registry for the non-histogram instrumentation (inprocessing
-     counters, "simplify" phase spans); independent of [instruments] so
-     portfolio workers can attach their private registries *)
-  mutable metrics : Metrics.t option;
   mutable solve_calls : int;
-  (* conflict count at the last inprocessing pass *)
-  mutable last_inprocess : int;
-  inp : inprocess_stats;
 }
 
 let config s = s.cfg
@@ -113,8 +96,6 @@ let set_learn_hook s h = s.on_learn <- h
 let set_restart_hook s h = s.on_restart <- h
 let set_tracer s tr = s.tracer <- tr
 let set_instruments s ins = s.instruments <- ins
-let set_metrics s m = s.metrics <- m
-let inprocess_stats s = s.inp
 let nvars s = s.nvars
 let decision_level s = Vec.size s.trail_lim
 
@@ -219,10 +200,11 @@ let locked s (c : clause) =
 
 (* O(1) lazy deletion: the clause's two watcher entries become tombstones
    that propagation drops on traversal and [maybe_compact_watches] sweeps
-   in bulk.  [delete_clause_silent] skips the proof step — for callers
-   that detach a clause only to re-add it (vivification) and emit their
-   own add/delete ordering. *)
-let delete_clause_silent s (c : clause) =
+   in bulk. *)
+let delete_clause s (c : clause) =
+  if s.cfg.proof_logging && c.learnt then
+    s.proof <-
+      Types.Delete (Cnf.Clause.of_list (Array.to_list c.lits)) :: s.proof;
   c.deleted <- true;
   (* re-point the table slot at the (deleted) dummy: tombstone watcher
      entries still dereference safely, and the record becomes garbage as
@@ -230,12 +212,6 @@ let delete_clause_silent s (c : clause) =
   s.ctab.(c.cid) <- dummy_clause;
   s.dead_watchers <- s.dead_watchers + 2;
   s.stats.deleted <- s.stats.deleted + 1
-
-let delete_clause s (c : clause) =
-  if s.cfg.proof_logging && c.learnt then
-    s.proof <-
-      Types.Delete (Cnf.Clause.of_list (Array.to_list c.lits)) :: s.proof;
-  delete_clause_silent s c
 
 (* Compact every watch list once tombstones exceed a quarter of the live
    entries, so clause-database reduction cannot leave permanently
@@ -836,202 +812,6 @@ let import_clause ?lbd s lits =
     end
   end
 
-(* --- inprocessing: simplify the learnt database during search ------------ *)
-
-(* Delete learnt clauses subsumed by a smaller clause anywhere in the
-   database (original or learnt).  Original clauses are never touched,
-   so the proof's premise set is untouched too.  A clause [d] subsumes
-   [c] iff every literal of [d] occurs in [c]; candidates are found by
-   scanning the occurrence lists of all of [c]'s literals (every
-   subsumer shares each of its own literals with [c]), bounded by a
-   per-clause scan budget so pathological occurrence lists cannot make
-   the pass quadratic. *)
-let inprocess_subsume s =
-  let nlits = 2 * max 1 s.nvars in
-  let occ = Array.make nlits [] in
-  let index (c : clause) =
-    if not c.deleted then
-      Array.iter (fun l -> occ.(l) <- c :: occ.(l)) c.lits
-  in
-  Vec.iter index s.clauses;
-  Vec.iter index s.learnts;
-  let seen = Array.make nlits false in
-  let removed = ref 0 in
-  let subsumed (c : clause) =
-    Array.iter (fun l -> seen.(l) <- true) c.lits;
-    let hit = ref false in
-    let budget = ref 2000 in
-    Array.iter
-      (fun l ->
-         if not !hit then
-           List.iter
-             (fun (d : clause) ->
-                decr budget;
-                if (not !hit) && !budget >= 0 && d != c && (not d.deleted)
-                   && Array.length d.lits <= Array.length c.lits
-                   && Array.for_all (fun m -> seen.(m)) d.lits
-                then hit := true)
-             occ.(l))
-      c.lits;
-    Array.iter (fun l -> seen.(l) <- false) c.lits;
-    !hit
-  in
-  Vec.iter
-    (fun (c : clause) ->
-       if (not c.deleted) && (not (locked s c)) && Array.length c.lits > 1
-          && subsumed c
-       then begin
-         delete_clause s c;
-         incr removed
-       end)
-    s.learnts;
-  if !removed > 0 then begin
-    Vec.filter_in_place (fun c -> not c.deleted) s.learnts;
-    maybe_compact_watches s
-  end;
-  !removed
-
-(* Vivification core: assert the negation of each literal in turn at a
-   pseudo decision level.  A literal already true is kept and closes the
-   clause (the prefix implies it); a literal already false is dropped
-   (the prefix implies its negation — self-subsumption); a propagation
-   conflict closes the clause at the current prefix.  Returns the kept
-   literals; the caller must have detached the clause first so it cannot
-   justify itself. *)
-let vivify_lits s lits0 =
-  new_decision_level s;
-  let kept = ref [] in
-  let stop = ref false in
-  let i = ref 0 in
-  let n = Array.length lits0 in
-  while (not !stop) && !i < n do
-    let l = lits0.(!i) in
-    incr i;
-    match value s l with
-    | 1 ->
-      kept := l :: !kept;
-      stop := true
-    | 0 -> ()
-    | _ ->
-      kept := l :: !kept;
-      enqueue s (Lit.negate l) dummy_clause;
-      (match propagate s with Some _ -> stop := true | None -> ())
-  done;
-  cancel_until s 0;
-  List.rev !kept
-
-(* One budgeted inprocessing pass, run at a level-0 boundary of the
-   search: learnt-clause subsumption, then vivification of the lowest-LBD
-   learnt clauses.  Every shortened clause is reverse-unit-propagation
-   derivable from the database (the original clause is a recorded proof
-   step or an input, and each drop is justified by propagation), so with
-   [proof_logging] the shortened clause is appended to the proof and
-   certificates stay checkable. *)
-let inprocess s =
-  s.inp.inp_rounds <- s.inp.inp_rounds + 1;
-  (match s.tracer with
-   | Some tr -> Trace.emit tr (Trace.Phase_begin "simplify")
-   | None -> ());
-  (match s.metrics with
-   | Some m -> Metrics.phase_begin m "simplify"
-   | None -> ());
-  let sub0 = s.inp.inp_subsumed
-  and viv0 = s.inp.inp_vivified
-  and lit0 = s.inp.inp_vivified_lits in
-  (* settle any pending propagation: the pass needs the level-0 closure *)
-  (match propagate s with Some _ -> s.ok <- false | None -> ());
-  if s.ok then begin
-    s.inp.inp_subsumed <- s.inp.inp_subsumed + inprocess_subsume s;
-    let cands =
-      Vec.to_list s.learnts
-      |> List.filter (fun (c : clause) ->
-             (not c.deleted) && (not (locked s c)) && Array.length c.lits > 1)
-      |> List.sort (fun (a : clause) (b : clause) ->
-             match Int.compare a.lbd b.lbd with
-             | 0 -> Int.compare (Array.length a.lits) (Array.length b.lits)
-             | k -> k)
-    in
-    let budget = ref 100 in
-    let props0 = s.stats.propagations in
-    List.iter
-      (fun (c : clause) ->
-         if s.ok && !budget > 0 && (not c.deleted) && (not (locked s c))
-            && s.stats.propagations - props0 < 200_000
-         then begin
-           decr budget;
-           let lits0 = Array.copy c.lits in
-           let activity = c.activity and lbd = c.lbd in
-           delete_clause_silent s c;
-           let lits = vivify_lits s lits0 in
-           (* back at level 0: drop root-false literals, discard the
-              clause entirely if it is root-satisfied *)
-           if List.exists (fun l -> value s l = 1) lits then begin
-             if s.cfg.proof_logging then
-               s.proof <-
-                 Types.Delete (Cnf.Clause.of_list (Array.to_list lits0))
-                 :: s.proof
-           end
-           else begin
-             let lits = List.filter (fun l -> value s l <> 0) lits in
-             let n' = List.length lits in
-             if n' < Array.length lits0 then begin
-               s.inp.inp_vivified <- s.inp.inp_vivified + 1;
-               s.inp.inp_vivified_lits <-
-                 s.inp.inp_vivified_lits + (Array.length lits0 - n');
-               if s.cfg.proof_logging then begin
-                 (* the shortened clause is RUP while the original is
-                    still in the proof's active set: add first, then
-                    delete the original *)
-                 s.proof <-
-                   Types.Add (Cnf.Clause.of_list lits) :: s.proof;
-                 s.proof <-
-                   Types.Delete (Cnf.Clause.of_list (Array.to_list lits0))
-                   :: s.proof
-               end
-             end;
-             match lits with
-             | [] -> s.ok <- false
-             | [ l ] ->
-               enqueue s l dummy_clause;
-               (match propagate s with Some _ -> s.ok <- false | None -> ())
-             | _ ->
-               let cl =
-                 { lits = Array.of_list lits; activity; learnt = true;
-                   deleted = false; lbd = min lbd (List.length lits);
-                   cid = -1 }
-               in
-               attach s cl;
-               Vec.push s.learnts cl
-           end
-         end)
-      cands;
-    Vec.filter_in_place (fun c -> not c.deleted) s.learnts;
-    maybe_compact_watches s
-  end;
-  s.last_inprocess <- s.stats.conflicts;
-  (match s.metrics with
-   | Some m ->
-     Metrics.incr (Metrics.counter m "inprocess/rounds");
-     Metrics.incr
-       ~by:(s.inp.inp_subsumed - sub0)
-       (Metrics.counter m "inprocess/subsumed");
-     Metrics.incr
-       ~by:(s.inp.inp_vivified - viv0)
-       (Metrics.counter m "inprocess/vivified");
-     Metrics.incr
-       ~by:(s.inp.inp_vivified_lits - lit0)
-       (Metrics.counter m "inprocess/vivified_literals");
-     Metrics.phase_end m "simplify"
-   | None -> ());
-  match s.tracer with
-  | Some tr -> Trace.emit tr (Trace.Phase_end "simplify")
-  | None -> ()
-
-let maybe_inprocess s =
-  if s.ok && s.cfg.inprocessing && decision_level s = 0
-     && s.stats.conflicts - s.last_inprocess >= s.cfg.inprocess_interval
-  then inprocess s
-
 (* Seed activities and phases from structure-derived guidance.  Legal
    any time the solver is at decision level 0 between solves: seeded
    activities are scaled to the current activity ceiling so they rank
@@ -1105,10 +885,7 @@ let create ?(config = Types.default) formula =
       on_restart = None;
       tracer = None;
       instruments = None;
-      metrics = None;
       solve_calls = 0;
-      last_inprocess = 0;
-      inp = mk_inprocess_stats ();
     }
   in
   for _ = 1 to n do
@@ -1227,7 +1004,6 @@ let past = function Some d -> Monotime.now_s () >= d | None -> false
 let solve_loop s assumptions ~stop ~deadline =
   (* level-0 boundary hook (clause import, etc.) before the search starts *)
   (match s.on_restart with Some h when s.ok -> h () | _ -> ());
-  maybe_inprocess s;
   if not s.ok then Types.Unsat
   else begin
     (* assumptions may mention variables no clause ever did *)
@@ -1269,7 +1045,6 @@ let solve_loop s assumptions ~stop ~deadline =
                 (match s.on_restart with
                  | Some h when s.ok -> h ()
                  | _ -> ());
-                maybe_inprocess s;
                 if not s.ok then result := Some Types.Unsat
               end
           end

@@ -99,32 +99,6 @@ val set_instruments : t -> Metrics.solver_instruments option -> unit
     levels unwound per conflict, and trail depth at each conflict.
     [None] (the default) disables the observations. *)
 
-val set_metrics : t -> Metrics.t option -> unit
-(** Attaches a full metrics registry for the counter-shaped
-    instrumentation that {!set_instruments}'s fixed histogram record
-    cannot carry: the inprocessing pass increments [inprocess/rounds],
-    [inprocess/subsumed], [inprocess/vivified] and
-    [inprocess/vivified_literals], and brackets itself in a ["simplify"]
-    phase span ({!Metrics.phase_begin}/{!Metrics.phase_end}).  [None]
-    (the default) disables the emissions. *)
-
-type inprocess_stats = {
-  mutable inp_rounds : int;    (** inprocessing passes run *)
-  mutable inp_subsumed : int;  (** learnt clauses deleted by subsumption *)
-  mutable inp_vivified : int;  (** learnt clauses shortened by vivification *)
-  mutable inp_vivified_lits : int;  (** literals removed by vivification *)
-}
-
-val inprocess_stats : t -> inprocess_stats
-(** Cumulative counters of the inprocessing hook enabled by
-    {!Types.config.inprocessing}: at restart boundaries (at least
-    [inprocess_interval] conflicts apart) the solver deletes learnt
-    clauses subsumed by a smaller clause and {e vivifies} the
-    lowest-LBD learnt clauses — asserting the negation of each literal
-    in turn and shortening the clause when propagation closes it early.
-    The pass is budgeted (clauses and propagations per pass) so it can
-    never dominate the search it is meant to accelerate. *)
-
 val solve :
   ?assumptions:Cnf.Lit.t list ->
   ?max_conflicts:int ->
@@ -185,10 +159,9 @@ val learned_clauses : t -> Cnf.Clause.t list
 
 val proof : t -> Types.proof_step list
 (** The DRAT proof stream in emission order (requires
-    [config.proof_logging]).  [Add] steps are learned or vivified
-    clauses, each reverse-unit-propagation derivable from the clauses
-    active when it appears; [Delete] steps record clause-database
-    reductions, learnt-clause subsumption, and inprocessing rewrites.
+    [config.proof_logging]).  [Add] steps are learned clauses, each
+    reverse-unit-propagation derivable from the clauses active when it
+    appears; [Delete] steps record clause-database reductions.
     Clauses accepted through {!import_clause} are {e not} recorded, so
     proofs from clause-sharing runs are incomplete — proof-producing
     configurations must run a single sequential solver.  See

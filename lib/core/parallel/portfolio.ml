@@ -204,9 +204,7 @@ let solve ?options:(opts = default_options) f =
   let worker i ctx =
     let s = solvers.(i) in
     Option.iter
-      (fun m ->
-         Cdcl.set_instruments s (Some (Metrics.solver_instruments m));
-         Cdcl.set_metrics s (Some m))
+      (fun m -> Cdcl.set_instruments s (Some (Metrics.solver_instruments m)))
       (Exec.metrics ctx);
     Cdcl.set_tracer s (Exec.trace ctx);
     share sharing pool ~self:i ?trace:(Exec.trace ctx) s;

@@ -1,7 +1,7 @@
 (** DRAT proof checking, backward trimming, and unsat cores.
 
     A CDCL run with [proof_logging] emits a {e DRAT} stream: clause
-    {e additions} (learned, vivified, or resolved clauses) interleaved
+    {e additions} (learned or resolved clauses) interleaved
     with clause {e deletions} (database reductions, subsumption,
     elimination).  Every addition the pipeline emits is {e RUP} with
     respect to the clauses active when it appears: asserting the

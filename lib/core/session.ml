@@ -67,7 +67,6 @@ let model t = t.cached_model
 
 let attach_metrics t m =
   Cdcl.set_instruments t.cdcl (Some (Metrics.solver_instruments m));
-  Cdcl.set_metrics t.cdcl (Some m);
   t.obs <-
     Some
       {

@@ -46,7 +46,6 @@ let run_engine ?metrics ?trace engine f =
     (match metrics with
      | Some m -> Cdcl.set_instruments s (Some (Metrics.solver_instruments m))
      | None -> ());
-    Cdcl.set_metrics s metrics;
     Cdcl.set_tracer s trace;
     let outcome = Cdcl.solve s in
     (match metrics with
@@ -376,8 +375,7 @@ module Auto = struct
     let policy = Autotune.select ~jobs features in
     let cfg =
       { config with
-        Types.restarts = policy.Autotune.restarts;
-        inprocessing = policy.Autotune.inprocessing }
+        Types.restarts = policy.Autotune.restarts }
     in
     let guidance =
       if policy.Autotune.guided then

@@ -80,12 +80,10 @@ val solve :
     registry (for the portfolio engine, merged across workers).  The
     preprocess stage additionally emits [preprocess/*] counters —
     [units], [pures], [subsumed], [strengthened], [failed_literals],
-    [vars_eliminated], [clauses_removed] — and a Cdcl engine with
-    [Types.config.inprocessing] emits [inprocess/*] counters plus a
-    ["simplify"] phase span per pass (see {!Cdcl.set_metrics}).  With
-    [trace], the same spans appear as [phase-begin]/[phase-end] events
-    around the solver's own event stream.  A [Portfolio] engine whose
-    options already carry a registry or sink keeps its own. *)
+    [vars_eliminated], [clauses_removed].  With [trace], the same
+    spans appear as [phase-begin]/[phase-end] events around the
+    solver's own event stream.  A [Portfolio] engine whose options
+    already carry a registry or sink keeps its own. *)
 
 val solve_dimacs :
   ?metrics:Metrics.t ->

@@ -28,8 +28,6 @@ type config = {
   max_conflicts : int option;
   max_decisions : int option;
   proof_logging : bool;
-  inprocessing : bool;
-  inprocess_interval : int;
   guide : guidance option;
 }
 
@@ -46,8 +44,6 @@ let default =
     max_conflicts = None;
     max_decisions = None;
     proof_logging = false;
-    inprocessing = false;
-    inprocess_interval = 4000;
     guide = None;
   }
 

@@ -68,16 +68,6 @@ type config = {
   proof_logging : bool;
       (** record every learned clause so {!module:Proof} can replay the
           derivation as a reverse-unit-propagation (RUP) proof *)
-  inprocessing : bool;
-      (** simplify the learnt-clause database during search: at restart
-          boundaries (so it never fires under [No_restarts]) the solver
-          runs a budgeted pass of learnt-clause subsumption and
-          vivification (distillation).  Off by default.  Sound with
-          [proof_logging]: every shortened clause is itself
-          reverse-unit-propagation derivable and is appended to the
-          proof. *)
-  inprocess_interval : int;
-      (** minimum conflicts between two inprocessing passes *)
   guide : guidance option;
       (** seed activities and phases applied when a solver is created
           over a non-empty formula (see {!Cdcl.create}); engines that
@@ -134,7 +124,7 @@ val add_stats_into : stats -> stats -> unit
 
 type proof_step =
   | Add of Cnf.Clause.t
-      (** the clause was derived (learned, vivified, resolved, …) and
+      (** the clause was derived (learned, resolved, …) and
           joins the active clause set; every addition the pipeline emits
           is RUP over the clauses active when it appears *)
   | Delete of Cnf.Clause.t

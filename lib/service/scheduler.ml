@@ -132,7 +132,7 @@ let solve_decomposed t job reg f =
 
 (* Take a warm session holding a prefix, or start cold.  A cold
    unbudgeted query may be auto-tuned: measure the formula, pick
-   restart schedule / inprocessing / guidance from the decision table
+   restart schedule / guidance from the decision table
    (docs/TUNING.md) at jobs=1 — the engine choice is the scheduler's
    own.  Warm sessions keep their existing configuration: their value
    is the carried-over solver state. *)
@@ -154,8 +154,7 @@ let solve_incremental t job reg ~budget ~hashes ~full ~nclauses f =
         match tuned with
         | Some (_, pol) ->
           { (Cache.config t.cache) with
-            T.restarts = pol.Sat.Autotune.restarts;
-            inprocessing = pol.Sat.Autotune.inprocessing }
+            T.restarts = pol.Sat.Autotune.restarts }
         | None -> Cache.config t.cache
       in
       (Sat.Session.create ~config (), 0, tuned)

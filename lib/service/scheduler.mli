@@ -71,7 +71,7 @@ val create :
 
     With [autotune] (default off), each {e cold, unbudgeted} query is
     measured with {!Sat.Autotune.extract} and its fresh session gets
-    the restart schedule, inprocessing switch and optional
+    the restart schedule and optional
     {!Sat.Guide.of_formula} seeding the decision table picks at jobs=1
     (docs/TUNING.md; the engine dimension stays the scheduler's own).
     Warm pool hits keep their configuration — carried-over solver

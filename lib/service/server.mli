@@ -38,9 +38,8 @@ type config = {
           ({!Scheduler.create});
           [None] disables decomposition *)
   autotune : bool;
-      (** tune each cold unbudgeted query's restarts, inprocessing and
-          guidance per the docs/TUNING.md decision table
-          ({!Scheduler.create}) *)
+      (** tune each cold unbudgeted query's restarts and guidance per
+          the docs/TUNING.md decision table ({!Scheduler.create}) *)
   max_results : int;  (** result-cache capacity *)
   max_sessions : int;  (** warm-session-pool capacity *)
   verbose : bool;  (** connection/query logging on [stderr] *)

@@ -105,8 +105,8 @@ let proof_check_core_flow () =
           in_tmp ".core" (fun core ->
               Alcotest.(check int) "--proof --check certifies UNSAT" 20
                 (run
-                   [ example "php43.cnf"; "--preprocess"; "--inprocess";
-                     "--proof"; proof; "--check" ]);
+                   [ example "php43.cnf"; "--preprocess"; "--proof"; proof;
+                     "--check" ]);
               Alcotest.(check int) "dratcheck verifies and exports" 0
                 (run_exe dratcheck
                    [ example "php43.cnf"; proof; "--lrat"; lrat; "--core";
@@ -153,8 +153,7 @@ let miter_corpus_flow () =
                  "-o"; cnf ]);
           Alcotest.(check int) "equivalence certified" 20
             (run
-               [ cnf; "--preprocess"; "--inprocess"; "--proof"; proof;
-                 "--check" ]);
+               [ cnf; "--preprocess"; "--proof"; proof; "--check" ]);
           Alcotest.(check int) "dratcheck agrees" 0
             (run_exe dratcheck [ cnf; proof ])))
 

@@ -201,7 +201,7 @@ let selector_preprocess_rules () =
   | A.Pre_basic -> ()
   | _ -> Alcotest.fail "P3: everything else gets the basic pass"
 
-let selector_restart_inprocess_guidance_rules () =
+let selector_restart_guidance_rules () =
   (match (A.select (ft ~g:0.25 ~r:5.0 ~b3:0.9 ())).A.restarts with
    | T.Luby 100 -> ()
    | _ -> Alcotest.fail "R1: gate-like keeps fast Luby-100");
@@ -211,10 +211,6 @@ let selector_restart_inprocess_guidance_rules () =
   (match (A.select (ft ~g:0.0 ~r:3.4 ~b3:0.9 ())).A.restarts with
    | T.Luby 100 -> ()
    | _ -> Alcotest.fail "R3: default Luby-100");
-  Alcotest.(check bool) "I1: big formulas inprocess" true
-    (A.select (ft ~nclauses:2000 ())).A.inprocessing;
-  Alcotest.(check bool) "I0: small formulas do not" false
-    (A.select (ft ~nclauses:1999 ())).A.inprocessing;
   Alcotest.(check bool) "G1: gate-like is guided" true
     (A.select (ft ~g:0.25 ())).A.guided;
   Alcotest.(check bool) "G0: otherwise unguided" false
@@ -223,11 +219,11 @@ let selector_restart_inprocess_guidance_rules () =
 let selector_reason_trail () =
   let p = A.select ~jobs:1 (ft ~nclauses:2000 ~r:4.0 ~b3:0.6 ()) in
   Alcotest.(check (list string)) "rule ids in dimension order"
-    [ "E1"; "P3"; "R2"; "I1"; "G0" ]
+    [ "E1"; "P3"; "R2"; "G0" ]
     p.A.reason;
   let q = A.select ~jobs:2 (ft ~nclauses:150 ~g:0.5 ~d:0.5 ()) in
   Alcotest.(check (list string)) "gate-like trail"
-    [ "E2"; "P1"; "R1"; "I0"; "G1" ]
+    [ "E2"; "P1"; "R1"; "G1" ]
     q.A.reason
 
 let select_pure () =
@@ -290,7 +286,7 @@ let auto_plan_matches_table () =
   let f = and_gate_cnf () in
   let plan = Sat.Solver.Auto.plan f in
   Alcotest.(check (list string)) "tiny gate formula"
-    [ "E1"; "P1"; "R1"; "I0"; "G1" ]
+    [ "E1"; "P1"; "R1"; "G1" ]
     plan.Sat.Solver.Auto.policy.A.reason;
   Alcotest.(check bool) "G1 produced a non-empty seeding" true
     (plan.Sat.Solver.Auto.guidance <> None);
@@ -407,8 +403,7 @@ let suite =
     Th.case "probe density separates chain from chaff" probe_density_regression;
     Th.case "selector engine rules" selector_engine_rules;
     Th.case "selector preprocess rules" selector_preprocess_rules;
-    Th.case "selector restart/inprocess/guidance rules"
-      selector_restart_inprocess_guidance_rules;
+    Th.case "selector restart/guidance rules" selector_restart_guidance_rules;
     Th.case "selector reason trail" selector_reason_trail;
     Th.case "select is a pure function" select_pure;
     Th.case "auto agrees with certified answers (300 instances)"

