@@ -78,7 +78,7 @@ let run cnf_path proof_path forward lrat_out core_out lrat_in stats =
       kept_adds total_adds;
     if stats then begin
       Printf.printf "c stats: steps %d, lrat lines %d, core %d of %d \
-                     clauses, check time %.4fs\n"
+                     clauses, trim time %.4fs\n"
         (List.length steps) (List.length lines) (List.length core)
         (Cnf.Formula.nclauses formula) dt
     end;

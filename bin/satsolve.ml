@@ -223,26 +223,30 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
      Sat.Proof.write_drat_file out steps;
      Printf.printf "c proof: %d steps written to %s\n" (List.length steps) out
    | None -> ());
-  (* with --check or --core, an UNSAT answer must survive our own
-     backward trim before it earns exit 20 *)
+  (* with --check or --core, an UNSAT answer earns exit 20 only once its
+     proof trims to LRAT and the independent replayer accepts that *)
   let verified =
     match report.Sat.Solver.outcome with
     | (Sat.Types.Unsat | Sat.Types.Unsat_assuming _) when check || core_path <> None
       -> (
       match Sat.Proof.trim formula steps with
-      | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds } ->
-        Printf.printf "c check: refutation verified (%d/%d additions kept)\n"
-          kept_adds total_adds;
-        (match core_path with
-         | Some out ->
-           Cnf.Dimacs.write_file out (Sat.Proof.core_formula formula core);
-           Printf.printf "c core: %d of %d clauses written to %s\n"
-             (List.length core)
-             (Cnf.Formula.nclauses formula)
-             out
-         | None -> ());
-        ignore lines;
-        true
+      | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds } -> (
+        match Sat.Proof.check_lrat formula lines with
+        | Error msg ->
+          Printf.printf "c check: FAILED (LRAT replay: %s)\n" msg;
+          false
+        | Ok () ->
+          Printf.printf "c check: refutation verified (%d/%d additions kept)\n"
+            kept_adds total_adds;
+          (match core_path with
+           | Some out ->
+             Cnf.Dimacs.write_file out (Sat.Proof.core_formula formula core);
+             Printf.printf "c core: %d of %d clauses written to %s\n"
+               (List.length core)
+               (Cnf.Formula.nclauses formula)
+               out
+           | None -> ());
+          true)
       | Sat.Proof.Not_refutation ->
         print_endline "c check: FAILED (proof is not a refutation)";
         false

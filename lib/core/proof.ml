@@ -25,31 +25,55 @@ type trim_result =
   | Trim_invalid of int
 
 (* ------------------------------------------------------------------ *)
-(* Checker clause database: two watched literals, O(1) activate /
-   deactivate (inactive clauses stay in their watch lists and are
-   skipped during traversal), scratch propagation per RUP check.       *)
+(* Checker clause database (the drat-trim layout).  Only active
+   clauses are watched, through (blocking literal, id) entries; clauses
+   marked as needed by the refutation have watch lists of their own,
+   propagated to fixpoint before any other list.  The root closure —
+   the active units and everything they propagate — stays on the trail
+   between RUP checks and is recomputed only when a deactivation may
+   have shrunk it.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type cls = {
   id : int; (* 1-based; originals are 1..n in formula order *)
   lits : Lit.t array; (* watches live in slots 0 and 1 when size >= 2 *)
-  key : Lit.t list; (* canonical sorted content, for deletion matching *)
+  clause : Clause.t; (* sorted content: deletion matching, LRAT lines *)
   mutable active : bool;
   mutable marked : bool; (* needed for the refutation (backward trim) *)
 }
 
+module Ctbl = Hashtbl.Make (struct
+  type t = Clause.t
+
+  let equal = Clause.equal
+
+  let hash c =
+    let h = ref (Clause.size c) in
+    for i = 0 to Clause.size c - 1 do
+      h := (!h * 31) + Clause.get c i
+    done;
+    !h land max_int
+end)
+
 type db = {
-  by_id : (int, cls) Hashtbl.t;
-  stacks : (Lit.t list, cls list ref) Hashtbl.t;
+  by_id : cls Vec.t; (* indexed by id; slot 0 is a placeholder *)
+  stacks : cls list ref Ctbl.t;
       (* content -> active copies, most recent first *)
-  watches : cls Vec.t array; (* literal-indexed *)
+  watches : Watcher.t array; (* literal-indexed; active unmarked clauses *)
+  core : Watcher.t array; (* literal-indexed; active marked clauses *)
   mutable units : cls list; (* every size-1 clause ever added *)
   mutable empties : cls list; (* every size-0 clause ever added *)
   value : int array; (* var -> 0 unassigned / 1 true / -1 false *)
   reason : int array; (* var -> asserting clause id; 0 = assumption *)
-  seen : bool array; (* conflict-analysis scratch, cleared after use *)
+  pos : int array; (* var -> trail index *)
+  seen : int array;
+      (* analysis scratch: 1 = still to explain, 2 = in the checked clause *)
   trail : Lit.t Vec.t;
-  mutable qhead : int;
+  mutable qhead : int; (* next trail literal for [watches] *)
+  mutable qcore : int; (* next trail literal for [core] *)
+  mutable root : int; (* trail length of the root closure *)
+  mutable root_confl : int; (* clause id conflicting at root, or 0 *)
+  mutable stale : bool; (* the root closure must be recomputed *)
   mutable next_id : int;
 }
 
@@ -64,129 +88,42 @@ let max_var_steps steps =
       List.fold_left (fun acc l -> max acc (Lit.var l)) acc (Clause.to_list c))
     (-1) steps
 
-let dummy_cls = { id = 0; lits = [||]; key = []; active = false; marked = false }
+let empty_clause = Clause.of_list []
 
-let stack db key =
-  match Hashtbl.find_opt db.stacks key with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.add db.stacks key r;
-    r
-
-let stack_remove db c =
-  let r = stack db c.key in
-  let rec drop = function
-    | [] -> []
-    | x :: rest -> if x == c then rest else x :: drop rest
-  in
-  r := drop !r
-
-(* Register a fresh clause's watches; id bookkeeping is the caller's. *)
-let attach db c =
-  Hashtbl.replace db.by_id c.id c;
-  let len = Array.length c.lits in
-  if len >= 2 then begin
-    Vec.push db.watches.(c.lits.(0)) c;
-    Vec.push db.watches.(c.lits.(1)) c
-  end
-  else if len = 1 then db.units <- c :: db.units
-  else db.empties <- c :: db.empties
-
-let add_active db clause =
-  let c =
-    {
-      id = db.next_id;
-      lits = Clause.to_array clause;
-      key = Clause.to_list clause;
-      active = true;
-      marked = false;
-    }
-  in
-  db.next_id <- db.next_id + 1;
-  attach db c;
-  let r = stack db c.key in
-  r := c :: !r;
-  c
-
-(* Deletion by content: deactivate the most recently added active copy.
-   Unmatched deletions (e.g. of clauses imported from a peer solver and
-   never added to this proof) are ignored. *)
-let try_deactivate db clause =
-  let r = stack db (Clause.to_list clause) in
-  match !r with
-  | [] -> None
-  | c :: rest ->
-    r := rest;
-    c.active <- false;
-    Some c
-
-let deactivate db c =
-  c.active <- false;
-  stack_remove db c
-
-let reactivate db c =
-  c.active <- true;
-  let r = stack db c.key in
-  r := c :: !r
-
-let build formula steps =
-  let nvars =
-    max (Cnf.Formula.nvars formula) (max_var_steps steps + 1)
-  in
-  let db =
-    {
-      by_id = Hashtbl.create 4096;
-      stacks = Hashtbl.create 4096;
-      watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:dummy_cls ());
-      units = [];
-      empties = [];
-      value = Array.make (max nvars 1) 0;
-      reason = Array.make (max nvars 1) 0;
-      seen = Array.make (max nvars 1) false;
-      trail = Vec.create ~dummy:0 ();
-      qhead = 0;
-      next_id = 1;
-    }
-  in
-  Array.iter (fun c -> ignore (add_active db c)) (Cnf.Formula.clauses formula);
-  db
-
-let n_originals db = Hashtbl.length db.by_id (* only valid right after build *)
+let dummy_cls =
+  { id = 0; lits = [||]; clause = empty_clause; active = false; marked = false }
 
 let enqueue db l reason_id =
-  db.value.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
-  db.reason.(Lit.var l) <- reason_id;
+  let v = Lit.var l in
+  db.value.(v) <- (if Lit.is_pos l then 1 else -1);
+  db.reason.(v) <- reason_id;
+  db.pos.(v) <- Vec.size db.trail;
   Vec.push db.trail l
 
-let propagate db =
-  let confl = ref 0 in
-  while !confl = 0 && db.qhead < Vec.size db.trail do
-    let l = Vec.get db.trail db.qhead in
-    db.qhead <- db.qhead + 1;
-    let fl = Lit.negate l in
-    let ws = db.watches.(fl) in
-    let n = Vec.size ws in
-    let j = ref 0 in
-    let i = ref 0 in
-    while !i < n do
-      let c = Vec.get ws !i in
-      incr i;
-      if not c.active then begin
-        Vec.set ws !j c;
-        incr j
-      end
+(* Visits the watchers of [fl], just falsified, in one list family:
+   keeps, moves or fires each entry, and returns a conflicting clause
+   id or 0.  A moved watch goes to a non-false literal's list, never
+   this one, so the raw arrays stay valid throughout. *)
+let visit db lists fl =
+  let w = lists.(fl) in
+  let n = Watcher.size w in
+  let bls = Watcher.raw_blockers w and crs = Watcher.raw_crefs w in
+  let i = ref 0 and j = ref 0 and confl = ref 0 in
+  while !i < n do
+    let b = bls.(!i) and id = crs.(!i) in
+    incr i;
+    (* the entry's new blocker, or -1 when its watch moved *)
+    let blocker =
+      if lit_value db b = 1 then b
       else begin
-        let lits = c.lits in
+        let lits = (Vec.get db.by_id id).lits in
         if lits.(0) = fl then begin
           lits.(0) <- lits.(1);
           lits.(1) <- fl
         end;
         let w0 = lits.(0) in
-        if lit_value db w0 = 1 then begin
-          Vec.set ws !j c;
-          incr j
-        end
+        let v0 = lit_value db w0 in
+        if v0 = 1 then w0
         else begin
           let len = Array.length lits in
           let k = ref 2 in
@@ -194,104 +131,328 @@ let propagate db =
             incr k
           done;
           if !k < len then begin
-            (* relocate the false watch; drop from this list *)
             lits.(1) <- lits.(!k);
             lits.(!k) <- fl;
-            Vec.push db.watches.(lits.(1)) c
-          end
-          else if lit_value db w0 = -1 then begin
-            confl := c.id;
-            Vec.set ws !j c;
-            incr j;
-            while !i < n do
-              Vec.set ws !j (Vec.get ws !i);
-              incr j;
-              incr i
-            done
+            Watcher.push lists.(lits.(1)) w0 id;
+            -1
           end
           else begin
-            enqueue db w0 c.id;
-            Vec.set ws !j c;
-            incr j
+            if v0 = 0 then enqueue db w0 id else confl := id;
+            w0
           end
         end
       end
-    done;
-    Vec.shrink ws !j
+    in
+    if blocker >= 0 then begin
+      bls.(!j) <- blocker;
+      crs.(!j) <- id;
+      incr j
+    end;
+    if !confl <> 0 then
+      while !i < n do
+        bls.(!j) <- bls.(!i);
+        crs.(!j) <- crs.(!i);
+        incr i;
+        incr j
+      done
+  done;
+  Watcher.shrink w !j;
+  !confl
+
+(* Unit propagation, core first: a trail literal is let through the
+   unmarked clauses' lists only when the core lists are at fixpoint. *)
+let propagate db =
+  let trail = db.trail in
+  let confl = ref 0 in
+  while
+    !confl = 0 && (db.qcore < Vec.size trail || db.qhead < Vec.size trail)
+  do
+    if db.qcore < Vec.size trail then begin
+      let l = Vec.get trail db.qcore in
+      db.qcore <- db.qcore + 1;
+      confl := visit db db.core (Lit.negate l)
+    end
+    else begin
+      let l = Vec.get trail db.qhead in
+      db.qhead <- db.qhead + 1;
+      confl := visit db db.watches (Lit.negate l)
+    end
   done;
   !confl
 
-(* RUP check: assert the negation of every literal of [lits], propagate
-   active unit clauses to fixpoint.  Returns the conflicting clause id,
-   or 0 if no conflict (the clause is not RUP).  The trail is left in
-   place so hints can be extracted; the caller must [unwind]. *)
-let check_rup db lits =
-  let confl = ref 0 in
-  (match List.find_opt (fun c -> c.active) db.empties with
-  | Some c -> confl := c.id
-  | None -> ());
-  List.iter
-    (fun l ->
-      if !confl = 0 then
-        let nl = Lit.negate l in
-        match lit_value db nl with
-        | 1 -> () (* duplicate assumption *)
-        | -1 -> () (* tautological input; callers filter these out *)
-        | _ -> enqueue db nl 0)
-    lits;
-  List.iter
-    (fun c ->
-      if !confl = 0 && c.active then
-        let u = c.lits.(0) in
-        match lit_value db u with
-        | 1 -> ()
-        | -1 -> confl := c.id
-        | _ -> enqueue db u c.id)
-    db.units;
-  if !confl = 0 then confl := propagate db;
-  !confl
+let assert_unit db c =
+  if db.root_confl = 0 then
+    let u = c.lits.(0) in
+    match lit_value db u with
+    | 0 -> enqueue db u c.id
+    | -1 -> db.root_confl <- c.id
+    | _ -> ()
 
-let unwind db =
+(* Propagates what was just enqueued on top of the closure into it. *)
+let extend_root db =
+  if db.root_confl = 0 then db.root_confl <- propagate db;
+  db.root <- Vec.size db.trail
+
+let close_root db =
   Vec.iter (fun l -> db.value.(Lit.var l) <- 0) db.trail;
   Vec.clear db.trail;
-  db.qhead <- 0
+  db.qhead <- 0;
+  db.qcore <- 0;
+  db.root_confl <-
+    (match List.find_opt (fun c -> c.active) db.empties with
+    | Some c -> c.id
+    | None -> 0);
+  List.iter (fun c -> if c.active then assert_unit db c) db.units;
+  extend_root db;
+  db.stale <- false
 
-(* From a conflict, collect the antecedent hint ids: mark the conflict
-   clause's variables, walk the trail backward including each used
-   reason transitively, and return the used reason ids in trail order
-   followed by the conflicting clause id — exactly the order in which
-   an LRAT checker can replay them as unit propagations.  When [mark],
-   flag every hint clause as needed for the refutation. *)
-let analyze db confl_id ~mark =
-  let touched = ref [] in
-  let mark_clause c =
+let watch lists c =
+  Watcher.push lists.(c.lits.(0)) c.lits.(1) c.id;
+  Watcher.push lists.(c.lits.(1)) c.lits.(0) c.id
+
+(* Swap-removes [c]'s entries, which must be present, from the lists of
+   its two watches. *)
+let unwatch lists c =
+  for s = 0 to 1 do
+    let w = lists.(c.lits.(s)) in
+    let last = Watcher.size w - 1 in
+    let i = ref last in
+    while Watcher.cref w !i <> c.id do
+      decr i
+    done;
+    Watcher.unsafe_set w !i (Watcher.blocker w last) (Watcher.cref w last);
+    Watcher.shrink w last
+  done
+
+let family db c = if c.marked then db.core else db.watches
+
+(* Moves up to two non-false literals into the watch slots; returns
+   how many there were. *)
+let non_false_first db lits =
+  let free = ref 0 in
+  Array.iteri
+    (fun k l ->
+      if !free < 2 && lit_value db l <> -1 then begin
+        lits.(k) <- lits.(!free);
+        lits.(!free) <- l;
+        incr free
+      end)
+    lits;
+  !free
+
+(* Watches a clause that just became active.  Over a valid,
+   conflict-free closure, a clause that is unit there extends the
+   closure, and one that is falsified becomes its conflict. *)
+let attach db c =
+  let lits = c.lits in
+  let live = (not db.stale) && db.root_confl = 0 in
+  match Array.length lits with
+  | 0 -> if live then db.root_confl <- c.id
+  | 1 ->
+    if live then begin
+      assert_unit db c;
+      extend_root db
+    end
+  | _ ->
+    let free = if live then non_false_first db lits else 2 in
+    watch (family db c) c;
+    if free = 0 then db.root_confl <- c.id
+    else if free = 1 && lit_value db lits.(0) = 0 then begin
+      enqueue db lits.(0) c.id;
+      extend_root db
+    end
+
+(* Deactivates a clause and unwatches it.  The closure goes stale when
+   the clause is its conflict or the reason of one of its literals (a
+   reason's implied literal sits in slot 0). *)
+let retire db c =
+  let lits = c.lits in
+  c.active <- false;
+  if
+    (not db.stale)
+    && (c.id = db.root_confl
+       || Array.length lits > 0
+          && db.value.(Lit.var lits.(0)) <> 0
+          && db.reason.(Lit.var lits.(0)) = c.id)
+  then db.stale <- true;
+  if Array.length lits >= 2 then unwatch (family db c) c
+
+let stack db clause =
+  match Ctbl.find_opt db.stacks clause with
+  | Some r -> r
+  | None ->
+    let r = ref [] in
+    Ctbl.add db.stacks clause r;
+    r
+
+let activate db c =
+  c.active <- true;
+  attach db c;
+  let r = stack db c.clause in
+  r := c :: !r
+
+let add_active db clause =
+  let c =
+    {
+      id = db.next_id;
+      lits = Clause.to_array clause;
+      clause;
+      active = false;
+      marked = false;
+    }
+  in
+  db.next_id <- db.next_id + 1;
+  Vec.push db.by_id c;
+  (match Clause.size clause with
+  | 0 -> db.empties <- c :: db.empties
+  | 1 -> db.units <- c :: db.units
+  | _ -> ());
+  activate db c;
+  c
+
+(* Deletion by content: deactivate the most recently added active copy.
+   Unmatched deletions (e.g. of clauses imported from a peer solver and
+   never added to this proof) are ignored. *)
+let try_deactivate db clause =
+  let r = stack db clause in
+  match !r with
+  | [] -> None
+  | c :: rest ->
+    r := rest;
+    retire db c;
+    Some c
+
+let deactivate db c =
+  let r = stack db c.clause in
+  r := List.filter (fun x -> x != c) !r;
+  retire db c
+
+let build formula steps =
+  let nvars =
+    max (Cnf.Formula.nvars formula) (max_var_steps steps + 1)
+  in
+  let lists () = Array.init (2 * nvars) (fun _ -> Watcher.create ()) in
+  let ids = Cnf.Formula.nclauses formula + List.length steps + 1 in
+  let db =
+    {
+      by_id = Vec.create ~capacity:ids ~dummy:dummy_cls ();
+      stacks = Ctbl.create ids;
+      watches = lists ();
+      core = lists ();
+      units = [];
+      empties = [];
+      value = Array.make (max nvars 1) 0;
+      reason = Array.make (max nvars 1) 0;
+      pos = Array.make (max nvars 1) 0;
+      seen = Array.make (max nvars 1) 0;
+      trail = Vec.create ~dummy:0 ();
+      qhead = 0;
+      qcore = 0;
+      root = 0;
+      root_confl = 0;
+      stale = true;
+      next_id = 1;
+    }
+  in
+  Vec.push db.by_id dummy_cls;
+  Array.iter (fun c -> ignore (add_active db c)) (Cnf.Formula.clauses formula);
+  db
+
+let n_originals db = Vec.size db.by_id - 1 (* only valid right after build *)
+
+(* RUP check of [c] over the active set: returns a conflicting clause
+   id, or 0 if [c] is not RUP.  Above the root closure, the negation of
+   [c] is asserted and propagated; the trail is left in place so hints
+   can be extracted, and the caller must [unwind].  A literal of [c]
+   already true at root needs no propagation: the reason of the
+   earliest such literal conflicts with the negation of [c] (a later
+   one's reason may contain an earlier one, which that negation
+   satisfies). *)
+let check_rup db c =
+  if db.stale then close_root db;
+  let n = Clause.size c in
+  let first = ref (-1) in
+  for i = 0 to n - 1 do
+    let l = Clause.get c i in
+    if lit_value db l = 1 then begin
+      let p = db.pos.(Lit.var l) in
+      if !first < 0 || p < !first then first := p
+    end
+  done;
+  if !first >= 0 then db.reason.(Lit.var (Vec.get db.trail !first))
+  else if db.root_confl <> 0 then db.root_confl
+  else begin
+    for i = 0 to n - 1 do
+      let l = Clause.get c i in
+      if lit_value db l = 0 then enqueue db (Lit.negate l) 0
+    done;
+    propagate db
+  end
+
+let unwind db =
+  for i = db.root to Vec.size db.trail - 1 do
+    db.value.(Lit.var (Vec.get db.trail i)) <- 0
+  done;
+  Vec.shrink db.trail db.root;
+  db.qhead <- db.root;
+  db.qcore <- db.root
+
+(* Marks a clause as needed and moves its watches to the core lists. *)
+let mark db c =
+  if not c.marked then begin
+    if c.active && Array.length c.lits >= 2 then begin
+      unwatch db.watches c;
+      watch db.core c
+    end;
+    c.marked <- true
+  end
+
+(* From the conflict of [check_rup db c], collect the antecedent hint
+   ids and mark every hint clause as needed: mark the conflict clause's
+   variables, walk the trail backward including each marked variable's
+   reason transitively, and stop once every marked variable has been
+   consumed.  Reasons come out in trail order, followed by the
+   conflicting clause id — exactly the order in which an LRAT checker
+   can replay them as unit propagations.  The variables of [c] are
+   never explained: the replayer assigns them from the negation of [c],
+   under which their root reasons would read as satisfied. *)
+let analyze db c confl =
+  let seen = db.seen in
+  for i = 0 to Clause.size c - 1 do
+    seen.(Lit.var (Clause.get c i)) <- 2
+  done;
+  let pending = ref 0 in
+  let explain cl =
+    mark db cl;
     Array.iter
       (fun l ->
         let v = Lit.var l in
-        if not db.seen.(v) then begin
-          db.seen.(v) <- true;
-          touched := v :: !touched
+        if seen.(v) = 0 then begin
+          seen.(v) <- 1;
+          incr pending
         end)
-      c.lits
+      cl.lits
   in
-  let confl = Hashtbl.find db.by_id confl_id in
-  if mark then confl.marked <- true;
-  mark_clause confl;
-  let hints = ref [] in
-  for i = Vec.size db.trail - 1 downto 0 do
-    let v = Lit.var (Vec.get db.trail i) in
-    if db.seen.(v) then begin
+  explain (Vec.get db.by_id confl);
+  let hints = ref [ confl ] in
+  let i = ref (Vec.size db.trail - 1) in
+  while !pending > 0 do
+    let v = Lit.var (Vec.get db.trail !i) in
+    if seen.(v) = 1 then begin
       let r = db.reason.(v) in
       if r > 0 then begin
-        let rc = Hashtbl.find db.by_id r in
-        if mark then rc.marked <- true;
-        mark_clause rc;
+        explain (Vec.get db.by_id r);
         hints := r :: !hints
-      end
-    end
+      end;
+      seen.(v) <- 0;
+      decr pending
+    end;
+    decr i
   done;
-  List.iter (fun v -> db.seen.(v) <- false) !touched;
-  !hints @ [ confl_id ]
+  for i = 0 to Clause.size c - 1 do
+    seen.(Lit.var (Clause.get c i)) <- 0
+  done;
+  !hints
 
 (* ------------------------------------------------------------------ *)
 (* Forward checking                                                    *)
@@ -301,14 +462,14 @@ let check formula steps =
   let db = build formula steps in
   let rec go i = function
     | [] ->
-      let confl = check_rup db [] in
+      let confl = check_rup db empty_clause in
       unwind db;
       if confl <> 0 then Valid_refutation else Valid_derivation
     | Add c :: rest when Clause.is_tautology c ->
       (* tautologies are trivially valid and propagation-inert *)
       go (i + 1) rest
     | Add c :: rest ->
-      let confl = check_rup db (Clause.to_list c) in
+      let confl = check_rup db c in
       unwind db;
       if confl = 0 then Invalid_step i
       else if Clause.is_empty c then Valid_refutation
@@ -354,16 +515,16 @@ let trim formula steps =
      active set.  This also covers proofs with no explicit empty clause
      (the CDCL engine stops at the root conflict without recording
      one). *)
-  let confl = check_rup db [] in
+  let confl = check_rup db empty_clause in
   if confl = 0 then begin
     unwind db;
     Not_refutation
   end
   else begin
-    let terminal_hints = analyze db confl ~mark:true in
+    let terminal_hints = analyze db empty_clause confl in
     unwind db;
     let terminal =
-      { id = db.next_id; lits = Clause.of_list []; hints = terminal_hints }
+      { id = db.next_id; lits = empty_clause; hints = terminal_hints }
     in
     (* Backward pass: undo each step; verify (and collect hints for)
        only the additions marked as needed.  Unmarked additions are
@@ -375,28 +536,25 @@ let trim formula steps =
         (fun (idx, r) ->
           match r with
           | R_del None -> ()
-          | R_del (Some c) -> reactivate db c
+          | R_del (Some c) -> activate db c
           | R_add c ->
             deactivate db c;
             if c.marked then begin
-              let key = c.key in
-              let confl = check_rup db key in
+              let confl = check_rup db c.clause in
               if confl = 0 then begin
                 unwind db;
                 raise (Invalid idx)
               end;
-              let hints = analyze db confl ~mark:true in
+              let hints = analyze db c.clause confl in
               unwind db;
-              lines :=
-                { id = c.id; lits = Clause.of_list key; hints } :: !lines
+              lines := { id = c.id; lits = c.clause; hints } :: !lines
             end)
         (List.rev recs)
     with
     | () ->
       let core = ref [] in
       for id = n_orig downto 1 do
-        let c = Hashtbl.find db.by_id id in
-        if c.marked then core := id :: !core
+        if (Vec.get db.by_id id).marked then core := id :: !core
       done;
       Trimmed
         {

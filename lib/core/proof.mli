@@ -77,7 +77,11 @@ val trim : Cnf.Formula.t -> step list -> trim_result
     then walk the steps in reverse, verifying and hint-annotating only
     the additions the refutation actually uses.  Unused additions are
     dropped without validation (like [drat-trim]); use {!check} for a
-    full forward validation. *)
+    full forward validation.  Only active clauses are watched, the
+    root closure persists between checks, and clauses already marked
+    as needed propagate first, so [kept_adds] and [core] may differ
+    from older trimmers on the same stream; docs/PROOFS.md gives the
+    rules. *)
 
 val core_clauses : Cnf.Formula.t -> int list -> Cnf.Clause.t list
 (** Map core ids from {!trim} back to the formula's clauses. *)

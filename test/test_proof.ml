@@ -228,24 +228,97 @@ let preprocess_refutation_is_self_contained () =
         either );
     ]
 
+(* --- Trimmer edge cases: the root closure and the hint rules ----------- *)
+
+(* [steps] must forward-check, trim, keep every clause of [kept] and
+   replay through the LRAT checker *)
+let trims_and_replays f steps ~kept =
+  (match P.check f steps with
+   | P.Valid_refutation -> ()
+   | _ -> Alcotest.fail "the stream does not forward-check");
+  match P.trim f steps with
+  | P.Trimmed { lines; _ } ->
+    List.iter
+      (fun c ->
+        let c = Cnf.Clause.of_dimacs_list c in
+        if
+          not
+            (List.exists
+               (fun (ln : P.lrat_line) -> Cnf.Clause.equal ln.lits c)
+               lines)
+        then Alcotest.failf "%s was trimmed" (Cnf.Clause.to_string c))
+      kept;
+    (match P.check_lrat f lines with
+     | Ok () -> ()
+     | Error e -> Alcotest.failf "trimmed LRAT rejected: %s" e)
+  | P.Not_refutation -> Alcotest.fail "trim: not a refutation"
+  | P.Trim_invalid i -> Alcotest.failf "trim: invalid step %d" i
+
+let add l = P.Add (Cnf.Clause.of_dimacs_list l)
+let del l = P.Delete (Cnf.Clause.of_dimacs_list l)
+
+(* the backward pass checks (1 2) while both its literals are true at
+   root, 2 first on the trail: the reason of 1 contains -2, which the
+   negation of the clause makes true, so only the reason of 2 is a
+   valid conflict.  The root is in conflict too, but its hints contain
+   -1 and would read as satisfied. *)
+let kept_clause_true_at_root () =
+  let f = Th.formula_of [ [ 2 ]; [ -2; 1 ]; [ -1; 3 ]; [ -1; -3 ] ] in
+  trims_and_replays f [ add [ 1; 2 ]; del [ 2 ]; add [ 1 ] ] ~kept:[ [ 1; 2 ] ]
+
+(* the first copy of the unit (1) is deleted, re-added later, and its
+   reactivation in the backward pass puts the root in conflict *)
+let unit_deleted_and_re_added () =
+  let f =
+    Th.formula_of
+      [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 3 ]; [ -3; 4; 5 ]; [ -3; 4; -5 ];
+        [ -3; -4; 5 ]; [ -3; -4; -5 ] ]
+  in
+  trims_and_replays f
+    [ add [ 1 ]; add [ -3; 4 ]; del [ 1 ]; add [ 1 ]; add [ 4 ] ]
+    ~kept:[ [ 1 ]; [ -3; 4 ]; [ 4 ] ]
+
+(* (-1 2) is the root reason of 2 when it is deleted; the backward pass
+   reactivates it under a conflicting root, and the check of (2) then
+   needs it again *)
+let root_reason_deleted_and_reactivated () =
+  let f = Th.formula_of [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ]; [ -3; -1 ] ] in
+  trims_and_replays f [ add [ 2 ]; del [ -1; 2 ]; add [ 3 ] ]
+    ~kept:[ [ 2 ]; [ 3 ] ]
+
+(* in the backward pass (-1 2) is re-attached over a conflict-free
+   closure holding 1 and 3: it is unit there and extends the closure
+   with 2, which the check of (3) then starts from *)
+let reattached_clause_unit_at_root () =
+  let f =
+    Th.formula_of
+      [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ]; [ -3; 4; 5 ]; [ -3; 4; -5 ];
+        [ -3; -4; 5 ]; [ -3; -4; -5 ] ]
+  in
+  trims_and_replays f
+    [ add [ 3 ]; del [ -1; 2 ]; add [ -3; 4 ]; add [ 4 ] ]
+    ~kept:[ [ 3 ]; [ -3; 4 ]; [ 4 ] ]
+
 (* the 300-instance corpus: the full Solver pipeline (BVE on, probing
-   off, aggressive deletion on) must emit a DRAT stream that both
-   forward-checks and backward-trims into a valid LRAT certificate on
-   every UNSAT verdict *)
+   off, aggressive deletion on) on random 3-SAT *)
+let corpus_report seed =
+  let rng = Sat.Rng.create (seed + 71) in
+  let f =
+    Th.random_cnf rng (5 + Sat.Rng.int rng 9) (15 + Sat.Rng.int rng 45) 3
+  in
+  ( f,
+    Sat.Solver.solve
+      ~engine:(Sat.Solver.Cdcl proof_config)
+      ~pipeline:Sat.Solver.full_pipeline f )
+
+(* every UNSAT verdict's DRAT stream both forward-checks and
+   backward-trims into a valid LRAT certificate *)
 let prop_full_pipeline_drat =
   QCheck.Test.make
     ~name:"full-pipeline DRAT with deletions trims and checks" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let rng = Sat.Rng.create (seed + 71) in
-      let f =
-        Th.random_cnf rng (5 + Sat.Rng.int rng 9) (15 + Sat.Rng.int rng 45) 3
-      in
-      let report =
-        Sat.Solver.solve
-          ~engine:(Sat.Solver.Cdcl proof_config)
-          ~pipeline:Sat.Solver.full_pipeline f
-      in
+      let f, report = corpus_report seed in
       let steps = Option.value report.Sat.Solver.proof ~default:[] in
       match report.Sat.Solver.outcome with
       | Sat.Types.Unsat ->
@@ -256,6 +329,86 @@ let prop_full_pipeline_drat =
            | P.Not_refutation | P.Trim_invalid _ -> false)
       | Sat.Types.Sat m -> Cnf.Formula.eval (fun x -> m.(x)) f
       | Sat.Types.Unsat_assuming _ | Sat.Types.Unknown _ -> false)
+
+(* The three perturbations of one proof: a duplicate addition of an
+   active clause, deleted again later; a mid-stream deletion of an
+   original clause; an addition with one literal dropped. *)
+let perturbations rng f steps =
+  let n = List.length steps in
+  let originals = Cnf.Formula.clauses f in
+  let insert_at i s steps =
+    List.filteri (fun k _ -> k < i) steps
+    @ (s :: List.filteri (fun k _ -> k >= i) steps)
+  in
+  (* content of every clause active just before step [i] *)
+  let active_before i =
+    let tbl = Hashtbl.create 64 in
+    let bump c d =
+      Hashtbl.replace tbl c (d + Option.value (Hashtbl.find_opt tbl c) ~default:0)
+    in
+    Array.iter (fun c -> bump c 1) originals;
+    List.iteri
+      (fun k s ->
+        if k < i then
+          match s with
+          | P.Add c -> bump c 1
+          | P.Delete c ->
+            if Option.value (Hashtbl.find_opt tbl c) ~default:0 > 0 then
+              bump c (-1))
+      steps;
+    Hashtbl.fold (fun c k acc -> if k > 0 then c :: acc else acc) tbl []
+  in
+  let duplicate =
+    let i = Sat.Rng.int rng (n + 1) in
+    match active_before i with
+    | [] -> steps
+    | live ->
+      let c = List.nth live (Sat.Rng.int rng (List.length live)) in
+      let j = i + 1 + Sat.Rng.int rng (n - i + 1) in
+      insert_at j (P.Delete c) (insert_at i (P.Add c) steps)
+  in
+  let delete_original =
+    let c = originals.(Sat.Rng.int rng (Array.length originals)) in
+    insert_at (Sat.Rng.int rng (n + 1)) (P.Delete c) steps
+  in
+  let drop_literal =
+    let droppable = function
+      | P.Add c -> Cnf.Clause.size c > 0
+      | P.Delete _ -> false
+    in
+    let i = Sat.Rng.int rng (max 1 (List.length (List.filter droppable steps))) in
+    let k = ref (-1) in
+    List.map
+      (fun s ->
+        if droppable s then incr k;
+        match s with
+        | P.Add c when !k = i && droppable s ->
+          let lits = Cnf.Clause.to_list c in
+          let drop = Sat.Rng.int rng (List.length lits) in
+          P.Add (Cnf.Clause.of_list (List.filteri (fun j _ -> j <> drop) lits))
+        | _ -> s)
+      steps
+  in
+  [ duplicate; delete_original; drop_literal ]
+
+(* perturbed streams: [trim] never raises, a trimmed certificate always
+   replays, and whatever forward-checks as a refutation also trims *)
+let prop_perturbed_proofs_trim_soundly =
+  QCheck.Test.make ~name:"perturbed DRAT streams trim soundly" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let f, report = corpus_report seed in
+      match (report.Sat.Solver.outcome, report.Sat.Solver.proof) with
+      | Sat.Types.Unsat, Some steps ->
+        let rng = Sat.Rng.create (seed + 83) in
+        List.for_all
+          (fun steps ->
+            match P.trim f steps with
+            | P.Trimmed { lines; _ } -> P.check_lrat f lines = Ok ()
+            | P.Not_refutation | P.Trim_invalid _ ->
+              P.check f steps <> P.Valid_refutation)
+          (perturbations rng f steps)
+      | _ -> true)
 
 let suite =
   [
@@ -273,5 +426,11 @@ let suite =
     Th.case "preprocess refutation checks" preprocess_refutation_is_self_contained;
     Th.qcheck prop_unsat_always_certifiable;
     Th.qcheck prop_deletion_policies_still_certify;
+    Th.case "kept clause true at root" kept_clause_true_at_root;
+    Th.case "unit deleted and re-added" unit_deleted_and_re_added;
+    Th.case "root reason deleted and reactivated"
+      root_reason_deleted_and_reactivated;
+    Th.case "re-attached clause unit at root" reattached_clause_unit_at_root;
     Th.qcheck prop_full_pipeline_drat;
+    Th.qcheck prop_perturbed_proofs_trim_soundly;
   ]
