@@ -379,9 +379,6 @@ module Session_cnf = struct
     man : man;
     sess : Sat.Session.t;
     mutable vars : int array;            (* node -> session var, -1 = none *)
-    mutable groups : Cnf.Lit.t option array;  (* node -> activation literal *)
-    mutable stamp : int array;           (* cone-walk visit marks *)
-    mutable stamp_id : int;
     mutable emitted : int;
     mutable fresh : int list;
         (* nodes whose session vars were allocated since the last
@@ -394,9 +391,6 @@ module Session_cnf = struct
       man;
       sess = Sat.Session.create ?config ();
       vars = Array.make 64 (-1);
-      groups = Array.make 64 None;
-      stamp = Array.make 64 0;
-      stamp_id = 0;
       emitted = 0;
       fresh = [];
     }
@@ -410,13 +404,7 @@ module Session_cnf = struct
       let cap = max n (2 * Array.length t.vars) in
       let vars = Array.make cap (-1) in
       Array.blit t.vars 0 vars 0 (Array.length t.vars);
-      let groups = Array.make cap None in
-      Array.blit t.groups 0 groups 0 (Array.length t.groups);
-      let stamp = Array.make cap 0 in
-      Array.blit t.stamp 0 stamp 0 (Array.length t.stamp);
-      t.vars <- vars;
-      t.groups <- groups;
-      t.stamp <- stamp
+      t.vars <- vars
     end
 
   let lit_of_emitted t l =
@@ -439,47 +427,18 @@ module Session_cnf = struct
         let v = Sat.Session.new_var t.sess in
         t.vars.(id) <- v;
         t.fresh <- id :: t.fresh;
-        let g = Sat.Session.new_activation t.sess in
-        t.groups.(id) <- Some g;
         t.emitted <- t.emitted + 1;
         let out = Cnf.Lit.pos v in
         let la = lit_of_emitted t a and lb = lit_of_emitted t b in
-        Sat.Session.add_clause_in t.sess ~group:g [ Cnf.Lit.negate out; la ];
-        Sat.Session.add_clause_in t.sess ~group:g [ Cnf.Lit.negate out; lb ];
-        Sat.Session.add_clause_in t.sess ~group:g
+        Sat.Session.add_clause t.sess [ Cnf.Lit.negate out; la ];
+        Sat.Session.add_clause t.sess [ Cnf.Lit.negate out; lb ];
+        Sat.Session.add_clause t.sess
           [ out; Cnf.Lit.negate la; Cnf.Lit.negate lb ]
 
   let lit_of t l =
     sync t;
     ensure t (node_of l);
     lit_of_emitted t l
-
-  let assumptions t edges =
-    sync t;
-    List.iter (fun l -> ensure t (node_of l)) edges;
-    t.stamp_id <- t.stamp_id + 1;
-    let acc = ref [] in
-    let rec walk id =
-      if t.stamp.(id) <> t.stamp_id then begin
-        t.stamp.(id) <- t.stamp_id;
-        match Sat.Vec.get t.man.nodes id with
-        | Const | Input _ -> ()
-        | And (a, b) ->
-          (match t.groups.(id) with
-           | Some g when Sat.Session.is_active t.sess g -> acc := g :: !acc
-           | Some _ | None -> ());
-          walk (node_of a);
-          walk (node_of b)
-      end
-    in
-    List.iter (fun l -> walk (node_of l)) edges;
-    !acc
-
-  let release t l =
-    sync t;
-    match t.groups.(node_of l) with
-    | Some g -> if Sat.Session.is_active t.sess g then Sat.Session.release t.sess g
-    | None -> ()
 
   (* Seed the session's branching heuristic for the variables allocated
      since the last call.  The probability/fanout suppliers see node

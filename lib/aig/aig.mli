@@ -129,11 +129,11 @@ val guidance :
 
     The substrate of SAT sweeping: instead of translating the whole
     graph up front, clauses are emitted lazily, cone by cone, as the
-    sweep queries nodes — and each AND node's three clauses live in
-    their own session {e activation group}, so the clauses of a node
-    that is later merged away can be {!release}d (the session's
-    retention policy then also drops learned clauses polluted by the
-    dead group). *)
+    sweep queries nodes.  Each AND node's three Tseitin clauses are
+    permanent session clauses: a definition only names a node, so it
+    never needs switching off, and learned clauses stay valid across
+    every later query.  A query therefore assumes only the literals it
+    is about. *)
 module Session_cnf : sig
   type t
 
@@ -146,20 +146,9 @@ module Session_cnf : sig
 
   val lit_of : t -> lit -> Cnf.Lit.t
   (** The session literal of an edge.  On first touch of a node this
-      emits the defining clauses of its whole cone (three clauses per
-      AND node, each node's clauses in a fresh activation group; the
-      constant node gets a permanent unit; inputs get a bare
-      variable). *)
-
-  val assumptions : t -> lit list -> Cnf.Lit.t list
-  (** Activation literals of every live AND group in the cones of the
-      given edges (emitting the cones first if needed) — the assumption
-      set that switches exactly those definitions on for one query. *)
-
-  val release : t -> lit -> unit
-  (** Drops the defining clause group of the edge's node.  Only legal
-      once nothing will reference the node again (a node merged away by
-      sweeping); releasing a node without a group is a no-op. *)
+      emits the defining clauses of its whole cone as permanent clauses
+      (three per AND node, a unit for the constant node, a bare
+      variable for an input); a node already emitted adds nothing. *)
 
   val emitted_nodes : t -> int
   (** Number of AND nodes whose clauses have been emitted so far. *)
@@ -171,8 +160,8 @@ module Session_cnf : sig
       variable was allocated since the previous [guide] call, asking
       the suppliers for each node's signal probability and fanout.
       Consuming the pending list makes repeated calls O(new nodes) —
-      call it after each batch of [lit_of]/[assumptions] touches, e.g.
-      once per sweep round.  Legal between solves. *)
+      call it after each batch of [lit_of] touches, e.g. once per
+      sweep round.  Legal between solves. *)
 
   val pending_guides : t -> int
   (** Number of nodes awaiting a [guide] call (exposed for tests). *)

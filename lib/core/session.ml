@@ -3,11 +3,6 @@
 
 module Lit = Cnf.Lit
 
-type retention =
-  | Keep_all
-  | Drop_released
-  | Keep_lbd of int
-
 type activation_state = Active | Released
 
 (* per-query observability bundle; see [attach_metrics] *)
@@ -20,32 +15,18 @@ type obs = {
 type t = {
   cdcl : Cdcl.t;
   activations : (int, activation_state) Hashtbl.t; (* activation var -> state *)
-  mutable retention : retention;
   mutable queries : int;
   mutable last : Types.stats;
   mutable cached_model : bool array option;
   mutable released_dirty : bool;
-      (* a release happened since the last retention pass *)
+      (* a release happened since the last [drop_released] pass *)
   mutable obs : obs option;
 }
 
-let create ?(config = Types.default) ?(retention = Drop_released) () =
-  {
-    cdcl = Cdcl.create ~config (Cnf.Formula.create ());
-    activations = Hashtbl.create 16;
-    retention;
-    queries = 0;
-    last = Types.mk_stats ();
-    cached_model = None;
-    released_dirty = false;
-    obs = None;
-  }
-
-let of_formula ?(config = Types.default) ?(retention = Drop_released) f =
+let of_formula ?(config = Types.default) f =
   {
     cdcl = Cdcl.create ~config f;
     activations = Hashtbl.create 16;
-    retention;
     queries = 0;
     last = Types.mk_stats ();
     cached_model = None;
@@ -53,7 +34,7 @@ let of_formula ?(config = Types.default) ?(retention = Drop_released) f =
     obs = None;
   }
 
-let set_retention t r = t.retention <- r
+let create ?config () = of_formula ?config (Cnf.Formula.create ())
 let nvars t = Cdcl.nvars t.cdcl
 let new_var t = Cdcl.new_var t.cdcl
 let apply_guidance t g = Cdcl.apply_guidance t.cdcl g
@@ -116,33 +97,29 @@ let release t a =
     add_clause t [ Lit.negate a ]
   | None -> invalid_arg "Session.release: not an activation literal"
 
-(* --- between-query retention --------------------------------------------- *)
+(* --- between-query pruning ----------------------------------------------- *)
 
 let mentions_released t lits =
   Array.exists
     (fun l -> Hashtbl.find_opt t.activations (Lit.var l) = Some Released)
     lits
 
-let apply_retention t =
-  match t.retention with
-  | Keep_all -> ()
-  | Drop_released ->
-    (* cheap fast path: nothing released since the last pass *)
-    if t.released_dirty then begin
-      Cdcl.prune_learnts t.cdcl ~keep:(fun ~lbd:_ ~size:_ ~lits ->
-          not (mentions_released t lits));
-      t.released_dirty <- false
-    end
-  | Keep_lbd bound ->
-    Cdcl.prune_learnts t.cdcl ~keep:(fun ~lbd ~size:_ ~lits ->
-        lbd <= bound && not (mentions_released t lits));
+(* learned clauses mentioning a released activation variable are
+   permanently satisfied by its release unit and only burden the watch
+   lists; the pass runs only when something was released since the
+   last one *)
+let drop_released t =
+  if t.released_dirty then begin
+    Cdcl.prune_learnts t.cdcl ~keep:(fun ~lbd:_ ~size:_ ~lits ->
+        not (mentions_released t lits));
     t.released_dirty <- false
+  end
 
 (* --- queries -------------------------------------------------------------- *)
 
 let solve ?(assumptions = []) ?max_conflicts ?max_decisions ?stop ?deadline t
   =
-  if t.queries > 0 then apply_retention t;
+  if t.queries > 0 then drop_released t;
   let before = Types.copy_stats (Cdcl.stats t.cdcl) in
   let t0 = match t.obs with Some _ -> Monotime.now_s () | None -> 0. in
   let outcome =

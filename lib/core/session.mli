@@ -16,30 +16,17 @@
       permanently disables the group via a unit clause;
     - per-call conflict/decision budgets and per-call statistics deltas
       ({!last_stats}), alongside the cumulative totals;
-    - a learned-clause retention policy applied between queries (keep
-      low-LBD "glue" clauses, drop clauses polluted by released
-      activation literals). *)
+    - between queries, learned clauses that mention a released
+      activation variable are dropped: the release unit satisfies them
+      for good, so they only burden the watch lists. *)
 
 type t
 
-(** What to do with the learned-clause database between queries.  Under
-    every policy except [Keep_all], clauses mentioning a {e released}
-    activation variable are dropped — they are permanently satisfied by
-    the release unit and only burden the watch lists. *)
-type retention =
-  | Keep_all  (** never prune between queries *)
-  | Drop_released  (** only drop released-group pollution (default) *)
-  | Keep_lbd of int
-      (** additionally keep only clauses with LBD within the bound *)
-
-val create : ?config:Types.config -> ?retention:retention -> unit -> t
+val create : ?config:Types.config -> unit -> t
 (** An empty session (no variables, no clauses). *)
 
-val of_formula :
-  ?config:Types.config -> ?retention:retention -> Cnf.Formula.t -> t
+val of_formula : ?config:Types.config -> Cnf.Formula.t -> t
 (** A session seeded with a snapshot of the formula's clauses. *)
-
-val set_retention : t -> retention -> unit
 
 val nvars : t -> int
 val new_var : t -> int
@@ -74,8 +61,7 @@ val add_clause_in : t -> group:Cnf.Lit.t -> Cnf.Lit.t list -> unit
 val release : t -> Cnf.Lit.t -> unit
 (** Permanently disables a group by adding the unit clause [¬a].  The
     group's clauses become satisfied, and learned clauses mentioning the
-    activation variable are dropped by the next between-query retention
-    pass.  Releasing twice is a no-op. *)
+    activation variable are dropped before the next query.  Releasing twice is a no-op. *)
 
 val is_active : t -> Cnf.Lit.t -> bool
 (** Whether the literal is a live (unreleased) activation literal. *)
@@ -93,8 +79,8 @@ val solve :
 (** One query.  [assumptions] typically include activation literals of
     the clause groups the query should see.  The budgets bound this call
     only; a budgeted [Unknown "budget"] leaves the session fully
-    reusable.  Before searching, the between-query retention policy is
-    applied to the learned-clause database (from the second query on).
+    reusable.  Before searching, learned clauses polluted by groups
+    released since the previous query are dropped.
 
     [stop] and [deadline] pass through to {!Cdcl.solve}: a caller-owned
     token that answers [Unknown "interrupted"] once set (from any
@@ -129,7 +115,7 @@ val minimize_assumptions :
     literal only when the query without it is SAT or exhausts its
     budget.  [max_conflicts] bounds {e each individual query}; with a
     budget, the result is still a correct core but may not be locally
-    minimal.  Every query goes through {!solve}, so retention, metrics
+    minimal.  Every query goes through {!solve}, so pruning, metrics
     and {!queries} accounting all apply. *)
 
 

@@ -239,7 +239,7 @@ module Incremental = struct
         if Lit.is_pos l then r else Lit.negate r
 
   let open_session ?metrics ?trace ?(config = Types.default)
-      ?(pipeline = full_pipeline) ?retention f =
+      ?(pipeline = full_pipeline) f =
     let preprocess_stats = ref None in
     let equivalence_merged = ref 0 in
     let rl_implicates = ref 0 in
@@ -283,11 +283,11 @@ module Incremental = struct
     end;
     let session =
       if !unsat then begin
-        let s = Session.create ~config ?retention () in
+        let s = Session.create ~config () in
         Session.add_clause s [];
         s
       end
-      else Session.of_formula ~config ?retention !g
+      else Session.of_formula ~config !g
     in
     (match metrics with
      | Some m -> Session.attach_metrics session m

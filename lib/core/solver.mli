@@ -120,7 +120,6 @@ module Incremental : sig
     ?trace:Trace.sink ->
     ?config:Types.config ->
     ?pipeline:pipeline ->
-    ?retention:Session.retention ->
     Cnf.Formula.t ->
     t
   (** Simplify once and open the session (default pipeline:
@@ -131,7 +130,7 @@ module Incremental : sig
       delta and trace span. *)
 
   val session : t -> Session.t
-  (** The underlying session (e.g. for retention tuning). *)
+  (** The underlying session (e.g. for budgets, metrics or tracing). *)
 
   val new_var : t -> int
   val add_clause : t -> Cnf.Lit.t list -> unit

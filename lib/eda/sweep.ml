@@ -274,10 +274,9 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       let lr = Scnf.lit_of scnf (Aig.of_node r) in
       let lv = Scnf.lit_of scnf (Aig.of_node v) in
       let lv' = if pol then Lit.negate lv else lv in
-      let acts = Scnf.assumptions scnf [ Aig.of_node r; Aig.of_node v ] in
       apply_guide !nwords;
-      let query extra =
-        match solve_with ~max_conflicts:candidate_conflicts (extra @ acts) with
+      let query assumptions =
+        match solve_with ~max_conflicts:candidate_conflicts assumptions with
         | Sat.Types.Sat model -> `Sat model
         | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> `Unsat
         | Sat.Types.Unknown _ -> `Unknown
@@ -312,10 +311,6 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
                 let rt = Aig.of_node r in
                 let target = if pol then Aig.neg rt else rt in
                 (!merged).(v) <- Some target;
-                (* the merged node is dead: drop its clause group (the
-                   session retention pass also sheds learned clauses
-                   polluted by it) *)
-                Scnf.release scnf (Aig.of_node v);
                 Some target
               | `Refuted model ->
                 incr refuted;
@@ -469,17 +464,15 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
             | Sat.Types.Unknown why -> Verdict.Inconclusive why
           in
           let la = Scnf.lit_of scnf ea and lb = Scnf.lit_of scnf eb in
-          let acts = Scnf.assumptions scnf [ ea; eb ] in
           apply_guide !nwords;
-          match solve_with ?max_conflicts:final_budget
-                  (la :: Lit.negate lb :: acts)
+          match solve_with ?max_conflicts:final_budget [ la; Lit.negate lb ]
           with
           | Sat.Types.Sat model -> Verdict.Inequivalent (cex model)
           | Sat.Types.Unknown _ when jobs > 1 -> fallback ()
           | Sat.Types.Unknown _ -> Verdict.Inconclusive "budget"
           | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> (
-              match solve_with ?max_conflicts:final_budget
-                      (Lit.negate la :: lb :: acts)
+              match
+                solve_with ?max_conflicts:final_budget [ Lit.negate la; lb ]
               with
               | Sat.Types.Sat model -> Verdict.Inequivalent (cex model)
               | Sat.Types.Unknown _ when jobs > 1 -> fallback ()

@@ -9,16 +9,16 @@
     AIG: 62-way bit-parallel random simulation partitions nodes into
     candidate-equivalence classes (up to complementation); each fresh
     node that lands in an existing class is checked against the class
-    representative with a cone-limited query on one incremental
-    {!Sat.Session} (clauses emitted lazily per node, each node's
-    definition in its own activation group).  A proven candidate is
-    merged — every later node is built over the representative, so the
-    miter shrinks as sweeping proceeds and the merged node's clause
-    group is released; a refuting counterexample becomes a new
-    simulation pattern that splits the candidate classes; a
-    budget-limited candidate is skipped, not fatal.  The output pairs
-    usually collapse structurally; any residue falls to final
-    (unbudgeted) SAT queries. *)
+    representative with a query on one incremental {!Sat.Session}:
+    each node's Tseitin definition is emitted lazily as permanent
+    clauses, and a query assumes only the pair's two literals.  A
+    proven candidate is merged — every later node is built over the
+    representative, so the miter shrinks as sweeping proceeds; a
+    refuting counterexample becomes a new simulation pattern that
+    splits the candidate classes; a budget-limited candidate is
+    skipped, not fatal.  The output pairs usually collapse
+    structurally; any residue falls to final (unbudgeted) SAT
+    queries. *)
 
 type phase_times = {
   simulate_s : float;  (** bit-parallel simulation (seeding + resimulation) *)

@@ -17,6 +17,7 @@ type job = {
   params : Protocol.solve_params;
   deadline : float option;  (* absolute Monotime instant *)
   on_done : answer -> unit;
+  hashes : Fhash.t array;  (* prefix chain hashes of [params.clauses] *)
   stop : bool Atomic.t;
       (* owned from [submit] on: [cancel] sets it, and whatever solve
          serves the job reads it *)
@@ -196,61 +197,48 @@ let process t job =
       (fun t -> t.timeouts <- t.timeouts + 1)
   else begin
     let t0 = Sat.Monotime.now_s () in
-    let nclauses = List.length p.clauses in
-    let hashes = Fhash.prefix_hashes p.clauses in
+    let hashes = job.hashes in
+    let nclauses = Array.length hashes - 1 in
     let full = hashes.(nclauses) in
-    match
-      if p.use_cache then
-        Cache.find_result t.cache ~hash:full ~nclauses
-          ~assumptions:p.assumptions
-      else None
-    with
-    | Some outcome ->
-      finished t job
-        { (no_search outcome) with
-          cached = true;
-          time_s = Sat.Monotime.now_s () -. t0 }
-        (fun t -> t.queries <- t.queries + 1)
-    | None ->
-      let budget = combine_budget p.max_conflicts t.max_conflicts_cap in
-      let f () =
-        Cnf.Formula.of_clauses (List.map Cnf.Clause.of_dimacs_list p.clauses)
-      in
-      (* budgeted queries keep their exact budget semantics on the
-         incremental path; only unbudgeted assumption-free bulk
-         queries decompose *)
-      let decomposed =
-        match t.cube_threshold with
-        | Some n ->
-          nclauses >= n && p.assumptions = [] && budget = None
-          && p.max_decisions = None
-        | None -> false
-      in
-      let reg = Sat.Metrics.create () in
-      let outcome, st, matched, tuned =
-        if decomposed then solve_decomposed t job reg (f ())
-        else solve_incremental t job reg ~budget ~hashes ~full ~nclauses f
-      in
-      let outcome = cancelled_if_stopped outcome in
-      if p.use_cache then
-        Cache.store_result t.cache ~hash:full ~nclauses
-          ~assumptions:p.assumptions outcome;
-      roll_up t p.tenant reg;
-      finished t job
-        {
-          outcome;
-          cached = false;
-          warm = matched > 0;
-          matched_prefix = matched;
-          time_s = Sat.Monotime.now_s () -. t0;
-          conflicts = st.T.conflicts;
-          decisions = st.T.decisions;
-        }
-        (fun t ->
-           t.queries <- t.queries + 1;
-           if decomposed then t.decomposed_n <- t.decomposed_n + 1;
-           if tuned then t.autotuned_n <- t.autotuned_n + 1;
-           count_stop t outcome)
+    let budget = combine_budget p.max_conflicts t.max_conflicts_cap in
+    let f () =
+      Cnf.Formula.of_clauses (List.map Cnf.Clause.of_dimacs_list p.clauses)
+    in
+    (* budgeted queries keep their exact budget semantics on the
+       incremental path; only unbudgeted assumption-free bulk queries
+       decompose *)
+    let decomposed =
+      match t.cube_threshold with
+      | Some n ->
+        nclauses >= n && p.assumptions = [] && budget = None
+        && p.max_decisions = None
+      | None -> false
+    in
+    let reg = Sat.Metrics.create () in
+    let outcome, st, matched, tuned =
+      if decomposed then solve_decomposed t job reg (f ())
+      else solve_incremental t job reg ~budget ~hashes ~full ~nclauses f
+    in
+    let outcome = cancelled_if_stopped outcome in
+    if p.use_cache then
+      Cache.store_result t.cache ~hash:full ~nclauses
+        ~assumptions:p.assumptions outcome;
+    roll_up t p.tenant reg;
+    finished t job
+      {
+        outcome;
+        cached = false;
+        warm = matched > 0;
+        matched_prefix = matched;
+        time_s = Sat.Monotime.now_s () -. t0;
+        conflicts = st.T.conflicts;
+        decisions = st.T.decisions;
+      }
+      (fun t ->
+         t.queries <- t.queries + 1;
+         if decomposed then t.decomposed_n <- t.decomposed_n + 1;
+         if tuned then t.autotuned_n <- t.autotuned_n + 1;
+         count_stop t outcome)
   end
 
 (* one admitted query, run by a pool domain *)
@@ -307,31 +295,44 @@ let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?cube_threshold
     tenants = Hashtbl.create 8;
   }
 
-let submit t ?deadline ~on_done params =
-  let job =
-    {
-      params;
-      deadline;
-      on_done;
-      stop = Atomic.make false;
-    }
-  in
+(* An exact repeat is answered here, from the result cache, without
+   queueing: a full queue delays solving, not looking up. *)
+let submit t ?deadline ~on_done (params : Protocol.solve_params) =
+  let t0 = Sat.Monotime.now_s () in
+  let hashes = Fhash.prefix_hashes params.clauses in
+  let job = { params; deadline; on_done; hashes; stop = Atomic.make false } in
+  let nclauses = Array.length hashes - 1 in
   Mutex.lock t.lock;
   let verdict =
     if t.draining then Error Draining
-    else if t.queued >= t.max_queue then begin
-      t.overloaded_n <- t.overloaded_n + 1;
-      Error Overloaded
-    end
-    else begin
-      t.queued <- t.queued + 1;
-      t.peak_queue <- max t.peak_queue t.queued;
-      Ok job
-    end
+    else
+      match
+        if params.use_cache then
+          Cache.find_result t.cache ~hash:hashes.(nclauses) ~nclauses
+            ~assumptions:params.assumptions
+        else None
+      with
+      | Some outcome ->
+        t.queries <- t.queries + 1;
+        Ok (Some outcome)
+      | None when t.queued >= t.max_queue ->
+        t.overloaded_n <- t.overloaded_n + 1;
+        Error Overloaded
+      | None ->
+        t.queued <- t.queued + 1;
+        t.peak_queue <- max t.peak_queue t.queued;
+        Ok None
   in
   Mutex.unlock t.lock;
-  if Result.is_ok verdict then Sat.Exec.submit t.exec (fun () -> serve t job);
-  verdict
+  (match verdict with
+   | Ok (Some outcome) ->
+     on_done
+       { (no_search outcome) with
+         cached = true;
+         time_s = Sat.Monotime.now_s () -. t0 }
+   | Ok None -> Sat.Exec.submit t.exec (fun () -> serve t job)
+   | Error _ -> ());
+  Result.map (fun _ -> job) verdict
 
 let cancel _ (job : job) = Atomic.set job.stop true
 

@@ -5,15 +5,17 @@
     This is the daemon's engine room, usable without any socket in
     front of it (the benchmarks and tests drive it directly):
 
-    - {!submit} either hands the query to the pool or refuses it
-      immediately — [Overloaded] when [max_queue] queries already wait
-      for a domain (backpressure), [Draining] once shutdown has begun;
-    - each pool domain serves queries through the {!Cache}: an exact
-      repeat answers from the result cache, a grown query checks out
-      the warm session holding its longest pooled prefix, anything
-      else solves cold — and every session returns to the pool
-      afterwards, including after a cancelled or timed-out query, with
-      no cancellation state to clear;
+    - {!submit} answers an exact repeat from the {!Cache}'s result
+      cache on the spot, hands any other query to the pool, or refuses
+      it immediately — [Overloaded] when [max_queue] queries already
+      wait for a domain (backpressure), [Draining] once shutdown has
+      begun.  A cache hit never waits for, or is refused by, a full
+      queue;
+    - each pool domain serves queries through the {!Cache}: a grown
+      query checks out the warm session holding its longest pooled
+      prefix, anything else solves cold — and every session returns to
+      the pool afterwards, including after a cancelled or timed-out
+      query, with no cancellation state to clear;
     - every query owns one stop token from {!submit} on.  {!cancel}
       sets it (safe from any domain); the serving domain passes it and
       the query's deadline straight into {!Sat.Session.solve} (or
@@ -85,9 +87,12 @@ val submit :
   on_done:(answer -> unit) ->
   Protocol.solve_params ->
   (job, submit_error) result
-(** Queues a query.  [on_done] runs in the pool domain that served
-    it (callers bridge to their own thread; the socket server pushes
-    to a completion queue).  [deadline] is an absolute
+(** Queues a query, unless the result cache already holds its answer:
+    then [on_done] runs in the caller's thread, with [cached = true],
+    before [submit] returns.  Otherwise [on_done] runs in the pool
+    domain that served it (callers bridge to their own thread; the
+    socket server pushes to a completion queue).  Draining is checked
+    first, then the cache, then the queue bound.  [deadline] is an absolute
     {!Sat.Monotime.now_s} instant: a query still queued when it passes
     answers [Unknown "timeout"] without solving, and a running query's
     search checks it after each conflict and answers

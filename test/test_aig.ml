@@ -227,35 +227,50 @@ let session_cnf_incremental () =
   let emitted_one = A.Session_cnf.emitted_nodes scnf in
   Alcotest.(check bool) "cone emitted" true (emitted_one > 0);
   Alcotest.(check bool) "only the cone" true (emitted_one <= A.num_ands m);
-  (* solving under the cone's activation groups constrains the output *)
-  let acts = A.Session_cnf.assumptions scnf [ o0 ] in
   let n_in = List.length (N.inputs c) in
+  let in_lits =
+    Array.init n_in (fun i -> A.Session_cnf.lit_of scnf (A.input m i))
+  in
+  (* a second touch of an emitted node adds no variable and no clause *)
+  let nvars = Sat.Session.nvars sess in
+  Alcotest.(check bool) "re-touch: same literal" true
+    (A.Session_cnf.lit_of scnf o0 = l0);
+  Alcotest.(check int) "re-touch: nothing emitted" emitted_one
+    (A.Session_cnf.emitted_nodes scnf);
+  Alcotest.(check int) "re-touch: no new variable" nvars
+    (Sat.Session.nvars sess);
+  let assume_inputs ins =
+    List.init n_in (fun i ->
+        if ins.(i) then in_lits.(i) else Cnf.Lit.negate in_lits.(i))
+  in
   let rng = Sat.Rng.create 8 in
+  (* definitions are permanent: input assumptions alone pin the output *)
   for _ = 1 to 10 do
     let ins = Array.init n_in (fun _ -> Sat.Rng.bool rng) in
-    let in_lits =
-      List.init n_in (fun i ->
-          let l = A.Session_cnf.lit_of scnf (A.input m i) in
-          if ins.(i) then l else Cnf.Lit.negate l)
-    in
     let expected = (Circuit.Simulate.eval_outputs c ins).(0) in
     let goal = if expected then Cnf.Lit.negate l0 else l0 in
-    (* asserting the wrong polarity under the cone must be UNSAT *)
-    match Sat.Session.solve ~assumptions:(goal :: (in_lits @ acts)) sess with
+    match Sat.Session.solve ~assumptions:(goal :: assume_inputs ins) sess with
     | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> ()
     | _ -> Alcotest.fail "cone clauses must pin the output"
   done;
-  (* releasing a node's group makes its definition vanish *)
-  let n_and =
-    let rec find id =
-      match A.view m id with A.And _ -> id | _ -> find (id + 1)
-    in
-    find 0
-  in
-  A.Session_cnf.release scnf (A.of_node n_and);
-  let acts' = A.Session_cnf.assumptions scnf [ o0 ] in
-  Alcotest.(check bool) "released group dropped from assumptions" true
-    (List.length acts' < List.length acts)
+  (* the manager grows after a solve: new nodes on top of emitted ones
+     are emitted on their first [lit_of] and agree with [eval] *)
+  let o = Array.of_list (List.map snd outs) in
+  let x = A.xor m o.(0) o.(1) in
+  let top = A.or_ m (A.and_ m x (A.neg o.(2))) (A.input m 0) in
+  let before = A.Session_cnf.emitted_nodes scnf in
+  let lt = A.Session_cnf.lit_of scnf top in
+  Alcotest.(check bool) "grown cone emitted" true
+    (A.Session_cnf.emitted_nodes scnf > before);
+  for _ = 1 to 20 do
+    let ins = Array.init n_in (fun _ -> Sat.Rng.bool rng) in
+    match Sat.Session.solve ~assumptions:(assume_inputs ins) sess with
+    | Sat.Types.Sat model ->
+      let v = Cnf.Lit.var lt in
+      let value = if Cnf.Lit.is_pos lt then model.(v) else not model.(v) in
+      Alcotest.(check bool) "grown node matches eval" (A.eval m ins top) value
+    | _ -> Alcotest.fail "input assumptions alone must be satisfiable"
+  done
 
 let suite =
   [

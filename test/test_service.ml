@@ -500,6 +500,58 @@ let scheduler_overload_and_drain () =
   Alcotest.(check bool) "quiescent" true (Service.Scheduler.quiescent sch);
   Service.Scheduler.shutdown sch
 
+let scheduler_cache_hit_when_full () =
+  (* an exact repeat is answered from the result cache at admission:
+     a full queue refuses fresh work but not a cache hit *)
+  let sch = Service.Scheduler.create ~jobs:1 ~max_queue:1 () in
+  let small = P.mk_solve (php_clauses 4 3) in
+  (match Service.Scheduler.solve sch small with
+   | Ok a -> Alcotest.(check bool) "first answer solved" false a.cached
+   | Error _ -> Alcotest.fail "small query refused");
+  let slow = ref [] in
+  let submit_slow () =
+    match
+      Service.Scheduler.submit sch ~on_done:(fun _ -> ())
+        (P.mk_solve ~use_cache:false (php_clauses 9 8))
+    with
+    | Ok job -> slow := job :: !slow; true
+    | Error Service.Scheduler.Overloaded -> false
+    | Error Service.Scheduler.Draining -> Alcotest.fail "not draining yet"
+  in
+  ignore (submit_slow ());
+  Unix.sleepf 0.1;
+  (* worker busy on the first php(9,8); keep submitting until the queue
+     is full *)
+  let rec fill n =
+    if n = 0 then Alcotest.fail "overload never signalled"
+    else if submit_slow () then fill (n - 1)
+  in
+  fill 10;
+  let answered = ref None in
+  (match
+     Service.Scheduler.submit sch ~on_done:(fun a -> answered := Some a)
+       small
+   with
+   | Ok _ -> (
+     (* answered in this thread, before [submit] returned *)
+     match !answered with
+     | Some a ->
+       Alcotest.(check bool) "repeat answered from cache" true a.cached;
+       Alcotest.(check bool) "cached verdict UNSAT" true
+         (a.outcome = T.Unsat)
+     | None -> Alcotest.fail "cache hit not answered at admission")
+   | Error _ -> Alcotest.fail "cache hit refused under a full queue");
+  (match
+     Service.Scheduler.submit sch ~on_done:(fun _ -> ())
+       (P.mk_solve (php_clauses 5 4))
+   with
+   | Error Service.Scheduler.Overloaded -> ()
+   | _ -> Alcotest.fail "fresh query must be refused as overloaded");
+  List.iter (Service.Scheduler.cancel sch) !slow;
+  Service.Scheduler.drain sch;
+  Alcotest.(check bool) "quiescent" true (Service.Scheduler.quiescent sch);
+  Service.Scheduler.shutdown sch
+
 let scheduler_tenant_metrics () =
   let sch = Service.Scheduler.create ~jobs:2 () in
   (match Service.Scheduler.solve sch (P.mk_solve ~tenant:"bmc" (php_clauses 6 5)) with
@@ -762,6 +814,8 @@ let suite =
     Th.case "sixteen concurrent decomposed queries"
       scheduler_decomposed_concurrent;
     Th.case "scheduler overload and drain" scheduler_overload_and_drain;
+    Th.case "scheduler answers cache hits when full"
+      scheduler_cache_hit_when_full;
     Th.case "scheduler tenant metrics" scheduler_tenant_metrics;
     Th.case "daemon solves and caches" daemon_solves_and_caches;
     Th.case "daemon survives malformed frames" daemon_survives_malformed_frames;

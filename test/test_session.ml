@@ -1,11 +1,11 @@
 (* Incremental session layer: clause addition between solves, activation
-   groups, per-call budgets and stats deltas, retention policies. *)
+   groups, per-call budgets and stats deltas, released-group pruning. *)
 
 module T = Sat.Types
 module S = Sat.Session
 module Lit = Cnf.Lit
 
-let php n m =
+let php_clauses n m =
   let v i j = (i * m) + j + 1 in
   let cls = ref [] in
   for i = 0 to n - 1 do
@@ -18,7 +18,9 @@ let php n m =
       done
     done
   done;
-  Th.formula_of !cls
+  !cls
+
+let php n m = Th.formula_of (php_clauses n m)
 
 let grow_after_sat () =
   (* SAT, then added clauses flip the verdict to UNSAT *)
@@ -175,24 +177,42 @@ let per_call_deltas_disjoint () =
   Alcotest.(check int) "diff matches last delta"
     (S.last_stats s).T.conflicts d3.T.conflicts
 
-let retention_policies_sound () =
-  List.iter
-    (fun retention ->
-       let s = S.of_formula ~retention (php 6 5) in
-       (* several queries with throwaway activation groups: the verdict
-          must stay correct whatever the pruning policy drops *)
-       for _ = 1 to 3 do
-         let act = S.new_activation s in
-         S.add_clause_in s ~group:act [ act ] (* tautological under act *);
-         (match S.solve ~assumptions:[ act ] s with
-          | T.Unsat | T.Unsat_assuming _ -> ()
-          | _ -> Alcotest.fail "php 6 5 must stay UNSAT");
-         S.release s act
-       done;
-       match S.solve s with
-       | T.Unsat -> ()
-       | _ -> Alcotest.fail "final verdict wrong under retention policy")
-    [ S.Keep_all; S.Drop_released; S.Keep_lbd 3 ]
+let released_groups_pruned () =
+  (* php 6 5 with pigeon 0's "some hole" clause moved into a fresh group
+     each round: UNSAT under the group, SAT once it is released *)
+  let pigeon0 = [ 1; 2; 3; 4; 5 ] in
+  let s =
+    S.of_formula
+      (Th.formula_of (List.filter (( <> ) pigeon0) (php_clauses 6 5)))
+  in
+  let pigeon0 = List.map Th.lit pigeon0 in
+  let mentions vars =
+    List.exists
+      (fun c -> List.exists (fun l -> List.mem (Lit.var l) vars)
+          (Cnf.Clause.to_list c))
+      (Sat.Cdcl.learned_clauses (S.raw s))
+  in
+  let released = ref [] in
+  for _ = 1 to 3 do
+    let act = S.new_activation s in
+    S.add_clause_in s ~group:act pigeon0;
+    (match S.solve ~assumptions:[ act ] s with
+     | T.Unsat | T.Unsat_assuming _ -> ()
+     | _ -> Alcotest.fail "php 6 5 must be UNSAT under its group");
+    Alcotest.(check bool) "learned clauses mention the live group" true
+      (mentions [ Lit.var act ]);
+    S.release s act;
+    released := Lit.var act :: !released;
+    (match S.solve s with
+     | T.Sat _ -> ()
+     | _ -> Alcotest.fail "five pigeons fit five holes once released");
+    Alcotest.(check bool) "released-group learnts pruned" false
+      (mentions !released)
+  done;
+  S.add_clause s pigeon0;
+  match S.solve s with
+  | T.Unsat -> ()
+  | _ -> Alcotest.fail "php 6 5 must be UNSAT once the clause is permanent"
 
 let solver_pipeline_sessions () =
   (* Solver.Incremental: simplify once, serve several queries *)
@@ -358,7 +378,7 @@ let suite =
     Th.case "failure cores survive reuse" failure_cores_survive_reuse;
     Th.case "budget does not poison" budget_does_not_poison;
     Th.case "per-call deltas disjoint" per_call_deltas_disjoint;
-    Th.case "retention policies" retention_policies_sound;
+    Th.case "retention policies" released_groups_pruned;
     Th.case "pipeline sessions" solver_pipeline_sessions;
     Th.case "cross-domain interrupt keeps session reusable"
       cross_domain_interrupt_keeps_session_reusable;
