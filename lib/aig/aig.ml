@@ -308,10 +308,6 @@ let to_netlist m ~outputs =
 
 (* --- structure observations for solver guidance -------------------------- *)
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w lsr 1) (acc + (w land 1)) in
-  go w 0
-
 let fanout_counts m =
   let n = Sat.Vec.size m.nodes in
   let fo = Array.make n 0 in
@@ -331,7 +327,7 @@ let signal_probs ?(rounds = 4) ?(seed = 0x5eed) m =
   for _ = 1 to rounds do
     let vals = sim_words m (Circuit.Simulate.random_words rng m.inputs) in
     for id = 0 to n - 1 do
-      ones.(id) <- ones.(id) + popcount vals.(id)
+      ones.(id) <- ones.(id) + Circuit.Simulate.popcount vals.(id)
     done
   done;
   let total =

@@ -10,10 +10,6 @@
 
 type observation = { node : Netlist.node_id; prob : float; fanout : int }
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w lsr 1) (acc + (w land 1)) in
-  go w 0
-
 let observe ?(rounds = 4) ?(seed = 0x5eed) c =
   let n = Netlist.num_nodes c in
   let nins = List.length (Netlist.inputs c) in
@@ -23,7 +19,7 @@ let observe ?(rounds = 4) ?(seed = 0x5eed) c =
     let words = Simulate.random_words rng nins in
     let vals = Simulate.parallel_all c words in
     for i = 0 to n - 1 do
-      ones.(i) <- ones.(i) + popcount vals.(i)
+      ones.(i) <- ones.(i) + Simulate.popcount vals.(i)
     done
   done;
   let total = float_of_int (max 1 (rounds * Simulate.word_width)) in

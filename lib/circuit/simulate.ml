@@ -1,6 +1,16 @@
 let word_width = 62
 let mask = (1 lsl word_width) - 1
 
+(* SWAR: bit counts per 2-, 4- and 8-bit field, then the byte counts
+   summed into the top byte by one multiply; the 64-bit constants wrap
+   to the 63-bit int, whose top byte (bits 56..62) holds the sum *)
+let popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let m2 = 0x3333_3333_3333_3333 in
+  let w = (w land m2) + ((w lsr 2) land m2) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
+
 let eval_generic ~zero ~ones ~op c ins =
   let input_ids = Netlist.inputs c in
   if List.length input_ids <> Array.length ins then

@@ -19,6 +19,10 @@ val parallel_outputs : Netlist.t -> int array -> int array
 val word_width : int
 (** Patterns per simulation word (62 on a 64-bit system). *)
 
+val popcount : int -> int
+(** Set bits of an [int] (all 63 of them), in a constant number of word
+    operations: the pattern count of a simulation word. *)
+
 val parallel_gate : Gate.t -> int list -> int
 (** One gate evaluated over packed words (exposed for cone-limited fault
     simulation). *)

@@ -105,27 +105,34 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
     let input_lits =
       Array.init n_inputs (fun i -> Scnf.lit_of scnf (Aig.input nm i))
     in
-    (* --- signatures: packed simulation words per fraig node ------------- *)
+    (* a counterexample model's value for primary input [i] *)
+    let input_value model i =
+      let l = input_lits.(i) in
+      let var = Lit.var l in
+      var < Array.length model
+      && (if Lit.is_pos l then model.(var) else not model.(var))
+    in
+    (* --- signatures: one flat column per simulation word ---------------- *)
+    (* [(!cols).(w).(id)] packs node [id]'s values under the 62 patterns
+       of simulation word [w]; the columns and the per-node arrays share
+       the capacity [!cap], grown by doubling *)
     let cap = ref (max 64 (2 * n_old)) in
-    let sigs = ref (Array.make !cap [||]) in
+    let cols : int array array ref = ref [||] in
     let merged : Aig.lit option array ref = ref (Array.make !cap None) in
     let seen = ref (Array.make !cap false) in
     let fanout = ref (Array.make !cap 0) in
     let grow_to n =
       if n > !cap then begin
         let c = max n (2 * !cap) in
-        let s = Array.make c [||] in
-        Array.blit !sigs 0 s 0 !cap;
-        let mg = Array.make c None in
-        Array.blit !merged 0 mg 0 !cap;
-        let sn = Array.make c false in
-        Array.blit !seen 0 sn 0 !cap;
-        let fo = Array.make c 0 in
-        Array.blit !fanout 0 fo 0 !cap;
-        sigs := s;
-        merged := mg;
-        seen := sn;
-        fanout := fo;
+        let grow a fill =
+          let b = Array.make c fill in
+          Array.blit a 0 b 0 !cap;
+          b
+        in
+        cols := Array.map (fun col -> grow col 0) !cols;
+        merged := grow !merged None;
+        seen := grow !seen false;
+        fanout := grow !fanout 0;
         cap := c
       end
     in
@@ -145,102 +152,84 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       done;
       fo_known := n
     in
-    let popcount w =
-      let rec go w acc =
-        if w = 0 then acc else go (w lsr 1) (acc + (w land 1))
-      in
-      go w 0
-    in
     (* seed the session's branching heuristic for variables the lazy CNF
        allocated since the last call: signal probability straight from
-       the sweep's own simulation signatures, fanout from the counts
-       above (docs/TUNING.md "Seeding from observations") *)
-    let apply_guide nwords =
+       the sweep's own simulation columns, fanout from the counts above
+       (docs/TUNING.md "Seeding from observations") *)
+    let apply_guide () =
       if guide then begin
         account_fanouts ();
+        let cols = !cols in
+        let patterns = Array.length cols * Circuit.Simulate.word_width in
         Scnf.guide scnf
           ~prob_of:(fun id ->
-            let s = (!sigs).(id) in
-            let n = min nwords (Array.length s) in
-            if n = 0 then 0.5
-            else begin
-              let ones = ref 0 in
-              for w = 0 to n - 1 do
-                ones := !ones + popcount s.(w)
-              done;
-              float_of_int !ones
-              /. float_of_int (n * Circuit.Simulate.word_width)
-            end)
+            let ones =
+              Array.fold_left
+                (fun acc col -> acc + Circuit.Simulate.popcount col.(id))
+                0 cols
+            in
+            float_of_int ones /. float_of_int patterns)
           ~fanout_of:(fun id -> (!fanout).(id))
       end
     in
-    let nwords = ref 0 in
-    let sim_words_count = ref 0 in
-    let append_sim_word input_word =
-      let vals = Aig.sim_words nm input_word in
-      grow_to (Array.length vals);
-      for id = 0 to Array.length vals - 1 do
-        let old = (!sigs).(id) in
-        let a = Array.make (!nwords + 1) 0 in
-        Array.blit old 0 a 0 !nwords;
-        a.(!nwords) <- vals.(id);
-        (!sigs).(id) <- a
-      done;
-      incr nwords;
-      incr sim_words_count
+    let add_column () = cols := Array.append !cols [| Array.make !cap 0 |] in
+    (* simulates the whole fraig graph under [inputs] into the last column *)
+    let simulate_last inputs =
+      let vals = Aig.sim_words nm inputs in
+      Array.blit vals 0 (!cols).(Array.length !cols - 1) 0 (Array.length vals)
     in
     let compute_sig v =
       match Aig.view nm v with
       | Aig.And (a, b) ->
-        let sa = (!sigs).(Aig.node_of a) and sb = (!sigs).(Aig.node_of b) in
-        let ca = Aig.is_complemented a and cb = Aig.is_complemented b in
-        Array.init !nwords (fun w ->
-            let va = if ca then lnot sa.(w) land word_mask else sa.(w) in
-            let vb = if cb then lnot sb.(w) land word_mask else sb.(w) in
-            va land vb)
+        let na = Aig.node_of a and nb = Aig.node_of b in
+        let fa = if Aig.is_complemented a then word_mask else 0 in
+        let fb = if Aig.is_complemented b then word_mask else 0 in
+        Array.iter
+          (fun col -> col.(v) <- (col.(na) lxor fa) land (col.(nb) lxor fb))
+          !cols
       | Aig.Const | Aig.Input _ -> assert false
     in
-    let phase id = ((!sigs).(id)).(0) land 1 = 1 in
-    let canon id =
-      let a = (!sigs).(id) in
-      let ph = a.(0) land 1 = 1 in
-      let rec go w =
-        if w >= !nwords then []
-        else (if ph then lnot a.(w) land word_mask else a.(w)) :: go (w + 1)
-      in
-      go 0
-    in
+    (* the phase reads seed word 0 and class keys read the seed words
+       only, so neither ever changes *)
+    let phase id = (!cols).(0).(id) land 1 = 1 in
     (* --- candidate classes --------------------------------------------- *)
-    let table : (int list, int list ref) Hashtbl.t = Hashtbl.create 256 in
-    let inserted = ref [] in
-    let dirty = ref false in
+    (* a class holds the registered nodes whose phase-canonical seed
+       columns hash alike, oldest first; registered nodes are never
+       merged, so the representative of [v] is the oldest member whose
+       full canonical signature, every column, equals [v]'s *)
+    let classes : (int, int Sat.Vec.t) Hashtbl.t = Hashtbl.create 256 in
     let classes_formed = ref 0 in
     (* a class counts once its representative meets its first challenger
-       (merged challengers never enter the bucket, so bucket size alone
+       (merged challengers never enter the class, so its size alone
        undercounts) *)
     let challenged = Hashtbl.create 64 in
-    let insert v =
-      let key = canon v in
-      match Hashtbl.find_opt table key with
-      | Some b -> b := !b @ [ v ]
-      | None -> Hashtbl.replace table key (ref [ v ])
+    let class_of v =
+      let flip = if phase v then word_mask else 0 in
+      let key = ref 0 in
+      for w = 0 to words - 1 do
+        key := (!key * 0x100000001b3) lxor ((!cols).(w).(v) lxor flip)
+      done;
+      match Hashtbl.find_opt classes !key with
+      | Some members -> members
+      | None ->
+        let members = Sat.Vec.create ~capacity:1 ~dummy:0 () in
+        Hashtbl.replace classes !key members;
+        members
     in
-    let register v =
-      inserted := v :: !inserted;
-      insert v
+    let same_sig v r =
+      let flip = if phase v <> phase r then word_mask else 0 in
+      Array.for_all (fun col -> col.(v) lxor col.(r) = flip) !cols
     in
-    let rebuild () =
-      Hashtbl.reset table;
-      List.iter
-        (fun v -> if (!merged).(v) = None then insert v)
-        (List.rev !inserted)
-    in
+    let register v = Sat.Vec.push (class_of v) v in
     let lookup v =
-      if !dirty then begin
-        timed refine_t "sweep/refine" rebuild;
-        dirty := false
-      end;
-      Hashtbl.find_opt table (canon v)
+      let members = class_of v in
+      let rec go i =
+        if i >= Sat.Vec.size members then None
+        else
+          let r = Sat.Vec.get members i in
+          if same_sig v r then Some r else go (i + 1)
+      in
+      go 0
     in
     (* --- counters ------------------------------------------------------ *)
     let candidates = ref 0 and merges = ref 0 and refuted = ref 0 in
@@ -250,31 +239,35 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       timed prove_t "sweep/prove" (fun () ->
           Sat.Session.solve ~assumptions ?max_conflicts sess)
     in
-    (* a counterexample becomes one more simulation word: its pattern in
-       bit 0, fresh random patterns in the remaining 61 bits *)
+    (* counterexamples pack into the open word: the k-th one sets bit k
+       of its input patterns, the other bits keep the random patterns
+       drawn when the word opened, and only that column is resimulated;
+       a new word opens after [word_width] counterexamples *)
+    let open_inputs = ref [||] in
+    let packed = ref Circuit.Simulate.word_width in
     let refine model =
       incr rounds;
       timed sim_t "sweep/simulate" (fun () ->
-          let word = Circuit.Simulate.random_words rng n_inputs in
-          for i = 0 to n_inputs - 1 do
-            let bit =
-              let l = input_lits.(i) in
-              let var = Lit.var l in
-              if var < Array.length model then
-                if Lit.is_pos l then model.(var) else not model.(var)
-              else Sat.Rng.bool rng
-            in
-            word.(i) <- word.(i) land lnot 1 lor (if bit then 1 else 0)
-          done;
-          append_sim_word word);
-      dirty := true
+          if !packed = Circuit.Simulate.word_width then begin
+            open_inputs := Circuit.Simulate.random_words rng n_inputs;
+            add_column ();
+            packed := 0
+          end;
+          let bit = 1 lsl !packed in
+          Array.iteri
+            (fun i w ->
+               (!open_inputs).(i) <-
+                 (if input_value model i then w lor bit else w land lnot bit))
+            !open_inputs;
+          incr packed;
+          simulate_last !open_inputs)
     in
     let prove r v pol =
       incr candidates;
       let lr = Scnf.lit_of scnf (Aig.of_node r) in
       let lv = Scnf.lit_of scnf (Aig.of_node v) in
       let lv' = if pol then Lit.negate lv else lv in
-      apply_guide !nwords;
+      apply_guide ();
       let query assumptions =
         match solve_with ~max_conflicts:candidate_conflicts assumptions with
         | Sat.Types.Sat model -> `Sat model
@@ -290,37 +283,30 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
           | `Unknown -> `Unknown
           | `Unsat -> `Proved)
     in
-    (* prove-or-split loop for one fresh node; every refutation strictly
-       separates the node from its current representative, so this
-       terminates *)
+    (* prove-or-split loop for one fresh node; every refutation writes a
+       pattern that separates the node from its current representative
+       for good (a packed bit is never rewritten), so this terminates *)
     let rec classify v =
-      match lookup v with
-      | Some bucket -> (
-          match
-            List.find_opt (fun r -> r <> v && (!merged).(r) = None) !bucket
-          with
-          | Some r -> (
-              if not (Hashtbl.mem challenged r) then begin
-                Hashtbl.add challenged r ();
-                incr classes_formed
-              end;
-              let pol = phase v <> phase r in
-              match prove r v pol with
-              | `Proved ->
-                incr merges;
-                let rt = Aig.of_node r in
-                let target = if pol then Aig.neg rt else rt in
-                (!merged).(v) <- Some target;
-                Some target
-              | `Refuted model ->
-                incr refuted;
-                refine model;
-                classify v
-              | `Unknown ->
-                incr skipped;
-                register v;
-                None)
-          | None ->
+      match timed refine_t "sweep/refine" (fun () -> lookup v) with
+      | Some r -> (
+          if not (Hashtbl.mem challenged r) then begin
+            Hashtbl.add challenged r ();
+            incr classes_formed
+          end;
+          let pol = phase v <> phase r in
+          match prove r v pol with
+          | `Proved ->
+            incr merges;
+            let rt = Aig.of_node r in
+            let target = if pol then Aig.neg rt else rt in
+            (!merged).(v) <- Some target;
+            Some target
+          | `Refuted model ->
+            incr refuted;
+            refine model;
+            classify v
+          | `Unknown ->
+            incr skipped;
             register v;
             None)
       | None ->
@@ -336,7 +322,8 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
     (* 3. seed the classes: random simulation over constant and inputs *)
     timed sim_t "sweep/simulate" (fun () ->
         for _ = 1 to words do
-          append_sim_word (Circuit.Simulate.random_words rng n_inputs)
+          add_column ();
+          simulate_last (Circuit.Simulate.random_words rng n_inputs)
         done);
     grow_to (Aig.node_count nm);
     timed refine_t "sweep/refine" (fun () ->
@@ -344,8 +331,8 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
           (!seen).(id) <- true;
           register id
         done);
-    apply_guide !nwords;
-    (* 4. fraig loop: rebuild the merged AIG inputs-outward over
+    apply_guide ();
+    (* 4. fraig loop: reconstruct the merged AIG inputs-outward over
        representatives, proving or splitting every candidate *)
     let repr = Array.make (max 1 n_old) Aig.const_false in
     let map_edge l =
@@ -364,7 +351,7 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
           grow_to nnow;
           timed sim_t "sweep/simulate" (fun () ->
               for v = !known to nnow - 1 do
-                (!sigs).(v) <- compute_sig v
+                compute_sig v
               done);
           known := nnow
         end;
@@ -388,13 +375,7 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
            if ea = eb then None else Some (ea, eb))
         out_pairs
     in
-    let cex model =
-      Array.init n_inputs (fun i ->
-          let l = input_lits.(i) in
-          let var = Lit.var l in
-          var < Array.length model
-          && (if Lit.is_pos l then model.(var) else not model.(var)))
-    in
+    let cex model = Array.init n_inputs (input_value model) in
     (* With [jobs > 1] the final queries run under the candidate budget
        and a residual hard pair escalates to cube-and-conquer on a
        standalone cone CNF: the two output cones of the fraiged AIG are
@@ -464,7 +445,7 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
             | Sat.Types.Unknown why -> Verdict.Inconclusive why
           in
           let la = Scnf.lit_of scnf ea and lb = Scnf.lit_of scnf eb in
-          apply_guide !nwords;
+          apply_guide ();
           match solve_with ?max_conflicts:final_budget [ la; Lit.negate lb ]
           with
           | Sat.Types.Sat model -> Verdict.Inequivalent (cex model)
@@ -486,7 +467,7 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       {
         aig_nodes = n_old;
         fraig_nodes = Aig.node_count nm - !merges;
-        simulation_words = !sim_words_count;
+        simulation_words = Array.length !cols;
         classes = !classes_formed;
         candidates = !candidates;
         merges = !merges;

@@ -6,23 +6,27 @@
     inputs, so all syntactically common logic merges for free and the
     two-level rewriting rules do a bounded cleanup.  The pipeline then
     rebuilds the graph inputs-outward into a {e functionally reduced}
-    AIG: 62-way bit-parallel random simulation partitions nodes into
-    candidate-equivalence classes (up to complementation); each fresh
-    node that lands in an existing class is checked against the class
-    representative with a query on one incremental {!Sat.Session}:
+    AIG: 62-way bit-parallel random simulation, stored as one flat
+    [int array] column per simulation word indexed by node id,
+    partitions nodes into candidate-equivalence classes (up to
+    complementation) keyed by the [words] seed columns, which never
+    change.  A fresh node's representative is the oldest class member
+    whose signature matches on every column; it is checked against
+    the node with a query on one incremental {!Sat.Session}:
     each node's Tseitin definition is emitted lazily as permanent
     clauses, and a query assumes only the pair's two literals.  A
     proven candidate is merged — every later node is built over the
     representative, so the miter shrinks as sweeping proceeds; a
-    refuting counterexample becomes a new simulation pattern that
-    splits the candidate classes; a budget-limited candidate is
-    skipped, not fatal.  The output pairs usually collapse
-    structurally; any residue falls to final (unbudgeted) SAT
-    queries. *)
+    refuting counterexample sets the next bit of the open simulation
+    word (the rest stay random) and only that column is resimulated,
+    which splits the pair for good and rehashes no class; a
+    budget-limited candidate is skipped, not fatal.  The output pairs
+    usually collapse structurally; any residue falls to final
+    (unbudgeted) SAT queries. *)
 
 type phase_times = {
   simulate_s : float;  (** bit-parallel simulation (seeding + resimulation) *)
-  refine_s : float;    (** candidate-class bookkeeping and splitting *)
+  refine_s : float;    (** candidate-class bookkeeping: seeding and lookups *)
   prove_s : float;     (** incremental SAT queries *)
   total_s : float;     (** whole check, wall clock *)
 }
@@ -31,12 +35,16 @@ type stats = {
   aig_nodes : int;  (** merged structural AIG, before sweeping *)
   fraig_nodes : int;  (** live nodes of the functionally reduced AIG *)
   simulation_words : int;
+      (** the [words] seed words plus the packed counterexample words,
+          one per {!Circuit.Simulate.word_width} refinement rounds *)
   classes : int;  (** classes that attracted at least one candidate *)
   candidates : int;  (** candidate pairs submitted to the prover *)
   merges : int;  (** candidates proven and merged *)
   refuted : int;  (** candidates refuted by a counterexample *)
   skipped : int;  (** candidates abandoned on a per-query budget *)
-  refinement_rounds : int;  (** counterexample-driven resimulations *)
+  refinement_rounds : int;
+      (** refuting counterexamples, each packed into one bit of the open
+          word and resimulated over that one column *)
   sat_calls : int;
   decisions : int;
   conflicts : int;
@@ -63,10 +71,10 @@ val check :
     classes; [candidate_conflicts] (default 20_000) bounds each
     candidate query — exhausted candidates are skipped, never wrong.
     With [guide] (default off) the session's branching heuristic is
-    seeded from the sweep's own simulation signatures and fanout counts
+    seeded from the sweep's own simulation columns and fanout counts
     before each query batch ({!Aig.Session_cnf.guide},
     docs/TUNING.md): signal probability comes for free from the
-    signature popcount, so guidance costs one pass over newly emitted
+    column popcount, so guidance costs one pass over newly emitted
     nodes.  Purely heuristic — verdicts are unchanged.
     With [jobs] at 1 (the default) final output queries run under
     [config]'s own budgets only, so a definite verdict is definite.

@@ -116,6 +116,26 @@ let input_mismatch () =
   Alcotest.check_raises "count" (Invalid_argument "Simulate: input count mismatch")
     (fun () -> ignore (S.eval_all c [| true |]))
 
+let popcount_matches_naive () =
+  let naive w =
+    let n = ref 0 in
+    for b = 0 to Sys.int_size - 1 do
+      if w land (1 lsl b) <> 0 then incr n
+    done;
+    !n
+  in
+  let check w =
+    Alcotest.(check int) (Printf.sprintf "popcount %#x" w) (naive w)
+      (S.popcount w)
+  in
+  check 0;
+  check ((1 lsl S.word_width) - 1);
+  for b = 0 to Sys.int_size - 1 do
+    check (1 lsl b)
+  done;
+  let rng = Sat.Rng.create 2024 in
+  Array.iter check (S.random_words rng 1000)
+
 let suite =
   [
     Th.case "ripple adder" adder_arithmetic;
@@ -127,4 +147,5 @@ let suite =
     Th.case "alu" alu_semantics;
     Th.case "input mismatch" input_mismatch;
     Th.qcheck prop_parallel_equals_scalar;
+    Th.case "popcount" popcount_matches_naive;
   ]

@@ -164,6 +164,40 @@ let engines_agree_on_random_pairs () =
   done;
   Alcotest.(check bool) "300+ pairs" true (!checked >= 300)
 
+(* ripple vs kogge-stone at 64 bits refutes more candidates than one
+   word holds, so counterexamples must spill into further packed words
+   (one word per [word_width] counterexamples, never one per
+   counterexample) *)
+let packed_counterexamples_spill () =
+  let ripple = Circuit.Generators.ripple_adder ~bits:64 in
+  let kogge = Circuit.Generators.kogge_stone_adder ~bits:64 in
+  let words = 4 and width = Circuit.Simulate.word_width in
+  let r = S.check ~words ~seed:5 ripple kogge in
+  (match r.S.verdict with
+   | Eda.Equiv.Equivalent -> ()
+   | Eda.Equiv.Inequivalent _ -> Alcotest.fail "false negative"
+   | Eda.Equiv.Inconclusive why -> Alcotest.failf "inconclusive: %s" why);
+  let st = r.S.stats in
+  Alcotest.(check bool) "more rounds than one word holds" true
+    (st.S.refinement_rounds > width);
+  Alcotest.(check bool) "one word per word_width counterexamples" true
+    (st.S.simulation_words
+     <= words + ((st.S.refinement_rounds + width - 1) / width));
+  Alcotest.(check bool) "same seed, same stats" true
+    ((S.check ~words ~seed:5 ripple kogge).S.stats = st);
+  for seed = 1 to 4 do
+    let buggy, _ = Circuit.Transform.inject_bug ~seed kogge in
+    let sweep = (S.check ~words ~seed ripple buggy).S.verdict in
+    let miter = (Eda.Equiv.check_sat ripple buggy).Eda.Equiv.verdict in
+    match sweep, miter with
+    | Eda.Equiv.Inequivalent vec, Eda.Equiv.Inequivalent _ ->
+      Alcotest.(check bool) "cex distinguishes" true
+        (Circuit.Simulate.eval_outputs ripple vec
+         <> Circuit.Simulate.eval_outputs buggy vec)
+    | Eda.Equiv.Equivalent, Eda.Equiv.Equivalent -> ()
+    | _ -> Alcotest.failf "sweep and miter disagree on mutant %d" seed
+  done
+
 let suite =
   [
     Th.case "equivalent pairs" equivalent_pairs_proven;
@@ -176,4 +210,5 @@ let suite =
     Th.case "metrics" metrics_populated;
     Th.case "interface mismatch" interface_mismatch;
     Th.case "engines agree x300" engines_agree_on_random_pairs;
+    Th.case "packed counterexamples spill" packed_counterexamples_spill;
   ]
