@@ -8,7 +8,7 @@
 
    There is no --no-elim here: the incremental BMC encoder grows the
    formula frame by frame inside a session, where bounded variable
-   elimination is never applied (see Solver.Incremental). *)
+   elimination is never applied. *)
 
 open Cmdliner
 

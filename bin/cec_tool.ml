@@ -1,43 +1,30 @@
 (* Combinational equivalence checking of two BENCH netlists.
 
    cec_tool A.bench B.bench [--engine mono|fraig|bdd] [--stats]
-            [--jobs N] [--no-elim] [--guide]
+            [--jobs N] [--no-elim]
             [--metrics FILE.json] [--trace FILE.jsonl]
 
    The default engine is the fraiging pipeline: structural hashing,
    simulation-derived candidate classes, incremental SAT sweeping.
    "mono" solves the monolithic miter CNF; "bdd" compares canonical
-   output functions.  The legacy --method spellings (sat, rl, aig,
-   sweep) are kept as deprecated aliases. *)
+   output functions. *)
 
 open Cmdliner
 
-let run a b engine method_ stats jobs no_elim guide metrics_path trace_path =
+let run a b engine stats jobs no_elim metrics_path trace_path =
   let obs = Obs.setup ~tool:"cec_tool" metrics_path trace_path in
   let metrics = obs.Obs.metrics and trace = obs.Obs.trace in
   let c1 = Circuit.Bench_format.parse_file a in
   let c2 = Circuit.Bench_format.parse_file b in
-  let engine =
-    match (engine, method_) with
-    | Some e, _ -> e
-    | None, Some m ->
-      Printf.eprintf "warning: --method is deprecated, use --engine\n%!";
-      (match m with "sat" -> "mono" | "sweep" -> "fraig" | m -> m)
-    | None, None -> "fraig"
-  in
   if jobs > 1 && engine <> "mono" && engine <> "fraig" then begin
     Printf.eprintf "--jobs requires --engine mono or fraig\n";
-    exit 2
-  end;
-  if guide && engine <> "fraig" then begin
-    Printf.eprintf "--guide requires --engine fraig\n";
     exit 2
   end;
   let sweep_report = ref None in
   let report =
     match engine with
     | "fraig" ->
-      let r = Eda.Sweep.check ~jobs ~guide ?metrics ?trace c1 c2 in
+      let r = Eda.Sweep.check ~jobs ?metrics ?trace c1 c2 in
       sweep_report := Some r;
       {
         Eda.Equiv.verdict = r.Eda.Sweep.verdict;
@@ -58,8 +45,6 @@ let run a b engine method_ stats jobs no_elim guide metrics_path trace_path =
       in
       Eda.Equiv.check_sat ?metrics ?trace ?engine ~pipeline c1 c2
     | "bdd" -> Eda.Equiv.check_bdd c1 c2
-    | "rl" -> Eda.Equiv.check_rl ?metrics ?trace ~depth:1 c1 c2
-    | "aig" -> Eda.Equiv.check_aig c1 c2
     | other ->
       Printf.eprintf "unknown engine %s (mono|fraig|bdd)\n" other;
       exit 2
@@ -103,14 +88,9 @@ let a = Arg.(required & pos 0 (some file) None & info [] ~docv:"A" ~doc:"first n
 let b = Arg.(required & pos 1 (some file) None & info [] ~docv:"B" ~doc:"second netlist")
 
 let engine =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt string "fraig"
        & info [ "engine" ]
          ~doc:"mono (one miter CNF), fraig (AIG sweeping; default) or bdd")
-
-let method_ =
-  Arg.(value & opt (some string) None
-       & info [ "method" ]
-         ~doc:"deprecated alias of --engine (sat=mono, sweep=fraig)")
 
 let stats =
   Arg.(value & flag
@@ -130,18 +110,10 @@ let no_elim =
          ~doc:"disable bounded variable elimination on the miter CNF \
                (mono engine only)")
 
-let guide =
-  Arg.(value & flag
-       & info [ "guide" ]
-         ~doc:"fraig engine: seed each sweep query's activities and \
-               phases from the simulation signatures and AIG fanout \
-               counts (docs/TUNING.md); heuristic only, the verdict is \
-               unchanged")
-
 let cmd =
   Cmd.v
     (Cmd.info "cec_tool" ~doc:"combinational equivalence checker")
-    Term.(const run $ a $ b $ engine $ method_ $ stats $ jobs $ no_elim
-          $ guide $ Obs.metrics_term $ Obs.trace_term)
+    Term.(const run $ a $ b $ engine $ stats $ jobs $ no_elim
+          $ Obs.metrics_term $ Obs.trace_term)
 
 let () = exit (Cmd.eval cmd)

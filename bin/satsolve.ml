@@ -25,7 +25,7 @@ let read_stdin () =
   Buffer.contents b
 
 let solve_file path engine_name preprocess no_elim equiv rl seed
-    stats certify jobs timeout no_share share_lbd cube_conquer cube_depth
+    stats jobs timeout no_share share_lbd cube_conquer cube_depth
     cube_cutoff auto explain_tuning guide proof_path check core_path
     metrics_path trace_path =
   let obs = Obs.setup ~tool:"satsolve" metrics_path trace_path in
@@ -41,13 +41,13 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
     exit 2
   end;
   if auto
-     && (want_proof || certify || cube_conquer || engine_name <> "cdcl"
+     && (want_proof || cube_conquer || engine_name <> "cdcl"
          || timeout <> None)
   then begin
     Printf.eprintf
       "satsolve: --auto picks the engine and pipeline itself; it is \
-       incompatible with --proof/--check/--core/--certify/--cube-conquer/\
-       --timeout and non-cdcl --engine\n";
+       incompatible with --proof/--check/--core/--cube-conquer/--timeout \
+       and non-cdcl --engine\n";
     exit 2
   end;
   if auto && guide then begin
@@ -77,30 +77,6 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
     end
     else config
   in
-  if certify then begin
-    let outcome, verdict = Sat.Proof.solve_certified ~config formula in
-    (match outcome with
-     | Sat.Types.Sat _ -> print_endline "s SATISFIABLE"
-     | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ ->
-       print_endline "s UNSATISFIABLE"
-     | Sat.Types.Unknown why -> Printf.printf "s UNKNOWN (%s)\n" why);
-    (match verdict with
-     | Sat.Proof.Valid_refutation ->
-       print_endline "c proof: valid refutation (UNSAT certified)"
-     | Sat.Proof.Valid_derivation ->
-       print_endline "c proof: all learned clauses verified"
-     | Sat.Proof.Invalid_step i ->
-       Printf.printf "c proof: INVALID at step %d\n" i);
-    (* SAT-competition exit codes, same as the plain path: an UNSAT
-       answer only earns 20 when the refutation checks out *)
-    exit
-      (match outcome, verdict with
-       | Sat.Types.Sat _, _ -> 10
-       | (Sat.Types.Unsat | Sat.Types.Unsat_assuming _),
-         Sat.Proof.Valid_refutation -> 20
-       | Sat.Types.Unknown _, _ -> 0
-       | _ -> 2)
-  end;
   let solve_manual () =
     let sharing =
       { Sat.Portfolio.default_sharing with
@@ -282,9 +258,6 @@ let rl = Arg.(value & opt int 0 & info [ "rl" ] ~doc:"recursive learning depth")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"print statistics")
 
-let certify =
-  Arg.(value & flag & info [ "certify" ] ~doc:"check the learned-clause proof")
-
 let jobs =
   Arg.(value & opt int 1
        & info [ "jobs" ]
@@ -332,8 +305,8 @@ let auto =
                preprocessing, restart schedule and guidance \
                from the published decision table (docs/TUNING.md).  \
                Answers are unchanged; incompatible with --proof/--check/\
-               --core/--certify/--cube-conquer/--timeout and non-cdcl \
-               engines.  --jobs bounds the parallelism the table may use")
+               --core/--cube-conquer/--timeout and non-cdcl engines.  \
+               --jobs bounds the parallelism the table may use")
 
 let explain_tuning =
   Arg.(value & flag
@@ -374,7 +347,7 @@ let cmd =
   Cmd.v
     (Cmd.info "satsolve" ~doc:"SAT solver for DIMACS CNF")
     Term.(const solve_file $ file $ engine $ preprocess $ no_elim $ equiv
-          $ rl $ seed $ stats $ certify $ jobs $ timeout $ no_share
+          $ rl $ seed $ stats $ jobs $ timeout $ no_share
           $ share_lbd $ cube_conquer $ cube_depth $ cube_cutoff
           $ auto $ explain_tuning $ guide
           $ proof_path $ check_flag $ core_path

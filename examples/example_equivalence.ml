@@ -33,7 +33,10 @@ let () =
   describe "sat miter" (Eda.Equiv.check_sat golden revised);
   describe "sat + preprocessing"
     (Eda.Equiv.check_sat ~pipeline:Sat.Solver.full_pipeline golden revised);
-  describe "sat + rec. learning" (Eda.Equiv.check_rl ~depth:1 golden revised);
+  describe "sat + rec. learning"
+    (Eda.Equiv.check_sat
+       ~pipeline:{ Sat.Solver.no_pipeline with recursive_learning = 1 }
+       golden revised);
   describe "bdd" (Eda.Equiv.check_bdd golden revised);
   describe "aig merge" (Eda.Equiv.check_aig golden revised);
   (let r = Eda.Sweep.check golden revised in

@@ -306,48 +306,6 @@ let to_netlist m ~outputs =
   List.iter (fun (name, l) -> Circuit.Netlist.set_output ~name c (edge l)) outputs;
   c
 
-(* --- structure observations for solver guidance -------------------------- *)
-
-let fanout_counts m =
-  let n = Sat.Vec.size m.nodes in
-  let fo = Array.make n 0 in
-  for id = 0 to n - 1 do
-    match Sat.Vec.get m.nodes id with
-    | And (a, b) ->
-      fo.(node_of a) <- fo.(node_of a) + 1;
-      fo.(node_of b) <- fo.(node_of b) + 1
-    | Const | Input _ -> ()
-  done;
-  fo
-
-let signal_probs ?(rounds = 4) ?(seed = 0x5eed) m =
-  let n = Sat.Vec.size m.nodes in
-  let rng = Sat.Rng.create seed in
-  let ones = Array.make n 0 in
-  for _ = 1 to rounds do
-    let vals = sim_words m (Circuit.Simulate.random_words rng m.inputs) in
-    for id = 0 to n - 1 do
-      ones.(id) <- ones.(id) + Circuit.Simulate.popcount vals.(id)
-    done
-  done;
-  let total =
-    float_of_int (max 1 (rounds * Circuit.Simulate.word_width))
-  in
-  Array.map (fun c -> float_of_int c /. total) ones
-
-let guidance ?rounds ?seed m ~var_of =
-  let probs = signal_probs ?rounds ?seed m in
-  let fo = fanout_counts m in
-  let obs = ref [] in
-  for id = Sat.Vec.size m.nodes - 1 downto 0 do
-    match var_of id with
-    | Some v ->
-      obs :=
-        { Sat.Guide.var = v; prob = probs.(id); fanout = fo.(id) } :: !obs
-    | None -> ()
-  done;
-  Sat.Guide.of_observations !obs
-
 let to_cnf m =
   let f = Cnf.Formula.create () in
   let vars = Array.init (Sat.Vec.size m.nodes) (fun _ -> Cnf.Formula.fresh_var f) in
@@ -376,10 +334,6 @@ module Session_cnf = struct
     sess : Sat.Session.t;
     mutable vars : int array;            (* node -> session var, -1 = none *)
     mutable emitted : int;
-    mutable fresh : int list;
-        (* nodes whose session vars were allocated since the last
-           [guide] call — the lazily-grown frontier guidance still owes
-           seeds to *)
   }
 
   let create ?config man =
@@ -388,7 +342,6 @@ module Session_cnf = struct
       sess = Sat.Session.create ?config ();
       vars = Array.make 64 (-1);
       emitted = 0;
-      fresh = [];
     }
 
   let session t = t.sess
@@ -414,15 +367,12 @@ module Session_cnf = struct
         let v = Sat.Session.new_var t.sess in
         t.vars.(id) <- v;
         Sat.Session.add_clause t.sess [ Cnf.Lit.pos v ]
-      | Input _ ->
-        t.vars.(id) <- Sat.Session.new_var t.sess;
-        t.fresh <- id :: t.fresh
+      | Input _ -> t.vars.(id) <- Sat.Session.new_var t.sess
       | And (a, b) ->
         ensure t (node_of a);
         ensure t (node_of b);
         let v = Sat.Session.new_var t.sess in
         t.vars.(id) <- v;
-        t.fresh <- id :: t.fresh;
         t.emitted <- t.emitted + 1;
         let out = Cnf.Lit.pos v in
         let la = lit_of_emitted t a and lb = lit_of_emitted t b in
@@ -431,34 +381,20 @@ module Session_cnf = struct
         Sat.Session.add_clause t.sess
           [ out; Cnf.Lit.negate la; Cnf.Lit.negate lb ]
 
+  (* session variables are allocated contiguously, so the ones [ensure]
+     just made are exactly [n0, n1); seeding them at the activity
+     ceiling is the sweep's one branching rule (docs/TUNING.md "Sweep
+     seeding") *)
   let lit_of t l =
     sync t;
+    let n0 = Sat.Session.nvars t.sess in
     ensure t (node_of l);
+    let n1 = Sat.Session.nvars t.sess in
+    if n1 > n0 then
+      Sat.Session.apply_guidance t.sess
+        { Sat.Types.seed_activity = List.init (n1 - n0) (fun i -> (n0 + i, 1.));
+          seed_phase = [] };
     lit_of_emitted t l
-
-  (* Seed the session's branching heuristic for the variables allocated
-     since the last call.  The probability/fanout suppliers see node
-     ids; a sweep passes its own simulation signatures and an
-     incrementally maintained fanout count.  Consuming the fresh list
-     keeps repeated calls O(new nodes), so guiding an ever-growing
-     sweep session stays cheap. *)
-  let guide t ~prob_of ~fanout_of =
-    match t.fresh with
-    | [] -> ()
-    | fresh ->
-      t.fresh <- [];
-      let obs =
-        List.rev_map
-          (fun id ->
-             { Sat.Guide.var = t.vars.(id); prob = prob_of id;
-               fanout = fanout_of id })
-          fresh
-      in
-      let g = Sat.Guide.of_observations obs in
-      Sat.Session.apply_guidance t.sess g;
-      Option.iter (fun m -> Sat.Guide.emit_metrics m g) (Sat.Session.metrics t.sess)
-
-  let pending_guides t = List.length t.fresh
 
   let emitted_nodes t = t.emitted
 end

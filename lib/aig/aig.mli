@@ -99,32 +99,6 @@ val to_cnf : man -> Cnf.Formula.t * (lit -> Cnf.Lit.t)
 val node_count : man -> int
 (** Inputs + AND nodes + the constant. *)
 
-(** {2 Structure observations for solver guidance}
-
-    The signals docs/TUNING.md's seeding rules consume: estimated
-    signal probabilities from random 62-way bit-parallel simulation,
-    and structural fanout counts.  Deterministic for a fixed seed. *)
-
-val fanout_counts : man -> int array
-(** Per-node fanout: how many AND nodes reference the node (either
-    polarity), indexed by node id. *)
-
-val signal_probs : ?rounds:int -> ?seed:int -> man -> float array
-(** Per-node signal probability estimated over [rounds] (default 4)
-    random simulation words — [rounds * 62] patterns — indexed by node
-    id.  The constant node reports 1. *)
-
-val guidance :
-  ?rounds:int ->
-  ?seed:int ->
-  man ->
-  var_of:(int -> int option) ->
-  Sat.Types.guidance
-(** Branching guidance for an encoding of this graph: observations for
-    every node [var_of] maps to a solver variable, folded through
-    {!Sat.Guide.of_observations}.  For a {!to_cnf} encoding,
-    [var_of id = Some (Cnf.Lit.var (lit_of (of_node id)))]. *)
-
 (** Incremental per-node CNF emission into a {!Sat.Session}.
 
     The substrate of SAT sweeping: instead of translating the whole
@@ -148,21 +122,12 @@ module Session_cnf : sig
   (** The session literal of an edge.  On first touch of a node this
       emits the defining clauses of its whole cone as permanent clauses
       (three per AND node, a unit for the constant node, a bare
-      variable for an input); a node already emitted adds nothing. *)
+      variable for an input); a node already emitted adds nothing.
+      Every session variable the call allocates is seeded at the
+      solver's current VSIDS activity ceiling ({!Sat.Session.apply_guidance}
+      with activity 1 and no phase seed), so the next search branches
+      first on the cone just emitted; saved phases are left alone. *)
 
   val emitted_nodes : t -> int
   (** Number of AND nodes whose clauses have been emitted so far. *)
-
-  val guide :
-    t -> prob_of:(int -> float) -> fanout_of:(int -> int) -> unit
-  (** Seeds the session's branching heuristic
-      ({!Sat.Session.apply_guidance}) for every node whose session
-      variable was allocated since the previous [guide] call, asking
-      the suppliers for each node's signal probability and fanout.
-      Consuming the pending list makes repeated calls O(new nodes) —
-      call it after each batch of [lit_of] touches, e.g. once per
-      sweep round.  Legal between solves. *)
-
-  val pending_guides : t -> int
-  (** Number of nodes awaiting a [guide] call (exposed for tests). *)
 end

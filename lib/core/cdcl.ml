@@ -1232,3 +1232,5 @@ let iter_reason s v f =
 
 let var_activity s v =
   if v < 0 || v >= s.nvars then 0. else s.activity.(v)
+
+let saved_phase s v = v >= 0 && v < s.nvars && s.phase.(v)

@@ -261,3 +261,7 @@ val iter_reason : t -> int -> (Cnf.Lit.t -> unit) -> unit
 val var_activity : t -> int -> float
 (** The VSIDS activity of a variable — lets a conquer scheduler split a
     too-hard cube on the variable its search fought over most. *)
+
+val saved_phase : t -> int -> bool
+(** The polarity the next decision on the variable would try; [false]
+    out of range. *)

@@ -131,10 +131,9 @@ val run :
     mention: an eliminated variable no longer occurs in the simplified
     formula, so constraining it afterwards would be silently
     meaningless.  [Sat.Session] growth variables and incremental
-    assumption variables are the canonical frozen set —
-    [Solver.Incremental] goes further and disables [elim] entirely
-    (which freezes every variable) because its sessions may grow
-    clauses over {e any} original variable.
+    assumption variables are the canonical frozen set; a session that
+    may grow clauses over {e any} original variable must disable
+    [elim] entirely (which freezes every variable).
 
     Disable [pures] when the formula will be extended later
     (incremental sessions): unlike units and failed literals, a pure

@@ -58,7 +58,6 @@ let attach_metrics t m =
             ~bounds:Metrics.time_bounds;
       }
 
-let metrics t = Option.map (fun o -> o.reg) t.obs
 let set_tracer t tr = Cdcl.set_tracer t.cdcl tr
 
 let add_clause t lits =

@@ -141,9 +141,6 @@ val attach_metrics : t -> Metrics.t -> unit
     registry can aggregate across several sessions (the generalization
     of {!Types.diff_stats} to whole workloads). *)
 
-val metrics : t -> Metrics.t option
-(** The registry attached with {!attach_metrics}, if any. *)
-
 val set_tracer : t -> Trace.sink option -> unit
 (** Forwards to {!Cdcl.set_tracer} on the underlying solver; each query
     then appears in the trace as a [solve-begin] … [solve-end] span. *)

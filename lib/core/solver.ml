@@ -210,145 +210,6 @@ let solve ?metrics ?trace ?(engine = Cdcl Types.default)
 let solve_dimacs ?metrics ?trace ?engine ?pipeline text =
   solve ?metrics ?trace ?engine ?pipeline (Cnf.Dimacs.parse_string text)
 
-(* --- incremental front: simplify once, serve many queries ---------------- *)
-
-module Incremental = struct
-  module Lit = Cnf.Lit
-
-  type t = {
-    session : Session.t;
-    rep : Lit.t array option;
-        (* equivalence substitution over the original variable space *)
-    original_nvars : int;
-    preprocess_stats : Preprocess.stats option;
-    equivalence_merged : int;
-    recursive_learning_implicates : int;
-  }
-
-  (* Map a literal through the equivalence substitution.  Variables
-     allocated after [open_session] (activation literals, frame copies)
-     are outside [rep] and map to themselves. *)
-  let subst t l =
-    match t.rep with
-    | None -> l
-    | Some rep ->
-      let v = Lit.var l in
-      if v >= Array.length rep then l
-      else
-        let r = rep.(v) in
-        if Lit.is_pos l then r else Lit.negate r
-
-  let open_session ?metrics ?trace ?(config = Types.default)
-      ?(pipeline = full_pipeline) f =
-    let preprocess_stats = ref None in
-    let equivalence_merged = ref 0 in
-    let rl_implicates = ref 0 in
-    let rep = ref None in
-    let unsat = ref false in
-    let fixes = ref [] in
-    let g = ref f in
-    if pipeline.preprocess && not !unsat then begin
-      (* [pures] off: a pure literal's value is satisfiability-preserving
-         but not implied, so it may not be baked into a formula the
-         session will keep growing.  Units and failed literals ARE
-         implied; they are re-asserted below so query models include
-         them.  [elim] off: session growth may constrain any original
-         variable, and an eliminated variable no longer exists in the
-         simplified formula — there is no safe frozen set short of
-         everything, so bounded elimination is disabled outright. *)
-      match
-        Preprocess.run ~pures:false ~elim:false
-          ~probe_failed_literals:pipeline.probe_failed_literals !g
-      with
-      | Preprocess.Unsat -> unsat := true
-      | Preprocess.Simplified simp ->
-        preprocess_stats := Some simp.Preprocess.stats;
-        fixes := simp.Preprocess.fix;
-        g := simp.Preprocess.formula
-    end;
-    if pipeline.equivalence && not !unsat then begin
-      match Equivalence.detect !g with
-      | Equivalence.Unsat_equiv -> unsat := true
-      | Equivalence.Reduced red ->
-        equivalence_merged := red.Equivalence.merged;
-        rep := Some red.Equivalence.rep;
-        g := red.Equivalence.formula
-    end;
-    if pipeline.recursive_learning > 0 && not !unsat then begin
-      let g', r =
-        Recursive_learning.strengthen ~depth:pipeline.recursive_learning !g
-      in
-      rl_implicates := List.length r.Recursive_learning.implicates;
-      if r.Recursive_learning.unsat then unsat := true else g := g'
-    end;
-    let session =
-      if !unsat then begin
-        let s = Session.create ~config () in
-        Session.add_clause s [];
-        s
-      end
-      else Session.of_formula ~config !g
-    in
-    (match metrics with
-     | Some m -> Session.attach_metrics session m
-     | None -> ());
-    (match trace with Some _ -> Session.set_tracer session trace | None -> ());
-    let t =
-      {
-        session;
-        rep = !rep;
-        original_nvars = Cnf.Formula.nvars f;
-        preprocess_stats = !preprocess_stats;
-        equivalence_merged = !equivalence_merged;
-        recursive_learning_implicates = !rl_implicates;
-      }
-    in
-    (* re-assert the preprocessor's implied fixes (units, failed
-       literals) so every query model carries them *)
-    if not !unsat then
-      List.iter
-        (fun (v, b) ->
-           Session.add_clause session
-             [ subst t (if b then Lit.pos v else Lit.neg_of_var v) ])
-        !fixes;
-    t
-
-  let session t = t.session
-  let new_var t = Session.new_var t.session
-  let add_clause t lits = Session.add_clause t.session (List.map (subst t) lits)
-  let new_activation t = Session.new_activation t.session
-
-  let add_clause_in t ~group lits =
-    Session.add_clause_in t.session ~group (List.map (subst t) lits)
-
-  let release t a = Session.release t.session a
-
-  let lift t m =
-    let padded =
-      Array.init
-        (max t.original_nvars (Array.length m))
-        (fun v -> if v < Array.length m then m.(v) else false)
-    in
-    match t.rep with
-    | None -> padded
-    | Some rep -> Equivalence.complete_model ~rep padded
-
-  let solve ?(assumptions = []) ?max_conflicts ?max_decisions t =
-    let assumptions = List.map (subst t) assumptions in
-    match
-      Session.solve ~assumptions ?max_conflicts ?max_decisions t.session
-    with
-    | Types.Sat m -> Types.Sat (lift t m)
-    | (Types.Unsat | Types.Unsat_assuming _ | Types.Unknown _) as o -> o
-
-  let last_stats t = Session.last_stats t.session
-  let cumulative_stats t = Session.cumulative_stats t.session
-  let queries t = Session.queries t.session
-  let preprocess_stats t = t.preprocess_stats
-  let equivalence_merged t = t.equivalence_merged
-  let recursive_learning_implicates t = t.recursive_learning_implicates
-end
-
 (* --- auto-tuned front: measure the instance, then pick the recipe -------- *)
 
 module Auto = struct

@@ -94,66 +94,6 @@ val solve_dimacs :
   report
 (** Convenience: parse DIMACS text and solve. *)
 
-(** Incremental front-end: run the simplification pipeline {e once},
-    then serve many queries from one {!Session.t}, with per-query model
-    lifting back to the original variable space.
-
-    The pipeline is adapted for a formula that keeps growing:
-    pure-literal elimination is disabled (its fixes are not implied, so
-    they could contradict later clauses), bounded variable elimination
-    is disabled (later clauses may constrain {e any} original variable,
-    and an eliminated variable no longer exists in the simplified
-    formula — the only safe frozen set would be every variable), while
-    unit and failed-literal fixes are re-asserted inside the session.
-    Callers who know which variables future clauses can mention may use
-    {!Preprocess.run} with [frozen] directly instead.  Clauses and assumptions
-    supplied later are rewritten through the equivalence substitution
-    before reaching the solver, and satisfying models are completed per
-    query.  Note [Unsat_assuming] cores are reported over the
-    {e substituted} literals; activation literals (fresh variables) are
-    never substituted. *)
-module Incremental : sig
-  type t
-
-  val open_session :
-    ?metrics:Metrics.t ->
-    ?trace:Trace.sink ->
-    ?config:Types.config ->
-    ?pipeline:pipeline ->
-    Cnf.Formula.t ->
-    t
-  (** Simplify once and open the session (default pipeline:
-      {!full_pipeline}).  If simplification already refutes the formula,
-      every later query returns [Unsat].  [metrics] / [trace] are
-      attached to the session ({!Session.attach_metrics} /
-      {!Session.set_tracer}), so every query contributes its per-query
-      delta and trace span. *)
-
-  val session : t -> Session.t
-  (** The underlying session (e.g. for budgets, metrics or tracing). *)
-
-  val new_var : t -> int
-  val add_clause : t -> Cnf.Lit.t list -> unit
-  val new_activation : t -> Cnf.Lit.t
-  val add_clause_in : t -> group:Cnf.Lit.t -> Cnf.Lit.t list -> unit
-  val release : t -> Cnf.Lit.t -> unit
-
-  val solve :
-    ?assumptions:Cnf.Lit.t list ->
-    ?max_conflicts:int ->
-    ?max_decisions:int ->
-    t ->
-    Types.outcome
-  (** Models are models of the {e original} formula. *)
-
-  val last_stats : t -> Types.stats
-  val cumulative_stats : t -> Types.stats
-  val queries : t -> int
-  val preprocess_stats : t -> Preprocess.stats option
-  val equivalence_merged : t -> int
-  val recursive_learning_implicates : t -> int
-end
-
 (** Auto-tuned front-end: measure the instance with {!Autotune.extract},
     pick engine / preprocessing level / restart schedule / guidance from
     the published decision table ({!Autotune.select}, [docs/TUNING.md]),

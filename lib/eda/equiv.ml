@@ -43,11 +43,6 @@ let check_sat ?metrics ?trace ?(config = Sat.Types.default) ?engine
     bdd_nodes = 0;
   }
 
-let check_rl ?metrics ?trace ?(config = Sat.Types.default) ~depth c1 c2 =
-  check_sat ?metrics ?trace ~config
-    ~pipeline:{ Sat.Solver.no_pipeline with recursive_learning = depth }
-    c1 c2
-
 let node_bdds man c ~var_of_input =
   let values = Array.make (max 1 (N.num_nodes c)) (Bdd.zero man) in
   List.iteri
@@ -158,10 +153,9 @@ let check_aig ?(config = Sat.Types.default) c1 c2 =
     end
 
 let check_fraig ?metrics ?trace ?config ?words ?seed ?candidate_conflicts
-    ?guide c1 c2 =
+    c1 c2 =
   let r =
-    Sweep.check ?config ?words ?seed ?candidate_conflicts ?guide ?metrics
-      ?trace c1 c2
+    Sweep.check ?config ?words ?seed ?candidate_conflicts ?metrics ?trace c1 c2
   in
   {
     verdict = r.Sweep.verdict;

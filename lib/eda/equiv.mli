@@ -37,14 +37,6 @@ val check_bdd :
     equivalence is pointer equality.  [node_limit] (default 500_000)
     bounds blow-up. *)
 
-val check_rl :
-  ?metrics:Sat.Metrics.t ->
-  ?trace:Sat.Trace.sink ->
-  ?config:Sat.Types.config -> depth:int ->
-  Circuit.Netlist.t -> Circuit.Netlist.t -> report
-(** SAT check with recursive-learning preprocessing of the miter CNF at
-    the given depth — the paper's Sec. 4.2 / [26] combination. *)
-
 val check_aig :
   ?config:Sat.Types.config ->
   Circuit.Netlist.t -> Circuit.Netlist.t -> report
@@ -61,7 +53,6 @@ val check_fraig :
   ?words:int ->
   ?seed:int ->
   ?candidate_conflicts:int ->
-  ?guide:bool ->
   Circuit.Netlist.t -> Circuit.Netlist.t -> report
 (** The full fraiging pipeline of {!Sweep.check}: structural hashing
     into one AIG, simulation-derived candidate classes, incremental SAT

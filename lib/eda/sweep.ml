@@ -39,8 +39,7 @@ let empty_stats =
     refinement_rounds = 0; sat_calls = 0; decisions = 0; conflicts = 0 }
 
 let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
-    ?(candidate_conflicts = 20_000) ?(jobs = 1) ?(guide = false) ?metrics
-    ?trace c1 c2 =
+    ?(candidate_conflicts = 20_000) ?(jobs = 1) ?metrics ?trace c1 c2 =
   let t_start = Unix.gettimeofday () in
   let words = max 1 words in
   let sim_t = ref 0. and refine_t = ref 0. and prove_t = ref 0. in
@@ -120,7 +119,6 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
     let cols : int array array ref = ref [||] in
     let merged : Aig.lit option array ref = ref (Array.make !cap None) in
     let seen = ref (Array.make !cap false) in
-    let fanout = ref (Array.make !cap 0) in
     let grow_to n =
       if n > !cap then begin
         let c = max n (2 * !cap) in
@@ -132,44 +130,7 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
         cols := Array.map (fun col -> grow col 0) !cols;
         merged := grow !merged None;
         seen := grow !seen false;
-        fanout := grow !fanout 0;
         cap := c
-      end
-    in
-    (* fanout watermark: nodes below [fo_known] have contributed their
-       fanin references to the counts *)
-    let fo_known = ref 0 in
-    let account_fanouts () =
-      let n = Aig.node_count nm in
-      grow_to n;
-      for v = !fo_known to n - 1 do
-        match Aig.view nm v with
-        | Aig.And (a, b) ->
-          let fo = !fanout in
-          fo.(Aig.node_of a) <- fo.(Aig.node_of a) + 1;
-          fo.(Aig.node_of b) <- fo.(Aig.node_of b) + 1
-        | Aig.Const | Aig.Input _ -> ()
-      done;
-      fo_known := n
-    in
-    (* seed the session's branching heuristic for variables the lazy CNF
-       allocated since the last call: signal probability straight from
-       the sweep's own simulation columns, fanout from the counts above
-       (docs/TUNING.md "Seeding from observations") *)
-    let apply_guide () =
-      if guide then begin
-        account_fanouts ();
-        let cols = !cols in
-        let patterns = Array.length cols * Circuit.Simulate.word_width in
-        Scnf.guide scnf
-          ~prob_of:(fun id ->
-            let ones =
-              Array.fold_left
-                (fun acc col -> acc + Circuit.Simulate.popcount col.(id))
-                0 cols
-            in
-            float_of_int ones /. float_of_int patterns)
-          ~fanout_of:(fun id -> (!fanout).(id))
       end
     in
     let add_column () = cols := Array.append !cols [| Array.make !cap 0 |] in
@@ -267,7 +228,6 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       let lr = Scnf.lit_of scnf (Aig.of_node r) in
       let lv = Scnf.lit_of scnf (Aig.of_node v) in
       let lv' = if pol then Lit.negate lv else lv in
-      apply_guide ();
       let query assumptions =
         match solve_with ~max_conflicts:candidate_conflicts assumptions with
         | Sat.Types.Sat model -> `Sat model
@@ -331,7 +291,6 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
           (!seen).(id) <- true;
           register id
         done);
-    apply_guide ();
     (* 4. fraig loop: reconstruct the merged AIG inputs-outward over
        representatives, proving or splitting every candidate *)
     let repr = Array.make (max 1 n_old) Aig.const_false in
@@ -445,7 +404,6 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
             | Sat.Types.Unknown why -> Verdict.Inconclusive why
           in
           let la = Scnf.lit_of scnf ea and lb = Scnf.lit_of scnf eb in
-          apply_guide ();
           match solve_with ?max_conflicts:final_budget [ la; Lit.negate lb ]
           with
           | Sat.Types.Sat model -> Verdict.Inequivalent (cex model)

@@ -63,19 +63,15 @@ val check :
   ?seed:int ->
   ?candidate_conflicts:int ->
   ?jobs:int ->
-  ?guide:bool ->
   ?metrics:Sat.Metrics.t ->
   ?trace:Sat.Trace.sink ->
   Circuit.Netlist.t -> Circuit.Netlist.t -> report
 (** [words] (default 4) random simulation words seed the candidate
     classes; [candidate_conflicts] (default 20_000) bounds each
     candidate query — exhausted candidates are skipped, never wrong.
-    With [guide] (default off) the session's branching heuristic is
-    seeded from the sweep's own simulation columns and fanout counts
-    before each query batch ({!Aig.Session_cnf.guide},
-    docs/TUNING.md): signal probability comes for free from the
-    column popcount, so guidance costs one pass over newly emitted
-    nodes.  Purely heuristic — verdicts are unchanged.
+    Each query's newly emitted cone starts at the session's activity
+    ceiling ({!Aig.Session_cnf.lit_of}), so its search branches there
+    first.
     With [jobs] at 1 (the default) final output queries run under
     [config]'s own budgets only, so a definite verdict is definite.
     With [jobs > 1] the final queries run under the candidate budget

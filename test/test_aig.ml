@@ -272,6 +272,59 @@ let session_cnf_incremental () =
     | _ -> Alcotest.fail "input assumptions alone must be satisfiable"
   done
 
+(* every variable [lit_of] allocates starts at the solver's activity
+   ceiling, and no saved phase moves *)
+let session_cnf_seeds_ceiling () =
+  let a = Circuit.Generators.ripple_adder ~bits:4 in
+  let b = Circuit.Generators.kogge_stone_adder ~bits:4 in
+  let m, pairs = A.merge_netlists a b in
+  let scnf = A.Session_cnf.create m in
+  let sess = A.Session_cnf.session scnf in
+  let raw = Sat.Session.raw sess in
+  (* refute every differing output pair so conflicts bump activities,
+     then leave a satisfying assignment behind in the saved phases *)
+  let differing = List.filter (fun (x, y) -> x <> y) pairs in
+  List.iter
+    (fun (x, y) ->
+       let lx = A.Session_cnf.lit_of scnf x
+       and ly = A.Session_cnf.lit_of scnf y in
+       match Sat.Session.solve ~assumptions:[ lx; Cnf.Lit.negate ly ] sess with
+       | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> ()
+       | _ -> Alcotest.fail "adder outputs are equivalent")
+    differing;
+  (match Sat.Session.solve sess with
+   | Sat.Types.Sat _ -> ()
+   | _ -> Alcotest.fail "the definitions alone are satisfiable");
+  Alcotest.(check bool) "the solves hit conflicts" true
+    ((Sat.Session.cumulative_stats sess).Sat.Types.conflicts > 0);
+  let n0 = Sat.Session.nvars sess in
+  let phases = Array.init n0 (Sat.Cdcl.saved_phase raw) in
+  let old_max = ref 0. in
+  for v = 0 to n0 - 1 do
+    old_max := Float.max !old_max (Sat.Cdcl.var_activity raw v)
+  done;
+  Alcotest.(check bool) "activities were bumped" true (!old_max > 0.);
+  (* a new cone on top of the emitted outputs *)
+  let x, y = List.hd differing in
+  ignore (A.Session_cnf.lit_of scnf (A.xor m (A.and_ m x (A.input m 1)) y));
+  let n1 = Sat.Session.nvars sess in
+  Alcotest.(check bool) "new variables allocated" true (n1 > n0);
+  let ceiling = ref 0. in
+  for v = 0 to n1 - 1 do
+    ceiling := Float.max !ceiling (Sat.Cdcl.var_activity raw v)
+  done;
+  for v = n0 to n1 - 1 do
+    Alcotest.(check (float 0.)) "new variable at the ceiling" !ceiling
+      (Sat.Cdcl.var_activity raw v);
+    Alcotest.(check bool) "new variable keeps the default phase" false
+      (Sat.Cdcl.saved_phase raw v)
+  done;
+  Alcotest.(check bool) "old phases untouched" true
+    (Array.for_all Fun.id
+       (Array.mapi (fun v ph -> Sat.Cdcl.saved_phase raw v = ph) phases));
+  Alcotest.(check bool) "some old phase is true" true
+    (Array.exists Fun.id phases)
+
 let suite =
   [
     Th.case "constants" constants_and_identities;
@@ -286,4 +339,5 @@ let suite =
     Th.case "sim words" sim_words_parallel;
     Th.case "cleanup" cleanup_sweeps_dangling;
     Th.case "session cnf" session_cnf_incremental;
+    Th.case "session cnf seeds the activity ceiling" session_cnf_seeds_ceiling;
   ]

@@ -22,10 +22,10 @@ let exit_codes () =
     (run [ example "php43.cnf"; "--no-such-flag" ])
 
 let certify_exit_codes () =
-  Alcotest.(check int) "certified UNSAT exits 20" 20
-    (run [ example "php43.cnf"; "--certify" ]);
-  Alcotest.(check int) "certified SAT exits 10" 10
-    (run [ example "color5.cnf"; "--certify" ])
+  Alcotest.(check int) "checked UNSAT exits 20" 20
+    (run [ example "php43.cnf"; "--check" ]);
+  Alcotest.(check int) "checked SAT exits 10" 10
+    (run [ example "color5.cnf"; "--check" ])
 
 let metrics_schema () =
   let path = Filename.temp_file "satsolve_metrics" ".json" in

@@ -14,7 +14,10 @@ let methods_agree_on_equivalent () =
     [
       ("sat", E.check_sat base variant);
       ("bdd", E.check_bdd base variant);
-      ("rl", E.check_rl ~depth:1 base variant);
+      ("rl",
+       E.check_sat
+         ~pipeline:{ Sat.Solver.no_pipeline with recursive_learning = 1 }
+         base variant);
       ("aig", E.check_aig base variant);
       ("sat+pipeline",
        E.check_sat ~pipeline:Sat.Solver.full_pipeline base variant);

@@ -314,25 +314,6 @@ let auto_emits_metrics () =
 
 (* --- guided EDA pipelines ------------------------------------------------- *)
 
-let sweep_guided_agrees () =
-  let a = Circuit.Generators.ripple_adder ~bits:4 in
-  let b = Circuit.Generators.kogge_stone_adder ~bits:4 in
-  (match (Eda.Sweep.check ~guide:true a b).Eda.Sweep.verdict with
-   | Eda.Equiv.Equivalent -> ()
-   | _ -> Alcotest.fail "guided sweep: adders are equivalent");
-  let c = Circuit.Generators.random_circuit ~inputs:5 ~gates:25 ~seed:3 in
-  let buggy, _ = Circuit.Transform.inject_bug ~seed:4 c in
-  let plain = (Eda.Sweep.check c buggy).Eda.Sweep.verdict
-  and guided = (Eda.Sweep.check ~guide:true c buggy).Eda.Sweep.verdict in
-  let same =
-    match (plain, guided) with
-    | Eda.Equiv.Equivalent, Eda.Equiv.Equivalent
-    | Eda.Equiv.Inequivalent _, Eda.Equiv.Inequivalent _ ->
-      true
-    | _ -> false
-  in
-  Alcotest.(check bool) "guided and plain sweep verdicts agree" true same
-
 let bmc_guided_agrees () =
   let seq = Circuit.Sequential.counter ~bits:3 ~buggy_at:(Some 5) in
   let plain = Eda.Bmc.check ~max_bound:10 seq
@@ -410,7 +391,6 @@ let suite =
       auto_agrees_with_certified;
     Th.case "auto plan matches the table" auto_plan_matches_table;
     Th.case "auto emits metrics" auto_emits_metrics;
-    Th.case "guided sweep agrees" sweep_guided_agrees;
     Th.case "guided BMC agrees" bmc_guided_agrees;
     Th.case "scheduler autotunes cold queries" scheduler_autotune;
   ]

@@ -168,9 +168,9 @@ let prop_equisatisfiable_and_model_complete =
 
 (* Bounded variable elimination with a frozen set must stay sound when
    the formula later grows with clauses over the frozen variables — the
-   Session workflow that Solver.Incremental documents for callers who
-   know their growth variables in advance.  Unit/failed-literal fixes
-   are re-asserted inside the session, exactly as Incremental does. *)
+   Session workflow for callers who know their growth variables in
+   advance.  Unit/failed-literal fixes are re-asserted inside the
+   session. *)
 let frozen_growth_sound () =
   for seed = 0 to 99 do
     let rng = Sat.Rng.create (seed + 1_000) in

@@ -214,23 +214,6 @@ let released_groups_pruned () =
   | T.Unsat -> ()
   | _ -> Alcotest.fail "php 6 5 must be UNSAT once the clause is permanent"
 
-let solver_pipeline_sessions () =
-  (* Solver.Incremental: simplify once, serve several queries *)
-  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 2 ]; [ 2; 3; 4 ]; [ -3; 4 ] ] in
-  let inc = Sat.Solver.Incremental.open_session f in
-  (match Sat.Solver.Incremental.solve inc with
-   | T.Sat m ->
-     (* models are lifted back to the original variable space *)
-     Alcotest.(check bool) "covers original vars" true (Array.length m >= 4);
-     Alcotest.(check bool) "x2 forced" true m.(1)
-   | _ -> Alcotest.fail "expected SAT");
-  (* growth through the pipeline front-end *)
-  Sat.Solver.Incremental.add_clause inc [ Th.lit (-2) ];
-  (match Sat.Solver.Incremental.solve inc with
-   | T.Unsat -> ()
-   | _ -> Alcotest.fail "expected UNSAT after adding ~x2");
-  Alcotest.(check int) "queries counted" 2 (Sat.Solver.Incremental.queries inc)
-
 (* --- stop tokens and deadlines (the SAT-service contract) ------------------ *)
 
 let expect what want o =
@@ -379,7 +362,6 @@ let suite =
     Th.case "budget does not poison" budget_does_not_poison;
     Th.case "per-call deltas disjoint" per_call_deltas_disjoint;
     Th.case "retention policies" released_groups_pruned;
-    Th.case "pipeline sessions" solver_pipeline_sessions;
     Th.case "cross-domain interrupt keeps session reusable"
       cross_domain_interrupt_keeps_session_reusable;
     Th.case "interrupt storm, single query" interrupt_storm_single_query;
