@@ -28,9 +28,6 @@ let e23 () =
             P.jobs;
             config = T.default;
             sharing = { P.default_sharing with P.share };
-            timeout = None;
-            metrics = None;
-            trace = None;
           }
         (f ())
     in

@@ -28,26 +28,27 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
     stats jobs timeout no_share share_lbd cube_conquer cube_depth
     cube_cutoff auto explain_tuning guide proof_path check core_path
     metrics_path trace_path =
+  (* one wall-clock limit from startup, whatever the engine; a --check
+     replay after the answer is not limited *)
+  let deadline =
+    Option.map (fun secs -> Sat.Monotime.now_s () +. secs) timeout
+  in
   let obs = Obs.setup ~tool:"satsolve" metrics_path trace_path in
   let auto = auto || explain_tuning in
   let want_proof = proof_path <> None || check || core_path <> None in
-  if want_proof
-     && (engine_name <> "cdcl" || jobs > 1 || cube_conquer || timeout <> None)
+  if want_proof && (engine_name <> "cdcl" || jobs > 1 || cube_conquer)
   then begin
     Printf.eprintf
       "satsolve: --proof/--check/--core need the sequential cdcl engine \
-       (no --jobs/--cube-conquer/--timeout): parallel workers import \
-       clauses their own proofs cannot justify\n";
+       (no --jobs/--cube-conquer): parallel workers import clauses their \
+       own proofs cannot justify\n";
     exit 2
   end;
-  if auto
-     && (want_proof || cube_conquer || engine_name <> "cdcl"
-         || timeout <> None)
-  then begin
+  if auto && (want_proof || cube_conquer || engine_name <> "cdcl") then begin
     Printf.eprintf
       "satsolve: --auto picks the engine and pipeline itself; it is \
-       incompatible with --proof/--check/--core/--cube-conquer/--timeout \
-       and non-cdcl --engine\n";
+       incompatible with --proof/--check/--core/--cube-conquer and \
+       non-cdcl --engine\n";
     exit 2
   end;
   if auto && guide then begin
@@ -97,22 +98,10 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
             config;
             sharing;
             cutoff = cube_cutoff;
-            timeout;
           }
       | "cdcl" ->
-        (* --jobs 1 without a timeout takes the plain sequential path
-           bit-for-bit; a portfolio wrapper only enters for N > 1 or when
-           a wall clock must be enforced *)
-        if jobs > 1 || timeout <> None then
-          Sat.Solver.Portfolio
-            {
-              Sat.Portfolio.jobs;
-              config;
-              sharing;
-              timeout;
-              metrics = None;
-              trace = None;
-            }
+        if jobs > 1 then
+          Sat.Solver.Portfolio { Sat.Portfolio.jobs; config; sharing }
         else Sat.Solver.Cdcl config
       | "dpll" -> Sat.Solver.Dpll config
       | "walksat" ->
@@ -139,14 +128,14 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
         recursive_learning = rl;
       }
     in
-    Sat.Solver.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ~engine
-      ~pipeline formula
+    Sat.Solver.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ?deadline
+      ~engine ~pipeline formula
   in
   let report =
     if auto then begin
       let plan, report =
         Sat.Solver.Auto.solve ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
-          ~jobs ~config formula
+          ?deadline ~jobs ~config formula
       in
       if explain_tuning then begin
         List.iter
@@ -267,7 +256,7 @@ let jobs =
 let timeout =
   Arg.(value & opt (some float) None
        & info [ "timeout" ]
-         ~doc:"wall-clock limit in seconds (cdcl engine); reports UNKNOWN \
+         ~doc:"wall-clock limit in seconds, any engine; reports UNKNOWN \
                (timeout)")
 
 let no_share =
@@ -305,7 +294,7 @@ let auto =
                preprocessing, restart schedule and guidance \
                from the published decision table (docs/TUNING.md).  \
                Answers are unchanged; incompatible with --proof/--check/\
-               --core/--cube-conquer/--timeout and non-cdcl engines.  \
+               --core/--cube-conquer and non-cdcl engines.  \
                --jobs bounds the parallelism the table may use")
 
 let explain_tuning =

@@ -61,6 +61,9 @@ type t = {
          implication's antecedent is stored without boxing an option *)
   mutable phase : bool array;
   mutable activity : float array;
+  mutable max_activity : float;
+      (* the largest entry of [activity], kept on bump, rescale and
+         seed, so [apply_guidance] need not scan every variable *)
   mutable var_inc : float;
   mutable cla_inc : float;
   mutable heap : Heap.t;
@@ -231,12 +234,15 @@ let var_decay = 1. /. 0.95
 let cla_decay = 1. /. 0.999
 
 let bump_var s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
-  if s.activity.(v) > 1e100 then begin
+  let a = s.activity.(v) +. s.var_inc in
+  s.activity.(v) <- a;
+  if a > s.max_activity then s.max_activity <- a;
+  if a > 1e100 then begin
     for i = 0 to s.nvars - 1 do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.var_inc <- s.var_inc *. 1e-100;
+    s.max_activity <- s.max_activity *. 1e-100
   end;
   Heap.update s.heap v
 
@@ -820,17 +826,14 @@ let import_clause ?lbd s lits =
    polarity.  Out-of-range variables are ignored (sessions may receive
    guidance computed against a larger node table). *)
 let apply_guidance s (g : Types.guidance) =
-  let ceiling = ref s.var_inc in
-  for v = 0 to s.nvars - 1 do
-    if s.activity.(v) > !ceiling then ceiling := s.activity.(v)
-  done;
-  let ceiling = !ceiling in
+  let ceiling = Float.max s.var_inc s.max_activity in
   List.iter
     (fun (v, a) ->
        if v >= 0 && v < s.nvars && a > 0. then begin
          let a = a *. ceiling in
          if a > s.activity.(v) then begin
            s.activity.(v) <- a;
+           if a > s.max_activity then s.max_activity <- a;
            Heap.update s.heap v
          end
        end)
@@ -864,6 +867,7 @@ let create ?(config = Types.default) formula =
       reason = Array.make cap dummy_clause;
       phase = Array.make cap false;
       activity;
+      max_activity = 0.;
       var_inc = 1.;
       cla_inc = 1.;
       heap = Heap.create ~scores:activity cap;
@@ -999,8 +1003,6 @@ let decide_step s =
    absent the loop reads no clock and allocates nothing for them. *)
 let stopped = function Some tok -> Atomic.get tok | None -> false
 
-let past = function Some d -> Monotime.now_s () >= d | None -> false
-
 let solve_loop s assumptions ~stop ~deadline =
   (* level-0 boundary hook (clause import, etc.) before the search starts *)
   (match s.on_restart with Some h when s.ok -> h () | _ -> ());
@@ -1030,7 +1032,8 @@ let solve_loop s assumptions ~stop ~deadline =
             | Continue ->
               maybe_reduce s;
               if budget_exceeded s then result := Some (Types.Unknown "budget")
-              else if past deadline then result := Some (Types.Unknown "timeout")
+              else if Monotime.past deadline then
+                result := Some (Types.Unknown "timeout")
               else if !conflicts_here >= !limit then begin
                 (* randomized restart (Sec. 6) *)
                 incr restart_num;
@@ -1076,7 +1079,7 @@ let solve ?(assumptions = []) ?max_conflicts ?max_decisions ?stop ?deadline s
    | None -> ());
   let outcome =
     if stopped stop then Types.Unknown "interrupted"
-    else if past deadline then Types.Unknown "timeout"
+    else if Monotime.past deadline then Types.Unknown "timeout"
     else solve_loop s assumptions ~stop ~deadline
   in
   (match outcome with

@@ -167,7 +167,7 @@ let budget_exceeded s =
   | Some m -> s.stats.decisions >= m
   | None -> false
 
-let solve ?(config = Types.default) ?(assumptions = []) f =
+let solve ?(config = Types.default) ?(assumptions = []) ?deadline f =
   let n = Cnf.Formula.nvars f in
   let clause_arrays =
     Cnf.Formula.clauses f
@@ -205,7 +205,9 @@ let solve ?(config = Types.default) ?(assumptions = []) f =
        if Array.length c = 1 && value s c.(0) < 0 then assign_lit s c.(0))
     s.clauses;
   let result = ref None in
-  if empty_clause then result := Some Types.Unsat;
+  if empty_clause then result := Some Types.Unsat
+  else if Monotime.past deadline then
+    result := Some (Types.Unknown "timeout");
   (* assumptions become forced first decisions that are never flipped *)
   let assumptions = Array.of_list assumptions in
   let n_assumed = ref 0 in
@@ -213,6 +215,8 @@ let solve ?(config = Types.default) ?(assumptions = []) f =
     if not (propagate s) then begin
       s.stats.conflicts <- s.stats.conflicts + 1;
       if budget_exceeded s then result := Some (Types.Unknown "budget")
+      else if Monotime.past deadline then
+        result := Some (Types.Unknown "timeout")
       else if not (backtrack s) then
         result :=
           Some

@@ -9,10 +9,12 @@
     no conflict clauses to bump activity). *)
 
 val solve :
-  ?config:Types.config -> ?assumptions:Cnf.Lit.t list -> Cnf.Formula.t ->
-  Types.outcome * Types.stats
+  ?config:Types.config -> ?assumptions:Cnf.Lit.t list -> ?deadline:float ->
+  Cnf.Formula.t -> Types.outcome * Types.stats
 (** One-shot solve.  [max_decisions]/[max_conflicts] budgets yield
-    [Unknown].  Assumptions are installed as the first decisions; an
+    [Unknown "budget"].  [deadline] is an absolute {!Monotime.now_s}
+    instant, checked on entry and after each conflict; once it has
+    passed the call returns [Unknown "timeout"].  Assumptions are installed as the first decisions; an
     unsatisfiable result under assumptions is reported as
     [Unsat_assuming] with the full assumption list (no core
     minimization). *)

@@ -116,7 +116,10 @@ let pick_gsat s =
   done;
   !best
 
-let solve ?(config = default) f =
+(* the clock is read once per this many flips *)
+let clock_interval = 1024
+
+let solve ?(config = default) ?deadline f =
   let n = Cnf.Formula.nvars f in
   let clause_arrays =
     Cnf.Formula.clauses f
@@ -141,12 +144,18 @@ let solve ?(config = default) f =
   let has_empty = Array.exists (fun c -> Array.length c = 0) s.clauses in
   let flips = ref 0 and tries = ref 0 in
   let found = ref None in
-  while !found = None && !tries < config.max_tries && not has_empty do
+  let timed_out = ref false in
+  while
+    !found = None && !tries < config.max_tries && (not has_empty)
+    && not !timed_out
+  do
     incr tries;
     random_restart s;
     let local_flips = ref 0 in
-    while !found = None && !local_flips < config.max_flips do
+    while !found = None && !local_flips < config.max_flips && not !timed_out do
       if Vec.is_empty s.unsat then found := Some (Array.copy s.assign)
+      else if !flips mod clock_interval = 0 && Monotime.past deadline then
+        timed_out := true
       else begin
         incr local_flips;
         incr flips;
@@ -164,6 +173,7 @@ let solve ?(config = default) f =
   let outcome =
     match !found with
     | Some m -> Types.Sat m
+    | None when !timed_out -> Types.Unknown "timeout"
     | None -> Types.Unknown "local search: flip budget exhausted"
   in
   { outcome; flips = !flips; tries = !tries }

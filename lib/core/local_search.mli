@@ -26,4 +26,7 @@ type result = {
   tries : int;
 }
 
-val solve : ?config:config -> Cnf.Formula.t -> result
+val solve : ?config:config -> ?deadline:float -> Cnf.Formula.t -> result
+(** [deadline] is an absolute {!Monotime.now_s} instant, read before
+    the first flip and then once every 1024 flips; once it has passed
+    the call returns [Unknown "timeout"]. *)

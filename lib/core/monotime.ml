@@ -15,3 +15,4 @@ let rec clamp t =
 let now_s () = clamp (Unix.gettimeofday ())
 let epoch = now_s ()
 let since_start_s () = now_s () -. epoch
+let past = function Some d -> now_s () >= d | None -> false

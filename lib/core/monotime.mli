@@ -12,6 +12,11 @@ val now_s : unit -> float
 (** Current time in seconds.  Monotone non-decreasing across all
     callers in the process. *)
 
+val past : float option -> bool
+(** [past deadline] is true once the absolute {!now_s} instant
+    [deadline] has come; [None] never comes.  Every engine's [?deadline]
+    argument is such an instant, tested with this one function. *)
+
 val since_start_s : unit -> float
 (** Seconds since this module was initialised (first use of the
     library).  Trace timestamps use this origin so runs are comparable

@@ -12,10 +12,6 @@ type options = {
   sharing : Portfolio.sharing;
   cutoff : int;
   max_splits : int;
-  timeout : float option;
-  stop : bool Atomic.t option;
-  metrics : Metrics.t option;
-  trace : Trace.sink option;
 }
 
 let default_options =
@@ -26,10 +22,6 @@ let default_options =
     sharing = Portfolio.default_sharing;
     cutoff = 10_000;
     max_splits = 4096;
-    timeout = None;
-    stop = None;
-    metrics = None;
-    trace = None;
   }
 
 type result = {
@@ -64,8 +56,8 @@ let pick_split sess cube =
   done;
   Option.map snd !best
 
-let conquer ~exec ~opts ~t0 ~deadline ~la f =
-  (match opts.metrics with
+let conquer ~exec ~opts ~t0 ?metrics ?trace ~stop ?deadline ~la f =
+  (match metrics with
    | Some m -> Metrics.phase_begin m "cube/conquer"
    | None -> ());
   let jobs = opts.jobs in
@@ -73,9 +65,8 @@ let conquer ~exec ~opts ~t0 ~deadline ~la f =
   let outstanding = Atomic.make (List.length la.Cube.cubes) in
   let splits = Atomic.make 0 in
   let solved = Atomic.make 0 in
-  (* the caller's token, or a fresh one, doubles as the finish flag:
-     every cube query reads it, and [declare] sets it *)
-  let stop = Option.value opts.stop ~default:(Atomic.make false) in
+  (* [stop], the caller's token or a fresh one, doubles as the finish
+     flag: every cube query reads it, and [declare] sets it *)
   let timed_out = Atomic.make false in
   let decided = Atomic.make None in
   let declare o =
@@ -164,7 +155,7 @@ let conquer ~exec ~opts ~t0 ~deadline ~la f =
           Exec.push ctx (child (Lit.neg_of_var v)))
     end
   in
-  Exec.run exec ?metrics:opts.metrics ?trace:opts.trace ~width:jobs
+  Exec.run exec ?metrics ?trace ~width:jobs
     (List.map
        (fun c -> cube { lits = c; gen = 0; unbounded = false })
        la.Cube.cubes);
@@ -183,7 +174,7 @@ let conquer ~exec ~opts ~t0 ~deadline ~la f =
     (Option.iter (fun sess ->
          Types.add_stats_into stats (Session.cumulative_stats sess)))
     sessions;
-  (match opts.metrics with
+  (match metrics with
    | Some m ->
      Metrics.set_gauge (Metrics.gauge m "cube/jobs") (float_of_int jobs);
      Metrics.incr ~by:(Atomic.get solved) (Metrics.counter m "cube/solved");
@@ -206,11 +197,9 @@ let conquer ~exec ~opts ~t0 ~deadline ~la f =
     time_seconds = Unix.gettimeofday () -. t0;
   }
 
-let solve ?exec ?(options = default_options) f =
+let solve ?exec ?metrics ?trace ?stop ?deadline ?(options = default_options)
+    f =
   let t0 = Unix.gettimeofday () in
-  let deadline =
-    Option.map (fun secs -> Monotime.now_s () +. secs) options.timeout
-  in
   let opts =
     { options with
       jobs = max 1 options.jobs;
@@ -218,8 +207,7 @@ let solve ?exec ?(options = default_options) f =
       max_splits = max 0 options.max_splits }
   in
   let la =
-    Cube.generate ~options:opts.cube ?stop:opts.stop ?deadline
-      ?metrics:opts.metrics ?trace:opts.trace f
+    Cube.generate ~options:opts.cube ?stop ?deadline ?metrics ?trace f
   in
   match la.Cube.decided with
   | Some o ->
@@ -233,7 +221,10 @@ let solve ?exec ?(options = default_options) f =
       time_seconds = Unix.gettimeofday () -. t0;
     }
   | None -> (
-    let conquer exec = conquer ~exec ~opts ~t0 ~deadline ~la f in
+    let stop = Option.value stop ~default:(Atomic.make false) in
+    let conquer exec =
+      conquer ~exec ~opts ~t0 ?metrics ?trace ~stop ?deadline ~la f
+    in
     match exec with
     | Some exec -> conquer exec
     | None -> Exec.with_pool (opts.jobs - 1) conquer)

@@ -32,33 +32,11 @@ type options = {
   sharing : Portfolio.sharing;  (** clause-exchange policy *)
   cutoff : int;              (** base conflict budget per cube *)
   max_splits : int;          (** dynamic-split cap; then run unbounded *)
-  timeout : float option;
-      (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
-          one absolute deadline checked once per lookahead node and
-          passed to every cube query ({!Session.solve}); the first cube
-          that answers [timeout] ends the run *)
-  stop : bool Atomic.t option;
-      (** caller-owned cancellation token (e.g. a service scheduler's
-          job token), read once per lookahead node and passed to every
-          cube query: once the caller sets it the run winds down and
-          reports [Unknown "interrupted"].
-          The run also uses it as its own finish flag, so {e the token
-          is set when the conquer phase ends}, whatever ended it.  A
-          formula settled by lookahead alone leaves it untouched.
-          [None] means a fresh private token *)
-  metrics : Metrics.t option;
-      (** per-slot registries ({!Exec.metrics}) merged in after the
-          join, plus the [cube/*] counters and gauges (see
-          docs/METRICS.md) *)
-  trace : Trace.sink option;
-      (** per-slot sinks ({!Exec.trace}) absorbed after the join:
-          [cube-emit], [cube-solve], [cube-split] and the usual solver
-          events *)
 }
 
 val default_options : options
 (** [jobs = Domain.recommended_domain_count ()], default cube options
-    and sharing, cutoff 10_000 conflicts, 4096 splits, no timeout. *)
+    and sharing, cutoff 10_000 conflicts, 4096 splits. *)
 
 type result = {
   outcome : Types.outcome;
@@ -70,9 +48,31 @@ type result = {
   time_seconds : float;
 }
 
-val solve : ?exec:Exec.t -> ?options:options -> Cnf.Formula.t -> result
+val solve :
+  ?exec:Exec.t -> ?metrics:Metrics.t -> ?trace:Trace.sink ->
+  ?stop:bool Atomic.t -> ?deadline:float -> ?options:options ->
+  Cnf.Formula.t -> result
 (** Generate the cube cover, then conquer it on [exec] (a service
     passes its own pool), or, without one, on a pool of [jobs - 1]
     domains made for the call.  If lookahead alone settles the formula
     (root refuted, all branches refuted, or propagation completed a
-    model), or a stop or the deadline cuts it short, no cube runs. *)
+    model), or a stop or the deadline cuts it short, no cube runs.
+
+    [deadline] is an absolute {!Monotime.now_s} instant, checked once
+    per lookahead node and passed to every cube query
+    ({!Session.solve}); the first cube that answers [timeout] ends the
+    run with [Unknown "timeout"].
+
+    [stop] is a caller-owned cancellation token (e.g. a service
+    scheduler's job token), read once per lookahead node and passed to
+    every cube query: once the caller sets it the run winds down and
+    reports [Unknown "interrupted"].  The run also uses it as its own
+    finish flag, so {e the token is set when the conquer phase ends},
+    whatever ended it.  A formula settled by lookahead alone leaves it
+    untouched.  Without [stop] the run makes a private token.
+
+    With [metrics], per-slot registries ({!Exec.metrics}) are merged
+    into it after the join, plus the [cube/*] counters and gauges (see
+    docs/METRICS.md).  With [trace], per-slot sinks ({!Exec.trace}) are
+    absorbed into it after the join: [cube-emit], [cube-solve],
+    [cube-split] and the usual solver events. *)

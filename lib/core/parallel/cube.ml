@@ -108,12 +108,10 @@ let generate ?(options = default_options) ?stop ?deadline ?metrics ?trace f =
   (* checked once per node: a stop or a passed deadline ends the
      lookahead as [Unknown] *)
   let stopped () =
-    (match (stop, deadline) with
-     | Some st, _ when Atomic.get st ->
-       decided := Some (Types.Unknown "interrupted")
-     | _, Some d when Monotime.now_s () > d ->
-       decided := Some (Types.Unknown "timeout")
-     | _ -> ());
+    if Option.fold ~none:false ~some:Atomic.get stop then
+      decided := Some (Types.Unknown "interrupted")
+    else if Monotime.past deadline then
+      decided := Some (Types.Unknown "timeout");
     !decided <> None
   in
   let rec node ~decisions ~path ~depth =

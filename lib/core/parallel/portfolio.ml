@@ -122,18 +122,12 @@ type options = {
   jobs : int;
   config : Types.config;
   sharing : sharing;
-  timeout : float option;
-  metrics : Metrics.t option;
-  trace : Trace.sink option;
 }
 
 let default_options =
   { jobs = max 1 (Domain.recommended_domain_count ());
     config = Types.default;
-    sharing = default_sharing;
-    timeout = None;
-    metrics = None;
-    trace = None }
+    sharing = default_sharing }
 
 (* --- diversification ------------------------------------------------------ *)
 
@@ -184,12 +178,8 @@ type result = {
 
 (* --- the portfolio --------------------------------------------------------- *)
 
-let solve ?options:(opts = default_options) f =
+let solve ?metrics ?trace ?deadline ?options:(opts = default_options) f =
   let t0 = Unix.gettimeofday () in
-  (* [timeout] becomes one absolute deadline, checked inside the search *)
-  let deadline =
-    Option.map (fun secs -> Monotime.now_s () +. secs) opts.timeout
-  in
   let jobs = max 1 opts.jobs in
   (* a lone worker has no peer to share with *)
   let sharing = { opts.sharing with share = opts.sharing.share && jobs > 1 } in
@@ -218,7 +208,7 @@ let solve ?options:(opts = default_options) f =
       Atomic.set stop true
   in
   Exec.with_pool (jobs - 1) (fun exec ->
-      Exec.run exec ?metrics:opts.metrics ?trace:opts.trace ~width:jobs
+      Exec.run exec ?metrics ?trace ~width:jobs
         (List.init jobs worker));
   let per_worker =
     Array.init jobs (fun i ->
@@ -238,7 +228,7 @@ let solve ?options:(opts = default_options) f =
       if Array.exists timed_out per_worker then (None, Types.Unknown "timeout")
       else (None, per_worker.(0).worker_outcome)
   in
-  (match opts.metrics with
+  (match metrics with
    | Some m ->
      Metrics.add_stats m stats;
      Metrics.set_gauge (Metrics.gauge m "portfolio/jobs") (float_of_int jobs);

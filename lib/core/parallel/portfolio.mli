@@ -73,27 +73,11 @@ type options = {
           [jobs - 1] domains plus the caller *)
   config : Types.config;     (** base configuration (worker 0 verbatim) *)
   sharing : sharing;
-  timeout : float option;
-      (** wall-clock seconds from the call; [Unknown "timeout"].  Becomes
-          one absolute deadline that every worker's search checks after
-          each conflict ({!Cdcl.solve}), so no domain watches the clock *)
-  metrics : Metrics.t option;
-      (** each worker observes into its slot's registry ({!Exec.metrics},
-          standard {!Metrics.solver_instruments}), merged into this one
-          after the join; then the aggregate statistics are added and
-          the [portfolio/jobs], [portfolio/pool_size],
-          [portfolio/pool_dropped] and [portfolio/winner] metrics set *)
-  trace : Trace.sink option;
-      (** each worker emits into its slot's sink ({!Exec.trace}, tagged
-          with the slot; plus an [export] event per shared clause),
-          absorbed into this one after the join, so {!Trace.merged} /
-          {!Trace.write_file} yield a time-ordered interleaving that is
-          monotone per worker *)
 }
 
 val default_options : options
 (** [jobs = Domain.recommended_domain_count ()], default config and
-    sharing, no timeout, no observability. *)
+    sharing. *)
 
 val diversify : base:Types.config -> int -> Types.config
 (** The configuration worker [i] runs: worker 0 is [base] unchanged;
@@ -117,11 +101,28 @@ type result = {
   time_seconds : float;
 }
 
-val solve : ?options:options -> Cnf.Formula.t -> result
+val solve :
+  ?metrics:Metrics.t -> ?trace:Trace.sink -> ?deadline:float ->
+  ?options:options -> Cnf.Formula.t -> result
 (** Races the workers and joins them all; the caller runs workers too.
     Every worker's search reads one shared stop token, and the first
     worker with a definitive answer sets it, so the losers answer
     [Unknown "interrupted"] at their next loop iteration.  The call
     returns that answer, or [Unknown "timeout"] when the deadline ends
     the race first, or worker 0's [Unknown] when every worker gave up
-    for another reason. *)
+    for another reason.
+
+    [deadline] is an absolute {!Monotime.now_s} instant that every
+    worker's search checks after each conflict ({!Cdcl.solve}), so no
+    domain watches the clock.
+
+    With [metrics], each worker observes into its slot's registry
+    ({!Exec.metrics}, standard {!Metrics.solver_instruments}), merged
+    into [metrics] after the join; then the aggregate statistics are
+    added and the [portfolio/jobs], [portfolio/pool_size],
+    [portfolio/pool_dropped] and [portfolio/winner] metrics set.  With
+    [trace], each worker emits into its slot's sink ({!Exec.trace},
+    tagged with the slot; plus an [export] event per shared clause),
+    absorbed into [trace] after the join, so {!Trace.merged} /
+    {!Trace.write_file} yield a time-ordered interleaving that is
+    monotone per worker. *)

@@ -39,7 +39,7 @@ type report = {
   time_seconds : float;
 }
 
-let run_engine ?metrics ?trace engine f =
+let run_engine ?metrics ?trace ?deadline engine f =
   match engine with
   | Cdcl cfg ->
     let s = Cdcl.create ~config:cfg f in
@@ -47,42 +47,27 @@ let run_engine ?metrics ?trace engine f =
      | Some m -> Cdcl.set_instruments s (Some (Metrics.solver_instruments m))
      | None -> ());
     Cdcl.set_tracer s trace;
-    let outcome = Cdcl.solve s in
+    let outcome = Cdcl.solve ?deadline s in
     (match metrics with
      | Some m -> Metrics.add_stats m (Cdcl.stats s)
      | None -> ());
     let proof = if cfg.Types.proof_logging then Some (Cdcl.proof s) else None in
     (outcome, Some (Cdcl.stats s), proof)
   | Dpll cfg ->
-    let outcome, st = Dpll.solve ~config:cfg f in
+    let outcome, st = Dpll.solve ~config:cfg ?deadline f in
     (match metrics with Some m -> Metrics.add_stats m st | None -> ());
     (outcome, Some st, None)
   | Walksat cfg ->
-    let r = Local_search.solve ~config:cfg f in
+    let r = Local_search.solve ~config:cfg ?deadline f in
     (r.outcome, None, None)
-  | Portfolio opts ->
-    (* explicit options on the engine win over the per-call arguments *)
-    let opts =
-      { opts with
-        Portfolio.metrics =
-          (match opts.Portfolio.metrics with Some _ as m -> m | None -> metrics);
-        trace =
-          (match opts.Portfolio.trace with Some _ as t -> t | None -> trace) }
-    in
-    let r = Portfolio.solve ~options:opts f in
+  | Portfolio options ->
+    let r = Portfolio.solve ?metrics ?trace ?deadline ~options f in
     (r.Portfolio.outcome, Some r.Portfolio.stats, None)
-  | Cube_conquer opts ->
-    let opts =
-      { opts with
-        Conquer.metrics =
-          (match opts.Conquer.metrics with Some _ as m -> m | None -> metrics);
-        trace =
-          (match opts.Conquer.trace with Some _ as t -> t | None -> trace) }
-    in
-    let r = Conquer.solve ~options:opts f in
+  | Cube_conquer options ->
+    let r = Conquer.solve ?metrics ?trace ?deadline ~options f in
     (r.Conquer.outcome, Some r.Conquer.stats, None)
 
-let solve ?metrics ?trace ?(engine = Cdcl Types.default)
+let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
     ?(pipeline = no_pipeline) f =
   let t0 = Unix.gettimeofday () in
   let phase name body =
@@ -178,20 +163,25 @@ let solve ?metrics ?trace ?(engine = Cdcl Types.default)
     if not proofs_on then None
     else Some (List.rev_append !pre_steps (Option.value engine_steps ~default:[]))
   in
-  let ( >>= ) x k = match x with `Unsat -> `Unsat | `Go y -> k y in
+  (* the deadline is checked before each stage; the engine checks it
+     on entry and during its search *)
+  let ( >>= ) x k =
+    match x with
+    | (`Unsat | `Timeout) as stop -> stop
+    | `Go y -> if Monotime.past deadline then `Timeout else k y
+  in
   let staged =
-    stage_preprocess (f, lift0)
-    >>= fun x -> stage_equivalence x
-    >>= fun x -> stage_rl x
+    `Go (f, lift0) >>= stage_preprocess >>= stage_equivalence >>= stage_rl
   in
   match staged with
   | `Unsat ->
     (* preprocessing refuted the formula; its emitted stream already
        ends with the empty clause *)
     finish Types.Unsat None (combined_proof None)
+  | `Timeout -> finish (Types.Unknown "timeout") None (combined_proof None)
   | `Go (g, lift) ->
     let outcome, st, engine_proof =
-      phase "solve" (fun () -> run_engine ?metrics ?trace engine g)
+      phase "solve" (fun () -> run_engine ?metrics ?trace ?deadline engine g)
     in
     let outcome =
       match outcome with
@@ -260,15 +250,15 @@ module Auto = struct
     { features; policy; guidance; engine;
       pipeline = pipeline_of policy.Autotune.preprocess }
 
-  let solve_plan ?metrics ?trace p f =
+  let solve_plan ?metrics ?trace ?deadline p f =
     (match metrics with
      | Some m ->
        Autotune.emit_metrics m p.features p.policy;
        Option.iter (Guide.emit_metrics m) p.guidance
      | None -> ());
-    solve ?metrics ?trace ~engine:p.engine ~pipeline:p.pipeline f
+    solve ?metrics ?trace ?deadline ~engine:p.engine ~pipeline:p.pipeline f
 
-  let solve ?metrics ?trace ?jobs ?probes ?config f =
+  let solve ?metrics ?trace ?deadline ?jobs ?probes ?config f =
     let p = plan ?jobs ?probes ?config f in
-    (p, solve_plan ?metrics ?trace p f)
+    (p, solve_plan ?metrics ?trace ?deadline p f)
 end

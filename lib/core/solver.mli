@@ -59,6 +59,7 @@ type report = {
 val solve :
   ?metrics:Metrics.t ->
   ?trace:Trace.sink ->
+  ?deadline:float ->
   ?engine:engine ->
   ?pipeline:pipeline ->
   Cnf.Formula.t ->
@@ -82,8 +83,13 @@ val solve :
     [units], [pures], [subsumed], [strengthened], [failed_literals],
     [vars_eliminated], [clauses_removed].  With [trace], the same
     spans appear as [phase-begin]/[phase-end] events around the
-    solver's own event stream.  A [Portfolio] engine whose options
-    already carry a registry or sink keeps its own. *)
+    solver's own event stream.
+
+    [deadline] (an absolute {!Monotime.now_s} instant) is checked
+    before each pipeline stage and handed, like [metrics] and [trace],
+    straight to the engine; once it passes, the outcome is
+    [Unknown "timeout"] and a proof-producing run reports the steps
+    logged so far. *)
 
 val solve_dimacs :
   ?metrics:Metrics.t ->
@@ -121,13 +127,15 @@ module Auto : sig
       deletion, budgets, proof logging, ...). *)
 
   val solve_plan :
-    ?metrics:Metrics.t -> ?trace:Trace.sink -> plan -> Cnf.Formula.t -> report
+    ?metrics:Metrics.t -> ?trace:Trace.sink -> ?deadline:float -> plan ->
+    Cnf.Formula.t -> report
   (** Run a previously computed plan.  With [metrics], first records
       the [autotune/*] and [guide/*] instruments. *)
 
   val solve :
     ?metrics:Metrics.t ->
     ?trace:Trace.sink ->
+    ?deadline:float ->
     ?jobs:int ->
     ?probes:int ->
     ?config:Types.config ->

@@ -2,7 +2,7 @@
 
     A {!sink} is an in-memory, capacity-bounded buffer of timestamped
     {!record}s.  The solver family emits events into an optionally
-    attached sink ([Cdcl.set_tracer], [Portfolio.options.trace], the
+    attached sink ([Cdcl.set_tracer], the [?trace] argument of every engine, the
     CLI tools' [--trace FILE.jsonl]); with no sink attached the
     instrumentation reduces to one option check per site — the
     "zero-cost when disabled" contract measured by experiment E25.

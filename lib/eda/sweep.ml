@@ -382,12 +382,11 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
       let options =
         { Sat.Conquer.default_options with
           Sat.Conquer.jobs;
-          config = { config with Sat.Types.proof_logging = false };
-          metrics;
-          trace }
+          config = { config with Sat.Types.proof_logging = false } }
       in
       timed prove_t "sweep/prove" (fun () ->
-          (Sat.Conquer.solve ~options (cone_miter ea eb)).Sat.Conquer.outcome)
+          (Sat.Conquer.solve ?metrics ?trace ~options (cone_miter ea eb))
+            .Sat.Conquer.outcome)
     in
     let final_budget = if jobs > 1 then Some candidate_conflicts else None in
     let rec outputs_equal = function

@@ -122,13 +122,12 @@ let solve_decomposed t job reg f =
   let options =
     { Sat.Conquer.default_options with
       Sat.Conquer.jobs = Sat.Exec.size t.exec;
-      config = Cache.config t.cache;
-      timeout =
-        Option.map (fun dl -> dl -. Sat.Monotime.now_s ()) job.deadline;
-      stop = Some job.stop;
-      metrics = Some reg }
+      config = Cache.config t.cache }
   in
-  let r = Sat.Conquer.solve ~exec:t.exec ~options f in
+  let r =
+    Sat.Conquer.solve ~exec:t.exec ~metrics:reg ~stop:job.stop
+      ?deadline:job.deadline ~options f
+  in
   (r.Sat.Conquer.outcome, r.Sat.Conquer.stats, 0, false)
 
 (* Take a warm session holding a prefix, or start cold.  A cold
@@ -187,11 +186,7 @@ let process t job =
     finished t job
       (no_search (T.Unknown "cancelled"))
       (fun t -> t.cancelled_n <- t.cancelled_n + 1)
-  else if
-    match job.deadline with
-    | Some d -> Sat.Monotime.now_s () > d
-    | None -> false
-  then
+  else if Sat.Monotime.past job.deadline then
     finished t job
       (no_search (T.Unknown "timeout"))
       (fun t -> t.timeouts <- t.timeouts + 1)

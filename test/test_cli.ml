@@ -157,6 +157,60 @@ let miter_corpus_flow () =
           Alcotest.(check int) "dratcheck agrees" 0
             (run_exe dratcheck [ cnf; proof ])))
 
+(* exit code and stdout lines of one satsolve run *)
+let run_lines args =
+  in_tmp ".out" (fun out ->
+      let code = Sys.command (Filename.quote_command satsolve args ~stdout:out) in
+      let ic = open_in_bin out in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (code, String.split_on_char '\n' text))
+
+let timeout_any_engine () =
+  (* php(10,9) keeps DPLL busy for seconds, and WalkSAT's default flip
+     budget on a 20,000-variable 3-SAT outlasts the limit too *)
+  let cases =
+    [ ("dpll", Test_session.php 10 9);
+      ("walksat", Test_cube.random_3cnf ~seed:1 ~nvars:20_000 ~ratio:4.2) ]
+  in
+  List.iter
+    (fun (engine, f) ->
+       in_tmp ".cnf" (fun cnf ->
+           Cnf.Dimacs.write_file cnf f;
+           let code, lines =
+             run_lines [ cnf; "--engine"; engine; "--timeout"; "0.5" ]
+           in
+           Alcotest.(check int) (engine ^ " UNKNOWN exits 0") 0 code;
+           Alcotest.(check bool) (engine ^ " reports the timeout") true
+             (List.mem "s UNKNOWN (timeout)" lines)))
+    cases;
+  Alcotest.(check int) "--check combines with --timeout" 20
+    (run [ example "php43.cnf"; "--check"; "--timeout"; "30" ])
+
+let timeout_keeps_the_search () =
+  (* a deadline that does not expire changes nothing about the search *)
+  in_tmp ".cnf" (fun cnf ->
+      Cnf.Dimacs.write_file cnf (Test_session.php 8 7);
+      let conflicts args =
+        let code, lines = run_lines (cnf :: "--stats" :: args) in
+        Alcotest.(check int) "php(8,7) exits 20" 20 code;
+        match
+          List.find_map
+            (fun l ->
+               List.find_map
+                 (fun w ->
+                    match String.split_on_char '=' w with
+                    | [ "conflicts"; n ] -> int_of_string_opt n
+                    | _ -> None)
+                 (String.split_on_char ' ' l))
+            lines
+        with
+        | Some n -> n
+        | None -> Alcotest.fail "no conflicts= in --stats output"
+      in
+      Alcotest.(check int) "same conflicts with --timeout 60"
+        (conflicts []) (conflicts [ "--timeout"; "60" ]))
+
 let suite =
   [
     Th.case "exit codes" exit_codes;
@@ -167,4 +221,6 @@ let suite =
     Th.case "miter corpus flow" miter_corpus_flow;
     Th.case "--metrics schema" metrics_schema;
     Th.case "--trace schema" trace_schema;
+    Th.case "--timeout with every engine" timeout_any_engine;
+    Th.case "--timeout keeps the search" timeout_keeps_the_search;
   ]

@@ -118,6 +118,30 @@ let session_apply_guidance () =
       (Cnf.Formula.eval (fun v -> m.(v)) f)
   | _ -> Alcotest.fail "php(5,5) is satisfiable"
 
+(* The seeding ceiling is a running maximum of the activities.  Past
+   5,000 conflicts VSIDS has rescaled every activity by 1e-100 at least
+   once (its increment passes 1e100 near 4,490 conflicts), so a seed of
+   1.0 must land at or above every live activity, and at most one decay
+   step (1/0.95) above the largest: a maximum not rescaled with the
+   activities would sit ~1e100 too high. *)
+let seed_ceiling_after_rescale () =
+  let s = Sat.Cdcl.create (php 10 9) in
+  (match Sat.Cdcl.solve ~max_conflicts:6_000 s with
+   | T.Unknown "budget" -> ()
+   | o -> Alcotest.failf "expected budget, got %a" T.pp_outcome o);
+  Alcotest.(check bool) "past one rescale" true
+    ((Sat.Cdcl.stats s).T.conflicts >= 5_000);
+  let scan = ref 0. in
+  for v = 0 to Sat.Cdcl.nvars s - 1 do
+    scan := Float.max !scan (Sat.Cdcl.var_activity s v)
+  done;
+  let fresh = Sat.Cdcl.new_var s in
+  Sat.Cdcl.apply_guidance s
+    { T.seed_activity = [ (fresh, 1.0) ]; seed_phase = [] };
+  let c = Sat.Cdcl.var_activity s fresh in
+  Alcotest.(check bool) "at or above every activity" true (c >= !scan);
+  Alcotest.(check bool) "within one decay step" true (c <= !scan /. 0.95)
+
 (* --- feature extraction --------------------------------------------------- *)
 
 (* One Tseitin AND gate o = a AND b: (-o a)(-o b)(o -a -b). *)
@@ -379,6 +403,7 @@ let suite =
     Th.case "guided answers unchanged" guided_answers_unchanged;
     Th.case "out-of-range seeds ignored" guidance_out_of_range_ignored;
     Th.case "session apply_guidance" session_apply_guidance;
+    Th.case "seed ceiling after a rescale" seed_ceiling_after_rescale;
     Th.case "extract pins the feature formulas" extract_pinned;
     Th.case "extract is deterministic" extract_deterministic;
     Th.case "probe density separates chain from chaff" probe_density_regression;

@@ -40,14 +40,11 @@ let random_3cnf ~seed ~nvars ~ratio =
   done;
   f
 
-let opts ?(jobs = 4) ?(share = true) ?timeout () =
+let opts ?(jobs = 4) ?(share = true) () =
   {
     P.jobs;
     config = T.default;
     sharing = { P.default_sharing with P.share };
-    timeout;
-    metrics = None;
-    trace = None;
   }
 
 (* --- core hooks ----------------------------------------------------------- *)
@@ -154,7 +151,7 @@ let portfolio_unsat_with_sharing () =
 
 let portfolio_timeout_no_deadlock () =
   let t0 = Unix.gettimeofday () in
-  let r = P.solve ~options:(opts ~jobs:2 ~timeout:0.1 ()) (php 10 9) in
+  let r = P.solve ~deadline:(Th.within 0.1) ~options:(opts ~jobs:2 ()) (php 10 9) in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match r.P.outcome with
    | T.Unknown "timeout" -> ()
@@ -199,7 +196,9 @@ let repeated_timeouts_under_concurrent_cancellation () =
      the next round — and a final unbudgeted solve must still be exact *)
   for round = 1 to 3 do
     let t0 = Unix.gettimeofday () in
-    let r = P.solve ~options:(opts ~jobs:3 ~timeout:0.05 ()) (php 10 9) in
+    let r =
+      P.solve ~deadline:(Th.within 0.05) ~options:(opts ~jobs:3 ()) (php 10 9)
+    in
     let elapsed = Unix.gettimeofday () -. t0 in
     (match r.P.outcome with
      | T.Unknown "timeout" -> ()

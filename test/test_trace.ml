@@ -103,11 +103,9 @@ let portfolio_interleaving () =
      stream must keep dense, increasing seq numbers *)
   let sink = Tr.make_sink () in
   let options =
-    { Sat.Portfolio.default_options with
-      Sat.Portfolio.jobs = 3;
-      trace = Some sink }
+    { Sat.Portfolio.default_options with Sat.Portfolio.jobs = 3 }
   in
-  let r = Sat.Portfolio.solve ~options (php 5 4) in
+  let r = Sat.Portfolio.solve ~trace:sink ~options (php 5 4) in
   (match r.Sat.Portfolio.outcome with
    | T.Unsat -> ()
    | _ -> Alcotest.fail "php 5/4 must be UNSAT");

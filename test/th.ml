@@ -28,6 +28,9 @@ let model_of = function
   | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ | Sat.Types.Unknown _ ->
     Alcotest.fail "expected SAT"
 
+(* an absolute deadline [secs] seconds from now *)
+let within secs = Sat.Monotime.now_s () +. secs
+
 let solve_cdcl ?config f = Sat.Cdcl.solve (Sat.Cdcl.create ?config f)
 
 let assert_equivalent ?(msg = "circuits equivalent") c1 c2 =
