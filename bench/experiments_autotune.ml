@@ -10,9 +10,9 @@
                set, apply the decision table, run the chosen policy
 
    Families: CEC miters (multiplier and XOR-rewrite shapes, the
-   gate-like profile the G1/P2 rules target), pigeonhole (dense,
+   gate-like profile the P2 rule targets), pigeonhole (dense,
    structureless UNSAT) and random 3-SAT at the phase transition (the
-   R2 restart rule's territory).  Auto-tuning must never change an
+   P3 rule's territory).  Auto-tuning must never change an
    answer: every SAT model from either variant is evaluated against
    the formula, and every UNSAT instance is re-solved with proof
    logging and its refutation forward-checked.

@@ -2,7 +2,7 @@
    counter family or an ISCAS-89-style BENCH file with DFFs.
 
    bmc_tool [--bits N] [--buggy-at K] [--bound B] [--bench FILE --bad OUT]
-            [--guide] [--timeout SECS]
+            [--timeout SECS]
             [--metrics FILE.json] [--trace FILE.jsonl]
    bmc_tool --induction ... additionally attempts a k-induction proof.
 
@@ -13,7 +13,7 @@
 open Cmdliner
 
 let run bits buggy_at bound bench bad induction explain from_scratch stats
-    guide timeout metrics_path trace_path =
+    timeout metrics_path trace_path =
   let obs = Obs.setup ~tool:"bmc_tool" metrics_path trace_path in
   let seq =
     match bench with
@@ -34,7 +34,7 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
   end;
   let r =
     Eda.Bmc.check ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace
-      ~incremental:(not from_scratch) ~bad_output:bad ~guide ?timeout
+      ~incremental:(not from_scratch) ~bad_output:bad ?timeout
       ~max_bound:bound seq
   in
   (match r.Eda.Bmc.result with
@@ -79,7 +79,7 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
       t.Sat.Types.conflicts t.Sat.Types.propagations t.Sat.Types.restarts_done;
     Printf.printf "frames encoded: %d\n" r.Eda.Bmc.frames_encoded;
     if t.Sat.Types.interrupts > 0 then
-      Printf.printf "interrupted queries: %d\n" t.Sat.Types.interrupts
+      Printf.printf "stopped queries: %d\n" t.Sat.Types.interrupts
   end;
   Printf.printf "time %.3fs\n" r.Eda.Bmc.time_seconds
 
@@ -114,13 +114,6 @@ let from_scratch =
 let stats =
   Arg.(value & flag & info [ "stats" ] ~doc:"print per-bound query statistics")
 
-let guide =
-  Arg.(value & flag
-       & info [ "guide" ]
-         ~doc:"seed each newly encoded frame's activities and phases from \
-               one simulation pass over the transition logic \
-               (docs/TUNING.md); heuristic only")
-
 let timeout =
   Arg.(value & opt (some float) None
        & info [ "timeout" ]
@@ -131,7 +124,7 @@ let cmd =
   Cmd.v
     (Cmd.info "bmc_tool" ~doc:"bounded model checker demo")
     Term.(const run $ bits $ buggy_at $ bound $ bench $ bad $ induction
-          $ explain $ from_scratch $ stats $ guide $ timeout
+          $ explain $ from_scratch $ stats $ timeout
           $ Obs.metrics_term $ Obs.trace_term)
 
 let () = exit (Cmd.eval cmd)

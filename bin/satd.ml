@@ -1,7 +1,7 @@
 (* The SAT service daemon.
 
    satd --socket /tmp/satd.sock [--tcp HOST:PORT] [--jobs N]
-        [--max-queue N] [--max-conflicts N] [--cube-threshold N] [--auto]
+        [--max-queue N] [--max-conflicts N] [--cube-threshold N]
         [--cache-results N] [--cache-sessions N] [--verbose]              *)
 
 open Cmdliner
@@ -22,7 +22,7 @@ let hostport =
     (split_hostport,
      fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
 
-let run socket tcp jobs max_queue max_conflicts_cap cube_threshold autotune
+let run socket tcp jobs max_queue max_conflicts_cap cube_threshold
     max_results max_sessions verbose =
   if socket = None && tcp = None then begin
     Printf.eprintf "satd: at least one of --socket or --tcp is required\n";
@@ -36,7 +36,6 @@ let run socket tcp jobs max_queue max_conflicts_cap cube_threshold autotune
       max_queue;
       max_conflicts_cap;
       cube_threshold;
-      autotune;
       max_results;
       max_sessions;
       verbose }
@@ -97,14 +96,6 @@ let cube_threshold =
                this many clauses by cube-and-conquer across the worker \
                domains (off by default)")
 
-let autotune =
-  Arg.(value & flag
-       & info [ "auto" ]
-         ~doc:"auto-tune each cold unbudgeted query: measure its CNF \
-               (docs/TUNING.md feature set, 16 probes) and pick restarts \
-               and guidance from the decision table; warm and budgeted \
-               queries are untouched")
-
 let max_results =
   Arg.(value & opt int 4096
        & info [ "cache-results" ] ~doc:"result-cache capacity (entries)")
@@ -134,6 +125,6 @@ let cmd =
               docs/SATD.md for the protocol.";
          ])
     Term.(const run $ socket $ tcp $ jobs $ max_queue $ max_conflicts_cap
-          $ cube_threshold $ autotune $ max_results $ max_sessions $ verbose)
+          $ cube_threshold $ max_results $ max_sessions $ verbose)
 
 let () = exit (Cmd.eval cmd)

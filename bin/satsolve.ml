@@ -4,7 +4,7 @@
                  [--equiv] [--rl DEPTH] [--seed N] [--stats]
                  [--jobs N] [--timeout SECS] [--no-share] [--share-lbd N]
                  [--cube-conquer] [--cube-depth N] [--cube-cutoff N]
-                 [--auto] [--explain-tuning] [--guide]
+                 [--auto] [--explain-tuning]
                  [--proof FILE] [--check] [--core FILE]
                  [--metrics FILE.json] [--trace FILE.jsonl]              *)
 
@@ -26,7 +26,7 @@ let read_stdin () =
 
 let solve_file path engine_name preprocess no_elim equiv rl seed
     stats jobs timeout no_share share_lbd cube_conquer cube_depth
-    cube_cutoff auto explain_tuning guide proof_path check core_path
+    cube_cutoff auto explain_tuning proof_path check core_path
     metrics_path trace_path =
   (* one wall-clock limit from startup, whatever the engine; a --check
      replay after the answer is not limited *)
@@ -51,12 +51,6 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
        non-cdcl --engine\n";
     exit 2
   end;
-  if auto && guide then begin
-    Printf.eprintf
-      "satsolve: --auto decides guidance from the decision table; drop \
-       --guide\n";
-    exit 2
-  end;
   let formula =
     if path = "-" then Cnf.Dimacs.parse_string (read_stdin ())
     else if Sys.file_exists path then Cnf.Dimacs.parse_file path
@@ -69,14 +63,6 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
     { Sat.Types.default with
       Sat.Types.random_seed = seed;
       proof_logging = want_proof }
-  in
-  let config =
-    if guide then begin
-      let g = Sat.Guide.of_formula formula in
-      Option.iter (fun m -> Sat.Guide.emit_metrics m g) obs.Obs.metrics;
-      Sat.Guide.apply_config g config
-    end
-    else config
   in
   let solve_manual () =
     let sharing =
@@ -143,11 +129,9 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
           (Sat.Autotune.feature_fields plan.Sat.Solver.Auto.features);
         let p = plan.Sat.Solver.Auto.policy in
         Printf.printf
-          "c autotune policy engine=%s preprocess=%s restarts=%s guided=%b\n"
+          "c autotune policy engine=%s preprocess=%s\n"
           (Sat.Autotune.engine_label p.Sat.Autotune.engine)
-          (Sat.Autotune.preprocess_label p.Sat.Autotune.preprocess)
-          (Sat.Autotune.restarts_label p.Sat.Autotune.restarts)
-          p.Sat.Autotune.guided;
+          (Sat.Autotune.preprocess_label p.Sat.Autotune.preprocess);
         Printf.printf "c autotune rules %s\n"
           (String.concat " " p.Sat.Autotune.reason)
       end;
@@ -289,10 +273,10 @@ let cube_cutoff =
 let auto =
   Arg.(value & flag
        & info [ "auto" ]
-         ~doc:"per-instance auto-tuning: measure the formula (clause shape \
-               + probe-measured propagation density) and pick the engine, \
-               preprocessing, restart schedule and guidance \
-               from the published decision table (docs/TUNING.md).  \
+         ~doc:"per-instance auto-tuning: measure the formula (gate shape \
+               + probe-measured propagation density) and pick the engine \
+               and preprocessing from the published decision table \
+               (docs/TUNING.md).  \
                Answers are unchanged; incompatible with --proof/--check/\
                --core/--cube-conquer and non-cdcl engines.  \
                --jobs bounds the parallelism the table may use")
@@ -304,13 +288,6 @@ let explain_tuning =
                policy and the decision-table rules that fired as \
                $(i,c autotune) comment lines (checkable by hand against \
                docs/TUNING.md)")
-
-let guide =
-  Arg.(value & flag
-       & info [ "guide" ]
-         ~doc:"seed VSIDS activities and saved phases from the formula's \
-               literal-weight profile (Jeroslow-Wang, docs/TUNING.md) \
-               before search; purely heuristic, works with any cdcl path")
 
 let proof_path =
   Arg.(value & opt (some string) None
@@ -338,7 +315,7 @@ let cmd =
     Term.(const solve_file $ file $ engine $ preprocess $ no_elim $ equiv
           $ rl $ seed $ stats $ jobs $ timeout $ no_share
           $ share_lbd $ cube_conquer $ cube_depth $ cube_cutoff
-          $ auto $ explain_tuning $ guide
+          $ auto $ explain_tuning
           $ proof_path $ check_flag $ core_path
           $ Obs.metrics_term $ Obs.trace_term)
 

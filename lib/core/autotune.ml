@@ -4,7 +4,7 @@
 
    Everything here is a published contract: the feature formulas and
    the decision table are specified in docs/TUNING.md and pinned by
-   test/test_guide.ml.  Keep the three in sync — the whole point of a
+   test/test_autotune.ml.  Keep the three in sync — the whole point of a
    rule-based selector (rather than a learned one) is that a user can
    read the table, predict the policy, and file a bug when the solver
    disagrees. *)
@@ -12,13 +12,8 @@
 type features = {
   nvars : int;
   nclauses : int;
-  clause_var_ratio : float;
-  binary_frac : float;
-  ternary_frac : float;
-  horn_frac : float;
   gate_like_frac : float;
   probe_density : float;
-  probe_failed_frac : float;
   probes_run : int;
   extraction_time_s : float;
 }
@@ -33,8 +28,6 @@ type preprocess_level = Pre_off | Pre_basic | Pre_full
 type policy = {
   engine : engine_choice;
   preprocess : preprocess_level;
-  restarts : Types.restart_policy;
-  guided : bool;
   reason : string list;
 }
 
@@ -55,12 +48,14 @@ let gate_shaped ~bin_pos ~bin_neg ~ter_pos ~ter_neg v =
    measure trail growth; the feature is the mean growth per
    non-conflicting probe, divided by the variable count.  Probing never
    learns or counts conflicts, so extraction is pure propagation work. *)
-let probe_density_of f ~occ ~probes =
+let probes = 32
+
+let probe_density_of f ~occ =
   let n = Cnf.Formula.nvars f in
-  if probes <= 0 || n = 0 then (0.0, 0.0, 0)
+  if n = 0 then (0.0, 0)
   else begin
     let s = Cdcl.create f in
-    if not (Cdcl.propagate_root s) then (0.0, 1.0, 0)
+    if not (Cdcl.propagate_root s) then (0.0, 0)
     else begin
       let order = Array.init n (fun v -> v) in
       Array.sort
@@ -81,20 +76,15 @@ let probe_density_of f ~occ ~probes =
              Cdcl.probe_pop s
          done
        with Exit -> ());
-      let probed = !ok + !failed in
       let d =
         if !ok = 0 then 0.0
         else float_of_int !growth /. float_of_int !ok /. float_of_int n
       in
-      let ff =
-        if probed = 0 then 0.0
-        else float_of_int !failed /. float_of_int probed
-      in
-      (d, ff, probed)
+      (d, !ok + !failed)
     end
   end
 
-let extract ?(probes = 32) f =
+let extract f =
   let t0 = Monotime.now_s () in
   let n = Cnf.Formula.nvars f and m = Cnf.Formula.nclauses f in
   let occ = Array.make (max n 1) 0 in
@@ -102,19 +92,14 @@ let extract ?(probes = 32) f =
   and bin_neg = Array.make (max n 1) 0
   and ter_pos = Array.make (max n 1) 0
   and ter_neg = Array.make (max n 1) 0 in
-  let bin = ref 0 and ter = ref 0 and horn = ref 0 in
   Cnf.Formula.iter_clauses f (fun c ->
       let len = Cnf.Clause.size c in
-      if len = 2 then incr bin;
-      if len = 3 then incr ter;
-      let pos_lits = ref 0 in
       List.iter
         (fun l ->
            let v = Cnf.Lit.var l in
            if v < n then begin
              occ.(v) <- occ.(v) + 1;
              if Cnf.Lit.is_pos l then begin
-               incr pos_lits;
                if len = 2 then bin_pos.(v) <- bin_pos.(v) + 1;
                if len = 3 then ter_pos.(v) <- ter_pos.(v) + 1
              end
@@ -123,26 +108,17 @@ let extract ?(probes = 32) f =
                if len = 3 then ter_neg.(v) <- ter_neg.(v) + 1
              end
            end)
-        (Cnf.Clause.to_list c);
-      if !pos_lits <= 1 then incr horn);
+        (Cnf.Clause.to_list c));
   let gate_like = ref 0 in
   for v = 0 to n - 1 do
     if gate_shaped ~bin_pos ~bin_neg ~ter_pos ~ter_neg v then incr gate_like
   done;
-  let fm = float_of_int (max 1 m) in
-  let probe_density, probe_failed_frac, probes_run =
-    probe_density_of f ~occ ~probes
-  in
+  let probe_density, probes_run = probe_density_of f ~occ in
   {
     nvars = n;
     nclauses = m;
-    clause_var_ratio = float_of_int m /. float_of_int (max 1 n);
-    binary_frac = float_of_int !bin /. fm;
-    ternary_frac = float_of_int !ter /. fm;
-    horn_frac = float_of_int !horn /. fm;
     gate_like_frac = float_of_int !gate_like /. float_of_int (max 1 n);
     probe_density;
-    probe_failed_frac;
     probes_run;
     extraction_time_s = Monotime.now_s () -. t0;
   }
@@ -151,11 +127,10 @@ let extract ?(probes = 32) f =
 
 (* The decision table (docs/TUNING.md "Selector decision table").  Each
    dimension fires exactly one rule; [reason] records the fired ids in
-   order engine, preprocess, restarts, guidance. *)
+   order engine, preprocess. *)
 let select ?(jobs = 1) (ft : features) =
   let fired = ref [] in
   let fire id v = fired := id :: !fired; v in
-  let g = ft.gate_like_frac in
   let engine =
     if jobs <= 1 then fire "E1" Sequential
     else if ft.probe_density >= 0.02 && ft.nvars >= 64 then
@@ -164,17 +139,10 @@ let select ?(jobs = 1) (ft : features) =
   in
   let preprocess =
     if ft.nclauses < 200 then fire "P1" Pre_off
-    else if g >= 0.25 then fire "P2" Pre_full
+    else if ft.gate_like_frac >= 0.25 then fire "P2" Pre_full
     else fire "P3" Pre_basic
   in
-  let restarts =
-    if g >= 0.25 then fire "R1" (Types.Luby 100)
-    else if ft.clause_var_ratio >= 3.5 && ft.ternary_frac >= 0.5 then
-      fire "R2" (Types.Luby 512)
-    else fire "R3" (Types.Luby 100)
-  in
-  let guided = if g >= 0.25 then fire "G1" true else fire "G0" false in
-  { engine; preprocess; restarts; guided; reason = List.rev !fired }
+  { engine; preprocess; reason = List.rev !fired }
 
 (* --- rendering and metrics ----------------------------------------------- *)
 
@@ -188,45 +156,18 @@ let preprocess_label = function
   | Pre_basic -> "basic"
   | Pre_full -> "full"
 
-let restarts_label = function
-  | Types.No_restarts -> "none"
-  | Types.Luby b -> Printf.sprintf "luby(%d)" b
-  | Types.Geometric (b, f) -> Printf.sprintf "geometric(%d,%.2f)" b f
-
 let feature_fields ft =
   [
     ("nvars", float_of_int ft.nvars);
     ("nclauses", float_of_int ft.nclauses);
-    ("clause_var_ratio", ft.clause_var_ratio);
-    ("binary_frac", ft.binary_frac);
-    ("ternary_frac", ft.ternary_frac);
-    ("horn_frac", ft.horn_frac);
     ("gate_like_frac", ft.gate_like_frac);
     ("probe_density", ft.probe_density);
-    ("probe_failed_frac", ft.probe_failed_frac);
     ("probes_run", float_of_int ft.probes_run);
     ("extraction_time_s", ft.extraction_time_s);
   ]
 
-let pp_features ppf ft =
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "%s=%g@ " k v)
-    (feature_fields ft)
-
-let pp_policy ppf p =
-  Format.fprintf ppf
-    "engine=%s@ preprocess=%s@ restarts=%s@ guided=%b@ rules=%s"
-    (engine_label p.engine)
-    (preprocess_label p.preprocess)
-    (restarts_label p.restarts)
-    p.guided
-    (String.concat "," p.reason)
-
 let emit_metrics reg ft p =
   Metrics.incr (Metrics.counter reg "autotune/runs");
-  Metrics.set_gauge
-    (Metrics.gauge reg "autotune/clause_var_ratio")
-    ft.clause_var_ratio;
   Metrics.set_gauge
     (Metrics.gauge reg "autotune/gate_like_frac")
     ft.gate_like_frac;
@@ -240,5 +181,4 @@ let emit_metrics reg ft p =
     | Portfolio_race _ -> "autotune/engine_portfolio"
     | Cube_conquer _ -> "autotune/engine_cube"
   in
-  Metrics.incr (Metrics.counter reg engine_counter);
-  if p.guided then Metrics.incr (Metrics.counter reg "autotune/guided")
+  Metrics.incr (Metrics.counter reg engine_counter)

@@ -3,14 +3,13 @@
 
     The DAC-2000 premise is that EDA-generated instances carry
     exploitable structure; this module measures that structure cheaply
-    — syntactic clause-shape statistics plus a probe-measured
+    — a syntactic gate-shape count plus a probe-measured
     propagation density (cf. Semenov et al.'s LEC hardness estimation)
-    — and maps the measurements to a solving policy (engine,
-    preprocessing level, restart schedule, guidance)
-    through a small published decision table.
+    — and maps the measurements to a solving policy (engine and
+    preprocessing level) through a small published decision table.
 
     The formulas and the table are a reimplementable contract in
-    [docs/TUNING.md], pinned by [test/test_guide.ml]: given the same
+    [docs/TUNING.md], pinned by [test/test_autotune.ml]: given the same
     formula, [extract] is deterministic and [select] is a pure function
     of the features, so [satsolve --explain-tuning] output can be
     checked against the document by hand.  Tuning is purely heuristic —
@@ -19,20 +18,14 @@
 type features = {
   nvars : int;
   nclauses : int;
-  clause_var_ratio : float;  (** [nclauses / max 1 nvars] *)
-  binary_frac : float;  (** fraction of clauses of size 2 *)
-  ternary_frac : float;  (** fraction of clauses of size 3 *)
-  horn_frac : float;  (** fraction of clauses with <= 1 positive literal *)
   gate_like_frac : float;
       (** fraction of variables whose occurrence profile matches a
           Tseitin gate output: two binary clauses of one polarity plus
           a ternary clause of the other (either orientation) *)
   probe_density : float;
       (** mean trail growth per non-conflicting probe over the
-          [min probes nvars] highest-occurrence variables, divided by
-          [nvars]; 0 when probing is disabled or every probe conflicts *)
-  probe_failed_frac : float;
-      (** fraction of probes that hit a conflict (failed literals) *)
+          [min 32 nvars] highest-occurrence variables, divided by
+          [nvars]; 0 when every probe conflicts *)
   probes_run : int;  (** probes actually executed *)
   extraction_time_s : float;  (** wall time spent in {!extract} *)
 }
@@ -50,19 +43,15 @@ type preprocess_level =
 type policy = {
   engine : engine_choice;
   preprocess : preprocess_level;
-  restarts : Types.restart_policy;
-  guided : bool;  (** seed activities/phases via {!Guide.of_formula} *)
   reason : string list;
       (** ids of the decision-table rules that fired, in dimension
-          order (engine, preprocess, restarts, guidance)
-          — e.g. [["E1"; "P2"; "R1"; "G1"]] *)
+          order (engine, preprocess) — e.g. [["E1"; "P2"]] *)
 }
 
-val extract : ?probes:int -> Cnf.Formula.t -> features
-(** Measure the formula.  [probes] (default 32) bounds the probe pass;
-    [probes = 0] skips solver construction entirely and leaves the
-    probe features at 0.  Deterministic: probe targets are the
-    highest-occurrence variables, ties broken toward the lower index. *)
+val extract : Cnf.Formula.t -> features
+(** Measure the formula, probing at most 32 variables.  Deterministic:
+    probe targets are the highest-occurrence variables, ties broken
+    toward the lower index. *)
 
 val select : ?jobs:int -> features -> policy
 (** Apply the decision table ([docs/TUNING.md]) at parallelism [jobs]
@@ -70,17 +59,12 @@ val select : ?jobs:int -> features -> policy
 
 val engine_label : engine_choice -> string
 val preprocess_label : preprocess_level -> string
-val restarts_label : Types.restart_policy -> string
 
 val feature_fields : features -> (string * float) list
 (** The features as ordered [(name, value)] pairs — the layout used by
     [--explain-tuning] and the bench emitter. *)
 
-val pp_features : Format.formatter -> features -> unit
-val pp_policy : Format.formatter -> policy -> unit
-
 val emit_metrics : Metrics.t -> features -> policy -> unit
 (** Record the [autotune/*] instruments: the [runs] counter, feature
-    gauges ([clause_var_ratio], [gate_like_frac], [probe_density],
-    [extraction_seconds]), the per-engine choice counters and the
-    [guided] counter.  See [docs/METRICS.md]. *)
+    gauges ([gate_like_frac], [probe_density], [extraction_seconds])
+    and the per-engine choice counters.  See [docs/METRICS.md]. *)

@@ -897,7 +897,6 @@ let create ?(config = Types.default) formula =
   done;
   Cnf.Formula.iter_clauses formula (fun c -> add_clause s (Cnf.Clause.to_list c));
   s.max_learnts <- max 100 (Vec.size s.clauses / 3);
-  Option.iter (apply_guidance s) config.Types.guide;
   s
 
 (* --- search --------------------------------------------------------------- *)

@@ -37,13 +37,11 @@ val no_plugin : plugin
 
 val create : ?config:Types.config -> Cnf.Formula.t -> t
 (** Builds a solver over a snapshot of the formula's clauses.  Later
-    clauses added to the [Formula.t] are not seen; use {!add_clause}.
-    When the configuration carries a [guide], it is applied once the
-    formula's variables and clauses are in (see {!apply_guidance}). *)
+    clauses added to the [Formula.t] are not seen; use {!add_clause}. *)
 
 val apply_guidance : t -> Types.guidance -> unit
-(** Seeds VSIDS activities and saved phases from structure-derived
-    guidance (see {!module:Guide} and [docs/TUNING.md]).  Activities in
+(** Seeds VSIDS activities and saved phases from branching guidance
+    (see [docs/TUNING.md] "Application semantics").  Activities in
     [[0, 1]] are scaled to the solver's current activity ceiling, so
     seeded variables are branched first but later conflict-driven bumps
     can overtake them; a seed below a variable's current activity is

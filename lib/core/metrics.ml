@@ -2,7 +2,7 @@
    timers, with a versioned JSON snapshot.  See metrics.mli and
    docs/METRICS.md for the schema contract. *)
 
-let schema_version = 2
+let schema_version = 3
 let schema_name = "satreda-metrics"
 
 type counter = { mutable n : int }

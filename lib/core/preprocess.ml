@@ -28,6 +28,7 @@ type simplified = {
 type result = Unsat | Simplified of simplified
 
 exception Found_unsat
+exception Out_of_time
 
 (* Elimination candidates have at most [elim_occ_cap] occurrences per
    polarity, and no committed resolvent is longer than [elim_clause_cap]
@@ -358,7 +359,7 @@ let live_clauses s =
 (* Probes both phases of every open variable on a solver built from the
    live clauses; failed literals are fixed (and so queued for
    propagation).  Returns whether any literal failed. *)
-let probe s =
+let probe ?deadline s =
   let solver =
     Cdcl.create (Cnf.Formula.of_clauses ~nvars:s.nvars (live_clauses s))
   in
@@ -377,6 +378,7 @@ let probe s =
     found := true
   in
   for v = 0 to s.nvars - 1 do
+    if Monotime.past deadline then raise Out_of_time;
     if s.assign.(v) < 0 && Cdcl.value_var solver v < 0 then begin
       let pos_ok = survives (Lit.pos v) in
       let neg_ok = survives (Lit.neg_of_var v) in
@@ -394,12 +396,21 @@ let probe s =
   done;
   !found
 
-let settle s =
-  while not (Queue.is_empty s.fixed && Queue.is_empty s.touched) do
+(* Propagates every fixed literal, and checks touched clauses until the
+   deadline has passed: an unchecked clause is at worst redundant. *)
+let settle ?deadline s =
+  let rec go () =
     match Queue.take_opt s.fixed with
-    | Some l -> propagate s l
-    | None -> backward s (Queue.take s.touched)
-  done
+    | Some l ->
+      propagate s l;
+      go ()
+    | None ->
+      if not (Queue.is_empty s.touched || Monotime.past deadline) then begin
+        backward s (Queue.take s.touched);
+        go ()
+      end
+  in
+  go ()
 
 let visit s ~pures v =
   s.queued.(v) <- false;
@@ -411,7 +422,7 @@ let visit s ~pures v =
   end
 
 let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
-    ?proof f =
+    ?proof ?deadline f =
   (* Pure-literal fixes are RAT but not RUP, so they cannot enter the
      DRAT stream this pipeline emits: with a proof sink, [pures]
      defaults to — and must be — off. *)
@@ -453,22 +464,27 @@ let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
        occurrences mean few resolvents.  Each step fixes or eliminates a
        variable, kills a clause or removes a literal, so the loop ends
        without a round cap, once a batch touches no variable and probing
-       (when on) finds no failed literal. *)
+       (when on) finds no failed literal.  The deadline is checked before
+       each visit, probe and subsumption check; once it has passed, a
+       last [settle] propagates the fixed literals, which leaves the
+       store and the elimination stack consistent, and the clauses so
+       far are returned as they stand. *)
     let cost v = s.nocc.(Lit.pos v) + s.nocc.(Lit.neg_of_var v) in
     let rec loop () =
-      settle s;
+      settle ?deadline s;
       let batch = Array.of_seq (Queue.to_seq s.vars) in
       Queue.clear s.vars;
       Array.sort (fun a b -> Int.compare (cost a) (cost b)) batch;
       Array.iter
         (fun v ->
+           if Monotime.past deadline then raise Out_of_time;
            visit s ~pures v;
-           settle s)
+           settle ?deadline s)
         batch;
-      let found = probe_failed_literals && probe s in
+      let found = probe_failed_literals && probe ?deadline s in
       if found || not (Queue.is_empty s.vars) then loop ()
     in
-    loop ();
+    (try loop () with Out_of_time -> settle ?deadline s);
     Simplified
       {
         formula = Cnf.Formula.of_clauses ~nvars (live_clauses s);

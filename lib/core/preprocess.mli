@@ -117,6 +117,7 @@ val run :
   ?elim:bool ->
   ?frozen:int list ->
   ?proof:(Types.proof_step -> unit) ->
+  ?deadline:float ->
   Cnf.Formula.t ->
   result
 (** Defaults: pure literals and bounded variable elimination on;
@@ -146,7 +147,13 @@ val run :
     to [false] and passing [pures:true] raises [Invalid_argument].
     When [run] returns [Unsat] the emitted stream ends with the empty
     clause and is a complete, self-contained refutation of the input
-    formula. *)
+    formula.
+
+    [deadline] is an absolute {!Monotime.now_s} instant, checked before
+    each variable visit and each probe; without it no clock is read.
+    Once it has passed, [run] stops and returns the clauses simplified
+    so far as [Simplified]: they are equisatisfiable with the input and
+    {!complete_model} is exact for them, as for a finished run. *)
 
 val complete_model : simplified -> bool array -> bool array
 (** Extends a model of the simplified formula to a model of the

@@ -104,7 +104,8 @@ let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
         in
         match
           Preprocess.run ~elim:pipeline.elim
-            ~probe_failed_literals:pipeline.probe_failed_literals ?proof f
+            ~probe_failed_literals:pipeline.probe_failed_literals ?proof
+            ?deadline f
         with
         | Preprocess.Unsat -> `Unsat
         | Preprocess.Simplified simp ->
@@ -206,7 +207,6 @@ module Auto = struct
   type plan = {
     features : Autotune.features;
     policy : Autotune.policy;
-    guidance : Types.guidance option;
     engine : engine;
     pipeline : pipeline;
   }
@@ -221,44 +221,27 @@ module Auto = struct
         equivalence = false; recursive_learning = 0 }
     | Autotune.Pre_full -> full_pipeline
 
-  let plan ?(jobs = 1) ?probes ?(config = Types.default) f =
-    let features = Autotune.extract ?probes f in
+  let plan ?(jobs = 1) ?(config = Types.default) f =
+    let features = Autotune.extract f in
     let policy = Autotune.select ~jobs features in
-    let cfg =
-      { config with
-        Types.restarts = policy.Autotune.restarts }
-    in
-    let guidance =
-      if policy.Autotune.guided then
-        let g = Guide.of_formula f in
-        if Guide.is_empty g then None else Some g
-      else None
-    in
-    let cfg =
-      match guidance with Some g -> Guide.apply_config g cfg | None -> cfg
-    in
     let engine =
       match policy.Autotune.engine with
-      | Autotune.Sequential -> Cdcl cfg
+      | Autotune.Sequential -> Cdcl config
       | Autotune.Portfolio_race j ->
         Portfolio
-          { Portfolio.default_options with Portfolio.jobs = j; config = cfg }
+          { Portfolio.default_options with Portfolio.jobs = j; config }
       | Autotune.Cube_conquer j ->
         Cube_conquer
-          { Conquer.default_options with Conquer.jobs = j; config = cfg }
+          { Conquer.default_options with Conquer.jobs = j; config }
     in
-    { features; policy; guidance; engine;
+    { features; policy; engine;
       pipeline = pipeline_of policy.Autotune.preprocess }
 
   let solve_plan ?metrics ?trace ?deadline p f =
-    (match metrics with
-     | Some m ->
-       Autotune.emit_metrics m p.features p.policy;
-       Option.iter (Guide.emit_metrics m) p.guidance
-     | None -> ());
+    Option.iter (fun m -> Autotune.emit_metrics m p.features p.policy) metrics;
     solve ?metrics ?trace ?deadline ~engine:p.engine ~pipeline:p.pipeline f
 
-  let solve ?metrics ?trace ?deadline ?jobs ?probes ?config f =
-    let p = plan ?jobs ?probes ?config f in
+  let solve ?metrics ?trace ?deadline ?jobs ?config f =
+    let p = plan ?jobs ?config f in
     (p, solve_plan ?metrics ?trace ?deadline p f)
 end

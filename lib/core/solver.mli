@@ -86,8 +86,10 @@ val solve :
     solver's own event stream.
 
     [deadline] (an absolute {!Monotime.now_s} instant) is checked
-    before each pipeline stage and handed, like [metrics] and [trace],
-    straight to the engine; once it passes, the outcome is
+    before each pipeline stage and between preprocessing's variable
+    visits ({!Preprocess.run}), and handed, like [metrics] and [trace],
+    straight to the engine; equivalence reasoning and recursive
+    learning run to their end once started; once it passes, the outcome is
     [Unknown "timeout"] and a proof-producing run reports the steps
     logged so far. *)
 
@@ -101,7 +103,7 @@ val solve_dimacs :
 (** Convenience: parse DIMACS text and solve. *)
 
 (** Auto-tuned front-end: measure the instance with {!Autotune.extract},
-    pick engine / preprocessing level / restart schedule / guidance from
+    pick the engine and preprocessing level from
     the published decision table ({!Autotune.select}, [docs/TUNING.md]),
     then run the ordinary {!solve} with the chosen recipe.  The plan is
     inspectable — [satsolve --explain-tuning] prints it — and tuning
@@ -111,33 +113,27 @@ module Auto : sig
   type plan = {
     features : Autotune.features;
     policy : Autotune.policy;
-    guidance : Types.guidance option;
-        (** present iff the policy asked for guidance ([G1]) and
-            {!Guide.of_formula} produced a non-empty seeding; already
-            attached to the engine's configuration *)
     engine : engine;
     pipeline : pipeline;
   }
 
-  val plan :
-    ?jobs:int -> ?probes:int -> ?config:Types.config -> Cnf.Formula.t -> plan
-  (** Extract features (with [probes] lookahead probes, default 32) and
-      apply the decision table at parallelism [jobs] (default 1).
-      [config] supplies the fields the policy does not set (seed,
-      deletion, budgets, proof logging, ...). *)
+  val plan : ?jobs:int -> ?config:Types.config -> Cnf.Formula.t -> plan
+  (** Extract features and apply the decision table at parallelism
+      [jobs] (default 1).  [config] (default {!Types.default}) is the
+      engine's solver configuration, restarts included: the table
+      picks only the engine and the pipeline. *)
 
   val solve_plan :
     ?metrics:Metrics.t -> ?trace:Trace.sink -> ?deadline:float -> plan ->
     Cnf.Formula.t -> report
   (** Run a previously computed plan.  With [metrics], first records
-      the [autotune/*] and [guide/*] instruments. *)
+      the [autotune/*] instruments. *)
 
   val solve :
     ?metrics:Metrics.t ->
     ?trace:Trace.sink ->
     ?deadline:float ->
     ?jobs:int ->
-    ?probes:int ->
     ?config:Types.config ->
     Cnf.Formula.t ->
     plan * report

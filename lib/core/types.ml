@@ -14,8 +14,6 @@ type guidance = {
   seed_phase : (int * bool) list;
 }
 
-let no_guidance = { seed_activity = []; seed_phase = [] }
-
 type config = {
   heuristic : heuristic;
   restarts : restart_policy;
@@ -28,7 +26,6 @@ type config = {
   max_conflicts : int option;
   max_decisions : int option;
   proof_logging : bool;
-  guide : guidance option;
 }
 
 let default =
@@ -44,7 +41,6 @@ let default =
     max_conflicts = None;
     max_decisions = None;
     proof_logging = false;
-    guide = None;
   }
 
 let grasp_like =

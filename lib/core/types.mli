@@ -43,13 +43,11 @@ type guidance = {
       (** [(var, phase)] initial saved phases — the polarity the solver
           tries first when it decides on [var] *)
 }
-(** Structure-derived branching advice, produced by {!module:Guide} (or
-    by the circuit substrate's simulation) and consumed by
-    {!Cdcl.apply_guidance}.  Purely heuristic: guidance never changes
-    answers, only the order in which the search visits them.  See
-    [docs/TUNING.md] for the seeding contract. *)
-
-val no_guidance : guidance
+(** Branching advice consumed by {!Cdcl.apply_guidance}; the sweep
+    seeds each newly emitted cone with it ([Aig.Session_cnf.lit_of]).
+    Purely heuristic: guidance never changes answers, only the order in
+    which the search visits them.  See [docs/TUNING.md]
+    ("Application semantics"). *)
 
 type config = {
   heuristic : heuristic;
@@ -68,11 +66,6 @@ type config = {
   proof_logging : bool;
       (** record every learned clause so {!module:Proof} can replay the
           derivation as a reverse-unit-propagation (RUP) proof *)
-  guide : guidance option;
-      (** seed activities and phases applied when a solver is created
-          over a non-empty formula (see {!Cdcl.create}); engines that
-          build their solvers lazily — sessions, sweeps — apply guidance
-          explicitly through {!Cdcl.apply_guidance} instead *)
 }
 
 val default : config

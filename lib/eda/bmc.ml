@@ -90,25 +90,10 @@ let extract_inputs seq frames m =
     frames
 
 let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
-    ?(incremental = true) ?(guide = false) ?timeout ~max_bound seq =
+    ?(incremental = true) ?timeout ~max_bound seq =
   S.validate seq;
   let t0 = Unix.gettimeofday () in
   let bad_node = bad_node_of seq bad_output in
-  (* one simulation pass over the frame circuit (state inputs free);
-     each encoded frame re-applies the observations through its own
-     node-to-literal map, seeding branching for the new variables *)
-  let observations =
-    if guide then Some (Circuit.Guidance.observe seq.S.comb) else None
-  in
-  let guide_frame sess frame =
-    Option.iter
-      (fun obs ->
-         Session.apply_guidance sess
-           (Circuit.Guidance.to_guide
-              ~lit_of_node:(fun id -> Some (frame id))
-              obs))
-      observations
-  in
   (* per-bound observability: bound time histogram + progress gauge;
      per-query solver deltas flow in through [Session.attach_metrics] *)
   let bound_time =
@@ -156,7 +141,6 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
       let frame = encode_frame sess seq !state in
       incr frames_encoded;
       frames := frame :: !frames;
-      guide_frame sess frame;
       let bad_lit = frame bad_node in
       (match solve_frame sess [ bad_lit ] with
        | Sat.Types.Sat m ->
@@ -187,7 +171,6 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
         let frame = encode_frame sess seq !state in
         incr frames_encoded;
         frames := frame :: !frames;
-        guide_frame sess frame;
         state := List.map frame seq.S.next_state
       done;
       let bad_lit = (List.hd !frames) bad_node in

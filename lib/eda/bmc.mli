@@ -36,19 +36,12 @@ val check :
   ?config:Sat.Types.config ->
   ?bad_output:string ->
   ?incremental:bool ->
-  ?guide:bool ->
   ?timeout:float ->
   max_bound:int ->
   Circuit.Sequential.t ->
   report
 (** [bad_output] (default ["bad"]) names the property output in the
     sequential circuit's combinational part.
-
-    [guide] (default off) runs one {!Circuit.Guidance.observe}
-    simulation pass over the frame circuit (state inputs treated as
-    free) and seeds each newly encoded frame's variables with the
-    derived activities and phases ({!Sat.Session.apply_guidance},
-    docs/TUNING.md).  Purely heuristic — results are unchanged.
 
     [incremental] (default [true]) extends one session across bounds —
     reaching bound k encodes each frame exactly once.  With

@@ -32,7 +32,6 @@ type t = {
   max_queue : int;
   max_conflicts_cap : int option;
   cube_threshold : int option;
-  autotune : bool;
   cache : Cache.t;
   mutable queued : int;  (* submitted to [exec], not yet started *)
   mutable inflight : int;
@@ -45,7 +44,6 @@ type t = {
   mutable errors : int;
   mutable peak_queue : int;
   mutable decomposed_n : int;
-  mutable autotuned_n : int;
   (* per-tenant metric registries, under their own lock so a slow
      merge never blocks admission *)
   tenants_lock : Mutex.t;
@@ -128,36 +126,15 @@ let solve_decomposed t job reg f =
     Sat.Conquer.solve ~exec:t.exec ~metrics:reg ~stop:job.stop
       ?deadline:job.deadline ~options f
   in
-  (r.Sat.Conquer.outcome, r.Sat.Conquer.stats, 0, false)
+  (r.Sat.Conquer.outcome, r.Sat.Conquer.stats, 0)
 
-(* Take a warm session holding a prefix, or start cold.  A cold
-   unbudgeted query may be auto-tuned: measure the formula, pick
-   restart schedule / guidance from the decision table
-   (docs/TUNING.md) at jobs=1 — the engine choice is the scheduler's
-   own.  Warm sessions keep their existing configuration: their value
-   is the carried-over solver state. *)
-let solve_incremental t job reg ~budget ~hashes ~full ~nclauses f =
+(* Take a warm session holding a prefix, or start cold. *)
+let solve_incremental t job reg ~budget ~hashes ~full ~nclauses =
   let p = job.params in
-  let sess, matched, tuned =
+  let sess, matched =
     match if p.use_cache then Cache.checkout t.cache hashes else None with
-    | Some (sess, i) -> (sess, i, None)
-    | None ->
-      let tuned =
-        if (not t.autotune) || budget <> None || p.max_decisions <> None then
-          None
-        else
-          let f = f () in
-          Some
-            (f, Sat.Autotune.select ~jobs:1 (Sat.Autotune.extract ~probes:16 f))
-      in
-      let config =
-        match tuned with
-        | Some (_, pol) ->
-          { (Cache.config t.cache) with
-            T.restarts = pol.Sat.Autotune.restarts }
-        | None -> Cache.config t.cache
-      in
-      (Sat.Session.create ~config (), 0, tuned)
+    | Some (sess, i) -> (sess, i)
+    | None -> (Sat.Session.create ~config:(Cache.config t.cache) (), 0)
   in
   Sat.Session.attach_metrics sess reg;
   (* grow the session to the full clause sequence *)
@@ -165,12 +142,6 @@ let solve_incremental t job reg ~budget ~hashes ~full ~nclauses f =
   List.iter
     (fun c -> Sat.Session.add_clause sess (List.map Cnf.Lit.of_dimacs c))
     (drop matched p.clauses);
-  (* guidance seeds need the variables to exist, i.e. after the
-     clauses are in *)
-  (match tuned with
-   | Some (f, pol) when pol.Sat.Autotune.guided ->
-     Sat.Session.apply_guidance sess (Sat.Guide.of_formula f)
-   | Some _ | None -> ());
   let outcome =
     Sat.Session.solve
       ~assumptions:(List.map Cnf.Lit.of_dimacs p.assumptions)
@@ -178,7 +149,7 @@ let solve_incremental t job reg ~budget ~hashes ~full ~nclauses f =
       ?deadline:job.deadline sess
   in
   if p.use_cache then Cache.checkin t.cache ~hash:full ~nclauses sess;
-  (outcome, Sat.Session.last_stats sess, matched, tuned <> None)
+  (outcome, Sat.Session.last_stats sess, matched)
 
 let process t job =
   let p = job.params in
@@ -196,9 +167,6 @@ let process t job =
     let nclauses = Array.length hashes - 1 in
     let full = hashes.(nclauses) in
     let budget = combine_budget p.max_conflicts t.max_conflicts_cap in
-    let f () =
-      Cnf.Formula.of_clauses (List.map Cnf.Clause.of_dimacs_list p.clauses)
-    in
     (* budgeted queries keep their exact budget semantics on the
        incremental path; only unbudgeted assumption-free bulk queries
        decompose *)
@@ -210,9 +178,12 @@ let process t job =
       | None -> false
     in
     let reg = Sat.Metrics.create () in
-    let outcome, st, matched, tuned =
-      if decomposed then solve_decomposed t job reg (f ())
-      else solve_incremental t job reg ~budget ~hashes ~full ~nclauses f
+    let outcome, st, matched =
+      if decomposed then
+        solve_decomposed t job reg
+          (Cnf.Formula.of_clauses
+             (List.map Cnf.Clause.of_dimacs_list p.clauses))
+      else solve_incremental t job reg ~budget ~hashes ~full ~nclauses
     in
     let outcome = cancelled_if_stopped outcome in
     if p.use_cache then
@@ -232,7 +203,6 @@ let process t job =
       (fun t ->
          t.queries <- t.queries + 1;
          if decomposed then t.decomposed_n <- t.decomposed_n + 1;
-         if tuned then t.autotuned_n <- t.autotuned_n + 1;
          count_stop t outcome)
   end
 
@@ -260,7 +230,7 @@ let serve t job =
 (* --- lifecycle ------------------------------------------------------------ *)
 
 let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?cube_threshold
-    ?(autotune = false) ?cache () =
+    ?cache () =
   let njobs =
     match jobs with
     | Some n -> max 1 n
@@ -273,7 +243,6 @@ let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?cube_threshold
     max_queue;
     max_conflicts_cap;
     cube_threshold;
-    autotune;
     cache = (match cache with Some c -> c | None -> Cache.create ());
     queued = 0;
     inflight = 0;
@@ -285,7 +254,6 @@ let create ?jobs ?(max_queue = 128) ?max_conflicts_cap ?cube_threshold
     errors = 0;
     peak_queue = 0;
     decomposed_n = 0;
-    autotuned_n = 0;
     tenants_lock = Mutex.create ();
     tenants = Hashtbl.create 8;
   }
@@ -377,7 +345,6 @@ let stats_json t =
         ("overloaded", J.Int t.overloaded_n);
         ("errors", J.Int t.errors);
         ("decomposed", J.Int t.decomposed_n);
-        ("autotuned", J.Int t.autotuned_n);
         ("queue_depth", J.Int t.queued);
         ("peak_queue_depth", J.Int t.peak_queue);
         ("inflight", J.Int t.inflight);

@@ -45,7 +45,6 @@ val create :
   ?max_queue:int ->
   ?max_conflicts_cap:int ->
   ?cube_threshold:int ->
-  ?autotune:bool ->
   ?cache:Cache.t ->
   unit ->
   t
@@ -69,17 +68,7 @@ val create :
     the incremental path.  Results still land in the result cache; the
     query's stop token and deadline reach the lookahead and every cube
     query, so cancellation and deadlines stop the decomposed run the
-    same way.
-
-    With [autotune] (default off), each {e cold, unbudgeted} query is
-    measured with {!Sat.Autotune.extract} and its fresh session gets
-    the restart schedule and optional
-    {!Sat.Guide.of_formula} seeding the decision table picks at jobs=1
-    (docs/TUNING.md; the engine dimension stays the scheduler's own).
-    Warm pool hits keep their configuration — carried-over solver
-    state is the whole point of the pool — and budgeted queries keep
-    exact budget semantics untouched.  The [autotuned] counter in
-    {!stats_json} counts tuned queries. *)
+    same way. *)
 
 val submit :
   t ->

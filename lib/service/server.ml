@@ -10,7 +10,6 @@ type config = {
   max_frame : int;
   max_conflicts_cap : int option;
   cube_threshold : int option;
-  autotune : bool;
   max_results : int;
   max_sessions : int;
   verbose : bool;
@@ -25,7 +24,6 @@ let default_config =
     max_frame = 16 * 1024 * 1024;
     max_conflicts_cap = None;
     cube_threshold = None;
-    autotune = false;
     max_results = 4096;
     max_sessions = 64;
     verbose = false;
@@ -156,8 +154,7 @@ let create (cfg : config) =
     sched =
       Scheduler.create ~jobs:cfg.jobs ~max_queue:cfg.max_queue
         ?max_conflicts_cap:cfg.max_conflicts_cap
-        ?cube_threshold:cfg.cube_threshold
-        ~autotune:cfg.autotune ~cache ();
+        ?cube_threshold:cfg.cube_threshold ~cache ();
     listeners;
     unix_path = cfg.unix_path;
     wake_r;

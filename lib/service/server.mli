@@ -37,9 +37,6 @@ type config = {
           this many clauses by cube-and-conquer on the same pool
           ({!Scheduler.create});
           [None] disables decomposition *)
-  autotune : bool;
-      (** tune each cold unbudgeted query's restarts and guidance per
-          the docs/TUNING.md decision table ({!Scheduler.create}) *)
   max_results : int;  (** result-cache capacity *)
   max_sessions : int;  (** warm-session-pool capacity *)
   verbose : bool;  (** connection/query logging on [stderr] *)

@@ -187,6 +187,23 @@ let timeout_any_engine () =
   Alcotest.(check int) "--check combines with --timeout" 20
     (run [ example "php43.cnf"; "--check"; "--timeout"; "30" ])
 
+let timeout_stops_preprocessing () =
+  (* bounded variable elimination alone takes most of a second on this
+     formula; the deadline cuts it short, so the whole run answers
+     well inside 0.6 s *)
+  in_tmp ".cnf" (fun cnf ->
+      Cnf.Dimacs.write_file cnf
+        (Test_cube.random_3cnf ~seed:1 ~nvars:20_000 ~ratio:4.2);
+      let limit = Th.within 0.6 in
+      let code, lines =
+        run_lines [ cnf; "--preprocess"; "--timeout"; "0.1" ]
+      in
+      Alcotest.(check bool) "answers before the slack runs out" false
+        (Sat.Monotime.past (Some limit));
+      Alcotest.(check int) "UNKNOWN exits 0" 0 code;
+      Alcotest.(check bool) "reports the timeout" true
+        (List.mem "s UNKNOWN (timeout)" lines))
+
 let timeout_keeps_the_search () =
   (* a deadline that does not expire changes nothing about the search *)
   in_tmp ".cnf" (fun cnf ->
@@ -223,4 +240,5 @@ let suite =
     Th.case "--trace schema" trace_schema;
     Th.case "--timeout with every engine" timeout_any_engine;
     Th.case "--timeout keeps the search" timeout_keeps_the_search;
+    Th.case "--timeout stops preprocessing" timeout_stops_preprocessing;
   ]

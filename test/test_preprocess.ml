@@ -223,6 +223,35 @@ let frozen_growth_sound () =
          Alcotest.failf "seed %d: inconclusive session query" seed)
   done
 
+(* A deadline already past stops the run before its first variable
+   visit, with nothing eliminated; the fixed literals are still
+   propagated, so no output clause mentions a fixed variable, and a
+   model of the output extends to one of the input.  The formulas
+   carry unit clauses (lengths 1 to 3), so that propagation has work. *)
+let past_deadline_sound () =
+  let deadline = Th.within (-1.) in
+  for seed = 0 to 49 do
+    let rng = Sat.Rng.create (seed + 101) in
+    let f = Th.random_cnf rng 30 (40 + Sat.Rng.int rng 60) 3 in
+    let expected = Th.outcome_sat (Th.solve_cdcl f) in
+    match P.run ~probe_failed_literals:(seed mod 2 = 0) ~deadline f with
+    | P.Unsat -> Alcotest.(check bool) "unsat verdict" false expected
+    | P.Simplified s ->
+      Alcotest.(check int) "nothing eliminated" 0 s.P.stats.P.eliminated;
+      Cnf.Formula.iter_clauses s.P.formula (fun c ->
+          List.iter
+            (fun l ->
+               Alcotest.(check bool) "no fixed variable left" false
+                 (List.mem_assoc (Cnf.Lit.var l) s.P.fix))
+            (Cnf.Clause.to_list c));
+      (match Th.solve_cdcl s.P.formula with
+       | Sat.Types.Sat m ->
+         let full = P.complete_model s m in
+         Alcotest.(check bool) "completed model satisfies the input" true
+           (expected && Cnf.Formula.eval (fun v -> full.(v)) f)
+       | _ -> Alcotest.(check bool) "unsat verdict" false expected)
+  done
+
 let suite =
   [
     Th.case "units" units_propagated;
@@ -235,6 +264,7 @@ let suite =
     Th.case "bve respects frozen" bve_respects_frozen;
     Th.case "bve respects caps" bve_respects_caps;
     Th.case "frozen elimination sound under session growth" frozen_growth_sound;
+    Th.case "past deadline keeps the store sound" past_deadline_sound;
     Th.qcheck prop_bve_vs_dpll;
     Th.qcheck prop_equisatisfiable_and_model_complete;
   ]
