@@ -9,8 +9,11 @@ and reduced = {
   merged : int;
 }
 
-(* Iterative Tarjan SCC over the literal implication graph. *)
-let sccs nlits succ =
+exception Out_of_time
+
+(* Iterative Tarjan SCC over the literal implication graph; the
+   deadline is checked before each step of the search. *)
+let sccs ?deadline nlits succ =
   let index = Array.make nlits (-1) in
   let low = Array.make nlits 0 in
   let on_stack = Array.make nlits false in
@@ -27,6 +30,7 @@ let sccs nlits succ =
     Vec.push stack root;
     on_stack.(root) <- true;
     while not (Vec.is_empty call) do
+      if Monotime.past deadline then raise Out_of_time;
       let node, si = Vec.pop call in
       let children = succ node in
       if si < List.length children then begin
@@ -65,20 +69,12 @@ let sccs nlits succ =
   done;
   (comp, !ncomp)
 
-let detect f =
+(* Substitutes the minimum literal of each component for its members,
+   unless some component holds both phases of a variable. *)
+let reduce f comp =
   let n = Cnf.Formula.nvars f in
-  let nlits = 2 * max 1 n in
-  let adj = Array.make nlits [] in
-  Cnf.Formula.iter_clauses f (fun c ->
-      match Clause.to_list c with
-      | [ a; b ] ->
-        adj.(Lit.negate a) <- b :: adj.(Lit.negate a);
-        adj.(Lit.negate b) <- a :: adj.(Lit.negate b)
-      | _ -> ());
-  let comp, _ = sccs nlits (fun l -> adj.(l)) in
-  (* minimum literal of each component *)
   let min_of = Hashtbl.create 16 in
-  for l = nlits - 1 downto 0 do
+  for l = Array.length comp - 1 downto 0 do
     Hashtbl.replace min_of comp.(l) l
   done;
   let contradiction = ref false in
@@ -102,6 +98,21 @@ let detect f =
           (Clause.of_list (List.map map_lit (Clause.to_list c))));
     Reduced { formula = g; rep; merged = !merged }
   end
+
+let detect ?deadline f =
+  let n = Cnf.Formula.nvars f in
+  let nlits = 2 * max 1 n in
+  let adj = Array.make nlits [] in
+  Cnf.Formula.iter_clauses f (fun c ->
+      match Clause.to_list c with
+      | [ a; b ] ->
+        adj.(Lit.negate a) <- b :: adj.(Lit.negate a);
+        adj.(Lit.negate b) <- a :: adj.(Lit.negate b)
+      | _ -> ());
+  match sccs ?deadline nlits (fun l -> adj.(l)) with
+  | comp, _ -> reduce f comp
+  | exception Out_of_time ->
+    Reduced { formula = f; rep = Array.init (max 1 n) Lit.pos; merged = 0 }
 
 let complete_model ~rep model =
   let m = Array.copy model in

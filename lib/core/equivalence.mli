@@ -21,9 +21,14 @@ and reduced = {
   merged : int;  (** number of variables eliminated by substitution *)
 }
 
-val detect : Cnf.Formula.t -> result
+val detect : ?deadline:float -> Cnf.Formula.t -> result
 (** Builds the implication graph from the binary clauses, computes SCCs
-    (Tarjan), and substitutes class representatives throughout. *)
+    (Tarjan), and substitutes class representatives throughout.
+
+    [deadline] is an absolute {!Monotime.now_s} instant, checked before
+    each step of the SCC search; once it has passed, [detect] returns
+    the input formula itself with every variable its own
+    representative and [merged = 0].  Without it no clock is read. *)
 
 val complete_model : rep:Cnf.Lit.t array -> bool array -> bool array
 (** Extends a model of the reduced formula to the merged variables. *)

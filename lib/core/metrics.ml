@@ -161,6 +161,11 @@ let time t name f =
       tm.runs <- tm.runs + 1)
     f
 
+let add_time t name s =
+  let tm = timer t name in
+  tm.seconds <- tm.seconds +. s;
+  tm.runs <- tm.runs + 1
+
 let timer_seconds tm = tm.seconds
 
 (* --- solver instruments --------------------------------------------------- *)

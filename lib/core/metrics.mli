@@ -91,6 +91,10 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** Runs the thunk, adding its duration to the timer (also on
     exceptions). *)
 
+val add_time : t -> string -> float -> unit
+(** [add_time t name s] adds one run of [s] seconds to the timer: for
+    durations a caller summed over many short intervals itself. *)
+
 val timer_seconds : timer -> float
 
 (** {1 Solver instruments} — the standard search-shape histograms. *)

@@ -41,16 +41,70 @@ let elim_clause_cap = 8
    [live], and strengthening removes the old slot and adds the shorter
    clause as a new one, so an entry of [occ.(l)] is valid exactly while
    its slot is live.  Dead entries are skipped on traversal and dropped
-   when an elimination attempt rescans the list — the SatELite
-   discipline, matching the solver's lazy watcher deletion. *)
-type slot = { c : Clause.t; mutable live : bool }
+   before the next scan of the list — the SatELite discipline, matching
+   the solver's lazy watcher deletion.
+
+   A slot also carries its clause's signature [sg]: bit [l mod 63] is
+   set for every literal [l].  A clause can contain another only if its
+   signature contains the other's, so every candidate test in
+   [backward] first compares signatures and reads the literals of a
+   clause (with [count_marked]) only when they pass.  A rejection by
+   signature is always one [count_marked] would have made, so the
+   filter changes what the tests cost, never what they find. *)
+type slot = { c : Clause.t; sg : int; mutable live : bool }
+
+let lit_bit l = 1 lsl (l mod 63)
+let no_slot = { c = Clause.of_list []; sg = 0; live = false }
+
+(* The occurrences of one literal, oldest first, in [ds.(0 .. n-1)].
+   [sgs] holds a copy of each slot's signature, so a scan rejects most
+   candidates without following the pointer to their slot.  Scans run
+   newest first. *)
+type occ = { mutable ds : slot array; mutable sgs : int array; mutable n : int }
+
+let push o d =
+  if o.n = Array.length o.ds then begin
+    let cap = max 4 (2 * o.n) in
+    let ds = Array.make cap no_slot and sgs = Array.make cap 0 in
+    Array.blit o.ds 0 ds 0 o.n;
+    Array.blit o.sgs 0 sgs 0 o.n;
+    o.ds <- ds;
+    o.sgs <- sgs
+  end;
+  o.ds.(o.n) <- d;
+  o.sgs.(o.n) <- d.sg;
+  o.n <- o.n + 1
+
+(* drops the dead slots, keeping the order of the live ones *)
+let compact o =
+  let j = ref 0 in
+  for i = 0 to o.n - 1 do
+    let d = o.ds.(i) in
+    if d.live then begin
+      o.ds.(!j) <- d;
+      o.sgs.(!j) <- o.sgs.(i);
+      incr j
+    end
+  done;
+  Array.fill o.ds !j (o.n - !j) no_slot;
+  o.n <- !j
+
+(* the slots whose signature passes [ok], newest first *)
+let iter_occ o ok f =
+  for i = o.n - 1 downto 0 do
+    if ok o.sgs.(i) then f o.ds.(i)
+  done
+
+let exists_occ o ok p =
+  let rec go i = i >= 0 && ((ok o.sgs.(i) && p o.ds.(i)) || go (i - 1)) in
+  go (o.n - 1)
 
 type state = {
   nvars : int;
   assign : int array; (* var -> -1/0/1 *)
   frozen : bool array; (* var -> never eliminated *)
   store : slot Vec.t; (* insertion order, which is output order *)
-  occ : slot list array;
+  occ : occ array;
   nocc : int array; (* live occurrences per literal *)
   mark : bool array; (* per literal; scratch for [backward] *)
   fixed : Lit.t Queue.t; (* fixed, not yet propagated through [occ] *)
@@ -60,8 +114,32 @@ type state = {
   mutable fix : (int * bool) list;
   mutable elim : elimination list; (* newest first *)
   emit : Types.proof_step -> unit; (* DRAT sink; a no-op without ?proof *)
+  spent : float array option; (* seconds per [passes] entry, with ?metrics *)
   st : stats;
 }
+
+(* The per-pass timers [run] reports with [?metrics], indexed as
+   [spent]: settling the fixed-literal and touched-clause queues (unit
+   propagation, subsumption and strengthening), variable visits (pure
+   literals and elimination) and failed-literal probing. *)
+let passes =
+  [| "preprocess/subsumption"; "preprocess/elimination"; "preprocess/probing" |]
+
+(* [f ()], its time added to pass [k] when the run is timed; an
+   untimed run reads no clock *)
+let timed s k f =
+  match s.spent with
+  | None -> f ()
+  | Some spent ->
+    let t0 = Monotime.now_s () in
+    let stop () = spent.(k) <- spent.(k) +. (Monotime.now_s () -. t0) in
+    (match f () with
+     | r ->
+       stop ();
+       r
+     | exception e ->
+       stop ();
+       raise e)
 
 let lit_value s l =
   let a = s.assign.(Lit.var l) in
@@ -119,11 +197,14 @@ let add s c =
           stripped
         end
       in
-      let d = { c; live = true } in
+      let d =
+        { c; sg = List.fold_left (fun g l -> g lor lit_bit l) 0 free;
+          live = true }
+      in
       Vec.push s.store d;
       List.iter
         (fun l ->
-           s.occ.(l) <- d :: s.occ.(l);
+           push s.occ.(l) d;
            s.nocc.(l) <- s.nocc.(l) + 1)
         free;
       Queue.add d s.touched
@@ -145,16 +226,23 @@ let kill s d =
 (* A fixed literal kills the clauses it satisfies and strips its
    complement from the rest, re-adding them as touched clauses. *)
 let propagate s l =
-  List.iter (fun d -> if d.live then kill s d) s.occ.(l);
+  let all _ = true in
+  iter_occ s.occ.(l) all (fun d -> if d.live then kill s d);
+  iter_occ s.occ.(Lit.negate l) all (fun d ->
+      if d.live then begin
+        detach s d;
+        add s d.c
+      end);
+  (* neither literal occurs again: [add] drops both *)
   List.iter
-    (fun d ->
-       if d.live then begin
-         detach s d;
-         add s d.c
-       end)
-    s.occ.(Lit.negate l);
-  s.occ.(l) <- [];
-  s.occ.(Lit.negate l) <- []
+    (fun l -> s.occ.(l) <- { ds = [||]; sgs = [||]; n = 0 })
+    [ l; Lit.negate l ]
+
+(* [occ.(l)] with its dead slots dropped for good *)
+let live_occ s l =
+  let o = s.occ.(l) in
+  if o.n > s.nocc.(l) then compact o;
+  o
 
 let count_marked s c =
   let n = ref 0 in
@@ -182,7 +270,11 @@ let strengthen s d l =
    older-clause checks catch resolvents and strengthened clauses that
    arrive after their subsumer or strengthener was checked.  A touched
    clause also queues its variables: new occurrences can enable an
-   elimination, for instance by completing a gate definition. *)
+   elimination, for instance by completing a gate definition.  Each
+   candidate [d] must pass a signature test before [count_marked] reads
+   it: [sg cs ⊆ sg d] to be subsumed, [sg d ⊆ sg cs] to subsume,
+   [sg d ⊆ sg cs ∪ bit ¬l] to strengthen [cs], and
+   [sg cs \ bit l ⊆ sg d] to be strengthened. *)
 let backward s cs =
   if cs.live then begin
     let c = cs.c and k = Clause.size cs.c in
@@ -193,19 +285,23 @@ let backward s cs =
       touch_var s (Lit.var l);
       if s.nocc.(l) < s.nocc.(!rare) then rare := l
     done;
+    let sg = cs.sg in
     let other d = d.live && d != cs in
-    List.iter
+    iter_occ (live_occ s !rare)
+      (fun g -> sg land lnot g = 0)
       (fun d ->
          if other d && Clause.size d.c >= k && count_marked s d.c = k then begin
            kill s d;
            s.st.subsumed <- s.st.subsumed + 1
-         end)
-      s.occ.(!rare);
+         end);
     let subsumer d =
       other d && Clause.size d.c < k && count_marked s d.c = Clause.size d.c
     in
+    let within g = g land lnot sg = 0 in
     let rec subsumed i =
-      i < k && (List.exists subsumer s.occ.(Clause.get c i) || subsumed (i + 1))
+      i < k
+      && (exists_occ (live_occ s (Clause.get c i)) within subsumer
+          || subsumed (i + 1))
     in
     if subsumed 0 then begin
       kill s cs;
@@ -220,14 +316,18 @@ let backward s cs =
         if i < k then begin
           let l = Clause.get c i in
           let nl = Lit.negate l in
-          if List.exists strengthens_cs s.occ.(nl) then strengthen s cs l
+          let o = live_occ s nl in
+          let with_nl = sg lor lit_bit nl in
+          if exists_occ o (fun g -> g land lnot with_nl = 0) strengthens_cs
+          then strengthen s cs l
           else begin
-            List.iter
+            let rest = sg land lnot (lit_bit l) in
+            iter_occ o
+              (fun g -> rest land lnot g = 0)
               (fun d ->
                  if other d && Clause.size d.c >= k
                     && count_marked s d.c = k - 1
-                 then strengthen s d nl)
-              s.occ.(nl);
+                 then strengthen s d nl);
             self_subsume (i + 1)
           end
         end
@@ -239,46 +339,68 @@ let backward s cs =
     done
   end
 
+(* The size of the resolvent of [a] and [b] on [v], or [-1] when it is
+   a tautology, counted on [mark] without building the clause. *)
+let resolvent_size s v a b =
+  let set a flag =
+    for i = 0 to Clause.size a.c - 1 do
+      let l = Clause.get a.c i in
+      if Lit.var l <> v then s.mark.(l) <- flag
+    done
+  in
+  set a true;
+  let n = ref (Clause.size a.c - 1) and taut = ref false in
+  for i = 0 to Clause.size b.c - 1 do
+    let l = Clause.get b.c i in
+    if Lit.var l <> v then
+      if s.mark.(Lit.negate l) then taut := true
+      else if not s.mark.(l) then incr n
+  done;
+  set a false;
+  if !taut then -1 else !n
+
 let try_eliminate s v =
   let lp = Lit.pos v and ln = Lit.neg_of_var v in
   let np = s.nocc.(lp) and nn = s.nocc.(ln) in
   if np + nn > 0 && np <= elim_occ_cap && nn <= elim_occ_cap then begin
+    (* newest first *)
     let live l =
-      let ds = List.filter (fun d -> d.live) s.occ.(l) in
-      s.occ.(l) <- ds;
-      ds
+      let o = live_occ s l in
+      List.init o.n (fun i -> o.ds.(o.n - 1 - i))
     in
     let pos = live lp and neg = live ln in
-    (* stage the resolvent set; abort if one resolvent exceeds the
-       clause-size cap or the set outgrows the clauses removed *)
+    (* Stage the resolvent set, given as an iterator over its clause
+       pairs: it is built only when no resolvent exceeds the clause-size
+       cap and the set does not outgrow the clauses removed, both
+       checked on sizes alone. *)
     let limit = np + nn in
+    let fits pairs =
+      let count = ref 0 in
+      match
+        pairs (fun a b ->
+            let n = resolvent_size s v a b in
+            if n >= 0 then begin
+              if n > elim_clause_cap || !count >= limit then raise Exit;
+              incr count
+            end)
+      with
+      | () -> true
+      | exception Exit -> false
+    in
     let resolve_pair a b =
       let side d = List.filter (fun l -> Lit.var l <> v) (Clause.to_list d.c) in
       Clause.of_list (side a @ side b)
     in
+    (* newest first, as the commit emits and adds them *)
     let stage pairs =
-      let resolvents = ref [] in
-      let count = ref 0 in
-      let ok = ref true in
-      (try
-         List.iter
-           (fun (a, b) ->
-              let r = resolve_pair a b in
-              if not (Clause.is_tautology r) then begin
-                if Clause.size r > elim_clause_cap then begin
-                  ok := false;
-                  raise Exit
-                end;
-                incr count;
-                if !count > limit then begin
-                  ok := false;
-                  raise Exit
-                end;
-                resolvents := r :: !resolvents
-              end)
-           pairs
-       with Exit -> ());
-      if !ok then Some (!resolvents, !count) else None
+      if not (fits pairs) then None
+      else begin
+        let resolvents = ref [] in
+        pairs (fun a b ->
+            let r = resolve_pair a b in
+            if not (Clause.is_tautology r) then resolvents := r :: !resolvents);
+        Some (!resolvents, List.length !resolvents)
+      end
     in
     (* Definition substitution (SatELite): when [v] is the output of an
        AND/OR-shaped gate — one clause (p ∨ m₁ ∨ … ∨ mₖ) whose every [mᵢ]
@@ -288,33 +410,36 @@ let try_eliminate s v =
        the restricted set lets fanout variables be eliminated where the
        full product would blow the bound. *)
     let find_definition p side_p side_n =
-      List.find_map
-        (fun d ->
-           let others =
-             List.filter (fun l -> not (Lit.equal l p)) (Clause.to_list d.c)
-           in
-           if others = [] then None
-           else
-             let bins =
-               List.map
-                 (fun m ->
-                    List.find_opt
-                      (fun b ->
-                         Clause.size b.c = 2 && Clause.mem (Lit.negate m) b.c)
-                      side_n)
-                 others
+      match List.filter (fun b -> Clause.size b.c = 2) side_n with
+      | [] -> None
+      | binaries ->
+        List.find_map
+          (fun d ->
+             let others =
+               List.filter (fun l -> not (Lit.equal l p)) (Clause.to_list d.c)
              in
-             if List.for_all Option.is_some bins then
-               Some (d, List.filter_map Fun.id bins)
-             else None)
-        side_p
+             if others = [] then None
+             else
+               let bins =
+                 List.map
+                   (fun m ->
+                      List.find_opt
+                        (fun b -> Clause.mem (Lit.negate m) b.c)
+                        binaries)
+                   others
+               in
+               if List.for_all Option.is_some bins then
+                 Some (d, List.filter_map Fun.id bins)
+               else None)
+          side_p
     in
     let substitution_pairs () =
       let pairs_for (def, bins) side_p side_n =
         let rest_n = List.filter (fun b -> not (List.memq b bins)) side_n in
         let rest_p = List.filter (fun a -> a != def) side_p in
-        List.map (fun b -> (def, b)) rest_n
-        @ List.concat_map (fun b -> List.map (fun a -> (a, b)) rest_p) bins
+        fun f ->
+          List.iter (f def) rest_n;
+          List.iter (fun b -> List.iter (fun a -> f a b) rest_p) bins
       in
       match find_definition lp pos neg with
       | Some d -> Some (pairs_for d pos neg)
@@ -323,13 +448,10 @@ let try_eliminate s v =
           | Some d -> Some (pairs_for d neg pos)
           | None -> None)
     in
-    let full_pairs =
-      List.concat_map (fun a -> List.map (fun b -> (a, b)) neg) pos
-    in
     let staged =
       match substitution_pairs () with
       | Some pairs -> stage pairs
-      | None -> stage full_pairs
+      | None -> stage (fun f -> List.iter (fun a -> List.iter (f a) neg) pos)
     in
     match staged with
     | None -> ()
@@ -410,19 +532,19 @@ let settle ?deadline s =
         go ()
       end
   in
-  go ()
+  timed s 0 go
 
 let visit s ~pures v =
   s.queued.(v) <- false;
-  if s.assign.(v) < 0 then begin
-    let p = s.nocc.(Lit.pos v) and q = s.nocc.(Lit.neg_of_var v) in
-    if pures && p > 0 && q = 0 then fix_lit s `Pure (Lit.pos v)
-    else if pures && q > 0 && p = 0 then fix_lit s `Pure (Lit.neg_of_var v)
-    else if not s.frozen.(v) then try_eliminate s v
-  end
+  if s.assign.(v) < 0 then
+    timed s 1 (fun () ->
+        let p = s.nocc.(Lit.pos v) and q = s.nocc.(Lit.neg_of_var v) in
+        if pures && p > 0 && q = 0 then fix_lit s `Pure (Lit.pos v)
+        else if pures && q > 0 && p = 0 then fix_lit s `Pure (Lit.neg_of_var v)
+        else if not s.frozen.(v) then try_eliminate s v)
 
-let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
-    ?proof ?deadline f =
+let run ?metrics ?pures ?(probe_failed_literals = false) ?(elim = true)
+    ?(frozen = []) ?proof ?deadline f =
   (* Pure-literal fixes are RAT but not RUP, so they cannot enter the
      DRAT stream this pipeline emits: with a proof sink, [pures]
      defaults to — and must be — off. *)
@@ -437,8 +559,8 @@ let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
       assign = Array.make (max 1 nvars) (-1);
       (* without [elim], every variable is frozen *)
       frozen = Array.make (max 1 nvars) (not elim);
-      store = Vec.create ~dummy:{ c = Clause.of_list []; live = false } ();
-      occ = Array.make nlits [];
+      store = Vec.create ~dummy:no_slot ();
+      occ = Array.init nlits (fun _ -> { ds = [||]; sgs = [||]; n = 0 });
       nocc = Array.make nlits 0;
       mark = Array.make nlits false;
       fixed = Queue.create ();
@@ -448,6 +570,7 @@ let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
       fix = [];
       elim = [];
       emit = (match proof with Some e -> e | None -> fun _ -> ());
+      spent = Option.map (fun _ -> Array.make (Array.length passes) 0.) metrics;
       st =
         { units = 0; pures = 0; subsumed = 0; strengthened = 0;
           failed_literals = 0; eliminated = 0; elim_clauses_removed = 0;
@@ -455,6 +578,13 @@ let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
     }
   in
   List.iter (fun v -> if v >= 0 && v < nvars then s.frozen.(v) <- true) frozen;
+  let finish result =
+    (match metrics, s.spent with
+     | Some m, Some spent ->
+       Array.iteri (fun k name -> Metrics.add_time m name spent.(k)) passes
+     | _ -> ());
+    result
+  in
   try
     Array.iter (add s) (Cnf.Formula.clauses f);
     for v = 0 to nvars - 1 do
@@ -481,23 +611,26 @@ let run ?pures ?(probe_failed_literals = false) ?(elim = true) ?(frozen = [])
            visit s ~pures v;
            settle ?deadline s)
         batch;
-      let found = probe_failed_literals && probe ?deadline s in
+      let found =
+        probe_failed_literals && timed s 2 (fun () -> probe ?deadline s)
+      in
       if found || not (Queue.is_empty s.vars) then loop ()
     in
     (try loop () with Out_of_time -> settle ?deadline s);
-    Simplified
-      {
-        formula = Cnf.Formula.of_clauses ~nvars (live_clauses s);
-        fix = List.rev s.fix;
-        elim = s.elim;
-        stats = s.st;
-      }
+    finish
+      (Simplified
+         {
+           formula = Cnf.Formula.of_clauses ~nvars (live_clauses s);
+           fix = List.rev s.fix;
+           elim = s.elim;
+           stats = s.st;
+         })
   with Found_unsat ->
     (* every raise site leaves the active clause set root-inconsistent
        under unit propagation, so the empty clause is RUP and the
        emitted stream is a complete refutation *)
     s.emit (Types.Add (Clause.of_list []));
-    Unsat
+    finish Unsat
 
 let complete_model (simp : simplified) model =
   (* the fixes and the elimination stack may mention variables past the

@@ -26,6 +26,11 @@
     - with probing on, failed-literal probing runs on the live clauses
       after each batch, and its failed literals take the same fix path.
 
+    Each clause carries a 63-bit literal signature, as in SatELite: a
+    subsumption or strengthening candidate is rejected by signature
+    before its literals are read, which changes what a check costs,
+    never what it finds.
+
     Each step fixes or eliminates a variable, removes a clause or
     removes a literal, so the queues run dry without a round cap: [run]
     stops once a batch touches no variable and probing finds no failed
@@ -112,6 +117,7 @@ type simplified = {
 type result = Unsat | Simplified of simplified
 
 val run :
+  ?metrics:Metrics.t ->
   ?pures:bool ->
   ?probe_failed_literals:bool ->
   ?elim:bool ->
@@ -153,7 +159,14 @@ val run :
     each variable visit and each probe; without it no clock is read.
     Once it has passed, [run] stops and returns the clauses simplified
     so far as [Simplified]: they are equisatisfiable with the input and
-    {!complete_model} is exact for them, as for a finished run. *)
+    {!complete_model} is exact for them, as for a finished run.
+
+    [metrics] receives three timers, each one run per call: the seconds
+    spent settling the fixed-literal and touched-clause queues
+    (["preprocess/subsumption"]: unit propagation, subsumption and
+    strengthening), visiting variables (["preprocess/elimination"]:
+    pure literals and elimination attempts) and probing
+    (["preprocess/probing"]).  Without it no clock is read for them. *)
 
 val complete_model : simplified -> bool array -> bool array
 (** Extends a model of the simplified formula to a model of the

@@ -103,7 +103,7 @@ let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
           else None
         in
         match
-          Preprocess.run ~elim:pipeline.elim
+          Preprocess.run ?metrics ~elim:pipeline.elim
             ~probe_failed_literals:pipeline.probe_failed_literals ?proof
             ?deadline f
         with
@@ -130,7 +130,7 @@ let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
     if (not pipeline.equivalence) || proofs_on then `Go (f, lift)
     else
       phase "pipeline/equivalence" (fun () ->
-        match Equivalence.detect f with
+        match Equivalence.detect ?deadline f with
         | Equivalence.Unsat_equiv -> `Unsat
         | Equivalence.Reduced red ->
           equivalence_merged := red.Equivalence.merged;
@@ -144,7 +144,8 @@ let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
     else
       phase "pipeline/recursive_learning" (fun () ->
         let g, r =
-          Recursive_learning.strengthen ~depth:pipeline.recursive_learning f
+          Recursive_learning.strengthen ~depth:pipeline.recursive_learning
+            ?deadline f
         in
         rl_implicates := List.length r.Recursive_learning.implicates;
         if r.Recursive_learning.unsat then `Unsat else `Go (g, lift))

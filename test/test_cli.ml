@@ -204,6 +204,27 @@ let timeout_stops_preprocessing () =
       Alcotest.(check bool) "reports the timeout" true
         (List.mem "s UNKNOWN (timeout)" lines))
 
+let timeout_stops_recursive_learning () =
+  (* depth-2 recursive learning alone takes about 3 s on this miter,
+     after 0.1 s of preprocessing and equivalence reasoning; the
+     deadline stops it between clauses *)
+  in_tmp ".cnf" (fun cnf ->
+      Cnf.Dimacs.write_file cnf
+        (fst
+           (Circuit.Miter.to_cnf
+              (Circuit.Generators.ripple_adder ~bits:96)
+              (Circuit.Generators.kogge_stone_adder ~bits:96)));
+      let limit = Th.within 1.2 in
+      let code, lines =
+        run_lines
+          [ cnf; "--preprocess"; "--equiv"; "--rl"; "2"; "--timeout"; "0.4" ]
+      in
+      Alcotest.(check bool) "answers before the slack runs out" false
+        (Sat.Monotime.past (Some limit));
+      Alcotest.(check int) "UNKNOWN exits 0" 0 code;
+      Alcotest.(check bool) "reports the timeout" true
+        (List.mem "s UNKNOWN (timeout)" lines))
+
 let timeout_keeps_the_search () =
   (* a deadline that does not expire changes nothing about the search *)
   in_tmp ".cnf" (fun cnf ->
@@ -241,4 +262,6 @@ let suite =
     Th.case "--timeout with every engine" timeout_any_engine;
     Th.case "--timeout keeps the search" timeout_keeps_the_search;
     Th.case "--timeout stops preprocessing" timeout_stops_preprocessing;
+    Th.case "--timeout stops recursive learning"
+      timeout_stops_recursive_learning;
   ]

@@ -86,6 +86,17 @@ let miter_detects_equivalences () =
     Alcotest.(check bool) "miter equivalences found" true (r.E.merged > 0)
   | E.Unsat_equiv -> Alcotest.fail "unexpected"
 
+let past_deadline_merges_nothing () =
+  (* the SCC search stops at once: the input comes back unchanged *)
+  let f = Th.formula_of [ [ 1; -2 ]; [ -1; 2 ]; [ 1; 2 ]; [ -1; -2 ] ] in
+  match E.detect ~deadline:0. f with
+  | E.Reduced r ->
+    Alcotest.(check int) "none merged" 0 r.E.merged;
+    Alcotest.(check bool) "same formula" true (r.E.formula == f);
+    Alcotest.(check bool) "identity map" true
+      (Array.for_all Fun.id (Array.mapi (fun v l -> l = Cnf.Lit.pos v) r.E.rep))
+  | E.Unsat_equiv -> Alcotest.fail "no verdict past the deadline"
+
 let suite =
   [
     Th.case "pair" detect_pair;
@@ -93,6 +104,7 @@ let suite =
     Th.case "chain" chain_of_equivalences;
     Th.case "contradiction" contradiction_cycle;
     Th.case "no binaries" no_binary_clauses;
+    Th.case "past deadline merges nothing" past_deadline_merges_nothing;
     Th.case "miter equivalences" miter_detects_equivalences;
     Th.qcheck prop_reduction_preserves_models;
   ]

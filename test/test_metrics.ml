@@ -123,7 +123,11 @@ let timers () =
   let t = M.timer m "p" in
   Alcotest.(check bool) "non-negative" true (M.timer_seconds t >= 0.);
   let x = M.time m "q" (fun () -> 41 + 1) in
-  Alcotest.(check int) "value through" 42 x
+  Alcotest.(check int) "value through" 42 x;
+  M.add_time m "r" 0.25;
+  M.add_time m "r" 0.5;
+  Alcotest.(check (float 0.)) "added durations" 0.75
+    (M.timer_seconds (M.timer m "r"))
 
 let suite =
   [

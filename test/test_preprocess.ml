@@ -252,6 +252,26 @@ let past_deadline_sound () =
        | _ -> Alcotest.(check bool) "unsat verdict" false expected)
   done
 
+(* With a registry, one run adds one timed run to each per-pass timer
+   and registers nothing else. *)
+let pass_timers () =
+  let m = Sat.Metrics.create () in
+  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ]; [ 1; -3; 4 ] ] in
+  ignore (P.run ~metrics:m ~probe_failed_literals:true f);
+  let names =
+    match Sat.Json.member "timers" (Sat.Metrics.to_json m) with
+    | Some (Sat.Json.Obj kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "timers"
+    [ "preprocess/elimination"; "preprocess/probing"; "preprocess/subsumption" ]
+    names;
+  List.iter
+    (fun name ->
+       Alcotest.(check bool) (name ^ " non-negative") true
+         (Sat.Metrics.timer_seconds (Sat.Metrics.timer m name) >= 0.))
+    names
+
 let suite =
   [
     Th.case "units" units_propagated;
@@ -265,6 +285,7 @@ let suite =
     Th.case "bve respects caps" bve_respects_caps;
     Th.case "frozen elimination sound under session growth" frozen_growth_sound;
     Th.case "past deadline keeps the store sound" past_deadline_sound;
+    Th.case "per-pass timers" pass_timers;
     Th.qcheck prop_bve_vs_dpll;
     Th.qcheck prop_equisatisfiable_and_model_complete;
   ]

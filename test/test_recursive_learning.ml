@@ -66,6 +66,50 @@ let fixpoint_iteration () =
   Alcotest.(check bool) "x4 follows" true (List.mem (Th.lit 4) r.RL.necessary
                                            || List.length r.RL.necessary >= 1)
 
+let implicate_refreshes_implications () =
+  (* (1 2) gives x3 first.  Stage i then gates a ternary chain on the
+     previous stage's literal x: (-x p q) (-x -p y) (-x -q y) gives y
+     once x holds, and before that no clause of the stage is
+     effectively binary.  Each implicate asserted in the pass makes the
+     next stage's clauses effectively binary, so the whole chain comes
+     out of the first pass; implication marks kept after an assertion
+     would leave one stage per pass, and the four passes would end
+     before x15. *)
+  let stage x i =
+    let p = x + 1 + (3 * i) and q = x + 2 + (3 * i) and y = x + 3 + (3 * i) in
+    [ [ -(x + (3 * i)); p; q ]; [ -(x + (3 * i)); -p; y ];
+      [ -(x + (3 * i)); -q; y ] ]
+  in
+  let f =
+    Th.formula_of
+      ([ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ] ]
+       @ List.concat_map (stage 3) [ 0; 1; 2; 3 ])
+  in
+  let r = RL.learn f in
+  List.iter
+    (fun x ->
+       Alcotest.(check bool)
+         (Printf.sprintf "x%d necessary" x)
+         true
+         (List.mem (Th.lit x) r.RL.necessary))
+    [ 3; 6; 9; 12; 15 ]
+
+let deadline_stops_learning () =
+  (* a deadline already past: no clause is examined *)
+  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 3 ] ] in
+  let r = RL.learn ~deadline:0. f in
+  Alcotest.(check int) "no split" 0 r.RL.splits;
+  Alcotest.(check bool) "nothing derived" true (r.RL.necessary = []);
+  let g, r = RL.strengthen ~deadline:0. f in
+  Alcotest.(check bool) "formula unchanged" true
+    (Cnf.Formula.nclauses g = Cnf.Formula.nclauses f && r.RL.implicates = []);
+  (* without binary clauses no split is probed, and the deadline still
+     stops the count *)
+  let g = Th.formula_of [ [ 1; 2; 3 ]; [ -1; 2; -3 ]; [ 1; -2; 4 ] ] in
+  Alcotest.(check int) "ruled-out splits counted" 3 (RL.learn g).RL.splits;
+  Alcotest.(check int) "none past the deadline" 0
+    (RL.learn ~deadline:0. g).RL.splits
+
 let strengthen_preserves_models () =
   let rng = Sat.Rng.create 13 in
   for _ = 1 to 30 do
@@ -119,6 +163,8 @@ let suite =
     Th.case "unsat detection" unsat_detection;
     Th.case "depth 2 stronger" depth2_stronger;
     Th.case "fixpoint iteration" fixpoint_iteration;
+    Th.case "implicates refresh implications" implicate_refreshes_implications;
+    Th.case "deadline stops learning" deadline_stops_learning;
     Th.case "strengthen preserves models" strengthen_preserves_models;
     Th.qcheck prop_implicates_sound;
     Th.qcheck prop_implicates_sound_under_assumptions;
