@@ -71,16 +71,16 @@ let run cnf_path proof_path forward lrat_out core_out lrat_in stats =
       exit exit_invalid
   end;
   let t0 = Unix.gettimeofday () in
-  match Sat.Proof.trim formula steps with
-  | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds } ->
+  match Sat.Proof.trim_hinted formula steps with
+  | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds }, hinted ->
     let dt = Unix.gettimeofday () -. t0 in
     Printf.printf "c trim: verified refutation, kept %d of %d additions\n"
       kept_adds total_adds;
     if stats then begin
       Printf.printf "c stats: steps %d, lrat lines %d, core %d of %d \
-                     clauses, trim time %.4fs\n"
+                     clauses, %d from hints, trim time %.4fs\n"
         (List.length steps) (List.length lines) (List.length core)
-        (Cnf.Formula.nclauses formula) dt
+        (Cnf.Formula.nclauses formula) hinted dt
     end;
     (match lrat_out with
      | Some out ->
@@ -93,10 +93,10 @@ let run cnf_path proof_path forward lrat_out core_out lrat_in stats =
        Printf.printf "c core: written to %s\n" out
      | None -> ());
     exit exit_verified
-  | Sat.Proof.Not_refutation ->
+  | Sat.Proof.Not_refutation, _ ->
     print_endline "c trim: proof is not a refutation";
     exit exit_not_refutation
-  | Sat.Proof.Trim_invalid i ->
+  | Sat.Proof.Trim_invalid i, _ ->
     Printf.printf "c trim: INVALID at step %d\n" i;
     exit exit_invalid
 

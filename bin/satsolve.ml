@@ -178,15 +178,17 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
     match report.Sat.Solver.outcome with
     | (Sat.Types.Unsat | Sat.Types.Unsat_assuming _) when check || core_path <> None
       -> (
-      match Sat.Proof.trim formula steps with
-      | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds } -> (
+      match Sat.Proof.trim_hinted formula steps with
+      | Sat.Proof.Trimmed { lines; core; kept_adds; total_adds }, hinted -> (
         match Sat.Proof.check_lrat formula lines with
         | Error msg ->
           Printf.printf "c check: FAILED (LRAT replay: %s)\n" msg;
           false
         | Ok () ->
-          Printf.printf "c check: refutation verified (%d/%d additions kept)\n"
-            kept_adds total_adds;
+          Printf.printf
+            "c check: refutation verified (%d/%d additions kept, %d from \
+             hints, %d by RUP)\n"
+            kept_adds total_adds hinted (kept_adds - hinted);
           (match core_path with
            | Some out ->
              Cnf.Dimacs.write_file out (Sat.Proof.core_formula formula core);
@@ -196,10 +198,10 @@ let solve_file path engine_name preprocess no_elim equiv rl seed
                out
            | None -> ());
           true)
-      | Sat.Proof.Not_refutation ->
+      | Sat.Proof.Not_refutation, _ ->
         print_endline "c check: FAILED (proof is not a refutation)";
         false
-      | Sat.Proof.Trim_invalid i ->
+      | Sat.Proof.Trim_invalid i, _ ->
         Printf.printf "c check: FAILED (invalid step %d)\n" i;
         false)
     | _ -> true

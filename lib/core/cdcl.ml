@@ -36,6 +36,25 @@ let dummy_clause =
   { lits = [||]; activity = 0.; learnt = false; deleted = true; lbd = 0;
     cid = 0 }
 
+(* The LRAT ids of a proof-logging solver's clauses, kept beside the
+   clause records and allocated only with [proof_logging].  Ids are
+   local to the solver: the formula's clauses are 1..m in formula order
+   and the k-th logged addition is m+k, the numbering [Proof.trim] gives
+   a stream over that formula.  0 means "no id". *)
+type lrat = {
+  mutable of_cid : int array; (* clause-table index -> id *)
+  mutable unit_of : int array;
+      (* var -> id of the unit clause that fixed it at level 0 *)
+  dropped : (int, int array) Hashtbl.t;
+      (* formula clause id -> its literals already false at level 0
+         when it was added, which its derivations must refute too *)
+  mutable next_id : int; (* id of the next logged addition *)
+  mutable stamp : int array; (* var -> [epoch] once visited *)
+  mutable epoch : int;
+  out : int Vec.t; (* hints being collected *)
+  mutable pending : int array; (* hints of the lemma about to be logged *)
+}
+
 type t = {
   cfg : Types.config;
   stats : Types.stats;
@@ -79,6 +98,7 @@ type t = {
   mutable max_learnts : int;
   mutable assumptions : int array;
   mutable proof : Types.proof_step list; (* DRAT steps, newest first *)
+  lrat : lrat option; (* [Some] iff [proof_logging] *)
   (* absolute per-call thresholds, set at [solve] entry *)
   mutable conflict_budget : int option;
   mutable decision_budget : int option;
@@ -396,6 +416,87 @@ let propagate s =
    | _ -> ());
   !confl
 
+(* --- LRAT hints (proof logging only) ------------------------------------- *)
+
+(* [a] with room for index [i], zero-filled *)
+let grown a i =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let set_clause_id p (c : clause) id =
+  p.of_cid <- grown p.of_cid c.cid;
+  p.of_cid.(c.cid) <- id
+
+let set_unit_id p v id =
+  p.unit_of <- grown p.unit_of v;
+  p.unit_of.(v) <- id
+
+(* The hints of the clause [lits] just learnt from [confl], read while
+   the trail still holds the conflict: the id of every clause that
+   derives a false literal of [confl] outside [lits], each after the
+   clauses deriving its own premises (DFS post-order), then [confl]'s.
+   That covers the resolved literals, the ones minimization dropped and
+   the level-0 chains, so an LRAT checker replays them as unit
+   propagations under the negation of [lits].  [[||]] when a clause on
+   the way has no id. *)
+let lemma_hints s p (confl : clause) lits =
+  p.stamp <- grown p.stamp (s.nvars - 1);
+  p.epoch <- p.epoch + 1;
+  let ep = p.epoch and stamp = p.stamp in
+  List.iter (fun q -> stamp.(Lit.var q) <- ep) lits;
+  Vec.clear p.out;
+  let exception No_chain in
+  let id_of (c : clause) =
+    if c.cid < Array.length p.of_cid then p.of_cid.(c.cid) else 0
+  in
+  let rec premises id lits =
+    if id = 0 then raise_notrace No_chain;
+    Array.iter (fun l -> derive (Lit.var l)) lits;
+    if Hashtbl.length p.dropped > 0 then
+      match Hashtbl.find_opt p.dropped id with
+      | Some d -> Array.iter (fun l -> derive (Lit.var l)) d
+      | None -> ()
+  and derive v =
+    if stamp.(v) <> ep then begin
+      stamp.(v) <- ep;
+      let r = s.reason.(v) in
+      let id =
+        if r != dummy_clause then id_of r
+        else if s.level.(v) = 0 && v < Array.length p.unit_of then
+          p.unit_of.(v)
+        else 0
+      in
+      (* a unit's [dummy_clause] reason has no literals *)
+      premises id r.lits;
+      Vec.push p.out id
+    end
+  in
+  match premises (id_of confl) confl.lits with
+  | () ->
+    Vec.push p.out (id_of confl);
+    Array.sub (Vec.raw p.out) 0 (Vec.size p.out)
+  | exception No_chain -> [||]
+
+(* Logs the addition of the lemma [lits] with its pending hints and
+   gives it the next id: its clause record [c], or its variable when it
+   is a unit. *)
+let log_learnt s p lits c =
+  s.proof <- Types.Add (Cnf.Clause.of_list lits, p.pending) :: s.proof;
+  p.pending <- [||];
+  let id = p.next_id in
+  match (c, lits) with
+  | Some c, _ ->
+    p.next_id <- id + 1;
+    set_clause_id p c id
+  | None, [ l ] ->
+    p.next_id <- id + 1;
+    set_unit_id p (Lit.var l) id
+  | None, _ -> ()
+
 (* --- Diagnose(): 1-UIP conflict analysis -------------------------------- *)
 
 (* Returns the learned literals (UIP first) and the backjump level.  The
@@ -513,33 +614,35 @@ let fire_learn s lits lbd =
 let record_learnt s lits =
   s.stats.learned <- s.stats.learned + 1;
   s.stats.learned_literals <- s.stats.learned_literals + List.length lits;
-  if s.cfg.proof_logging then
-    s.proof <- Types.Add (Cnf.Clause.of_list lits) :: s.proof;
-  match lits with
-  | [] -> s.ok <- false; None
-  | [ l ] ->
-    fire_learn s lits 1;
-    enqueue s l dummy_clause;
-    None
-  | l :: rest ->
-    (* literal-block distance: distinct levels of the tail literals,
-       plus the level the UIP is about to be asserted at *)
-    let lbd =
-      1
-      + List.length
-          (List.sort_uniq Int.compare
-             (List.map (fun q -> s.level.(Lit.var q)) rest))
-    in
-    fire_learn s lits lbd;
-    let c =
-      { lits = Array.of_list lits; activity = 0.; learnt = true;
-        deleted = false; lbd; cid = -1 }
-    in
-    attach s c;
-    Vec.push s.learnts c;
-    bump_clause s c;
-    enqueue s l c;
-    Some c
+  let c =
+    match lits with
+    | [] -> s.ok <- false; None
+    | [ l ] ->
+      fire_learn s lits 1;
+      enqueue s l dummy_clause;
+      None
+    | l :: rest ->
+      (* literal-block distance: distinct levels of the tail literals,
+         plus the level the UIP is about to be asserted at *)
+      let lbd =
+        1
+        + List.length
+            (List.sort_uniq Int.compare
+               (List.map (fun q -> s.level.(Lit.var q)) rest))
+      in
+      fire_learn s lits lbd;
+      let c =
+        { lits = Array.of_list lits; activity = 0.; learnt = true;
+          deleted = false; lbd; cid = -1 }
+      in
+      attach s c;
+      Vec.push s.learnts c;
+      bump_clause s c;
+      enqueue s l c;
+      Some c
+  in
+  (match s.lrat with Some p -> log_learnt s p lits c | None -> ());
+  c
 
 (* --- clause deletion policies ------------------------------------------- *)
 
@@ -750,7 +853,9 @@ let restart_limit s k =
 
 (* --- top-level clause addition ------------------------------------------- *)
 
-let add_clause s lits =
+(* [id] is the clause's LRAT id in a proof-logging solver: its position
+   in the formula given to [create], or 0 for clauses added later. *)
+let add_input s id lits =
   assert (decision_level s = 0);
   let c = Cnf.Clause.of_list lits in
   if s.ok && not (Cnf.Clause.is_tautology c) then begin
@@ -758,12 +863,19 @@ let add_clause s lits =
                 while Lit.var l >= s.nvars do ignore (new_var s) done)
       (Cnf.Clause.to_list c);
     (* simplify against the level-0 assignment *)
-    let lits = Cnf.Clause.to_list c in
-    if not (List.exists (fun l -> value s l = 1) lits) then begin
-      let lits = List.filter (fun l -> value s l <> 0) lits in
+    let all = Cnf.Clause.to_list c in
+    if not (List.exists (fun l -> value s l = 1) all) then begin
+      let lits = List.filter (fun l -> value s l <> 0) all in
+      let lrat = match s.lrat with Some p when id > 0 -> Some p | _ -> None in
+      (match lrat with
+       | Some p when List.compare_lengths lits all < 0 ->
+         Hashtbl.replace p.dropped id
+           (Array.of_list (List.filter (fun l -> value s l = 0) all))
+       | _ -> ());
       match lits with
       | [] -> s.ok <- false
       | [ l ] ->
+        (match lrat with Some p -> set_unit_id p (Lit.var l) id | None -> ());
         enqueue s l dummy_clause;
         (match propagate s with Some _ -> s.ok <- false | None -> ())
       | l0 :: l1 :: _ ->
@@ -775,10 +887,13 @@ let add_clause s lits =
             lbd = 0; cid = -1 }
         in
         attach s cl;
+        (match lrat with Some p -> set_clause_id p cl id | None -> ());
         Vec.push s.clauses cl;
         s.jw_ready <- false
     end
   end
+
+let add_clause s lits = add_input s 0 lits
 
 (* Accept a foreign clause (e.g. learned by another solver on the same
    formula) at decision level 0.  Mirrors [add_clause]'s simplification
@@ -883,6 +998,13 @@ let create ?(config = Types.default) formula =
       max_learnts = 100;
       assumptions = [||];
       proof = [];
+      lrat =
+        (if config.Types.proof_logging then
+           Some
+             { of_cid = [||]; unit_of = [||]; dropped = Hashtbl.create 16;
+               next_id = Cnf.Formula.nclauses formula + 1; stamp = [||];
+               epoch = 0; out = Vec.create ~dummy:0 (); pending = [||] }
+         else None);
       conflict_budget = None;
       decision_budget = None;
       on_learn = None;
@@ -895,7 +1017,9 @@ let create ?(config = Types.default) formula =
   for _ = 1 to n do
     ignore (new_var s)
   done;
-  Cnf.Formula.iter_clauses formula (fun c -> add_clause s (Cnf.Clause.to_list c));
+  Array.iteri
+    (fun i c -> add_input s (i + 1) (Cnf.Clause.to_list c))
+    (Cnf.Formula.clauses formula);
   s.max_learnts <- max 100 (Vec.size s.clauses / 3);
   s
 
@@ -928,6 +1052,9 @@ let handle_conflict s confl =
   end
   else begin
     let lits, bj = analyze s confl in
+    (match s.lrat with
+     | Some p -> p.pending <- lemma_hints s p confl lits
+     | None -> ());
     let target =
       (* chronological mode still sends unit learned clauses to the root:
          a reasonless literal inside a level would corrupt later conflict

@@ -159,7 +159,12 @@ val proof : t -> Types.proof_step list
 (** The DRAT proof stream in emission order (requires
     [config.proof_logging]).  [Add] steps are learned clauses, each
     reverse-unit-propagation derivable from the clauses active when it
-    appears; [Delete] steps record clause-database reductions.
+    appears; [Delete] steps record clause-database reductions.  Each
+    [Add] carries its LRAT hints, numbered as {!Proof.trim} numbers a
+    stream over the formula given to {!create}: its clauses are 1..m
+    in order and the k-th addition is m+k.  A lemma whose derivation
+    uses a clause outside that numbering (added later, or imported)
+    carries none.
     Clauses accepted through {!import_clause} are {e not} recorded, so
     proofs from clause-sharing runs are incomplete — proof-producing
     configurations must run a single sequential solver.  See

@@ -155,7 +155,7 @@ let fix_lit s reason l =
        and enter the proof; pure literals are only RAT, so [run] rejects
        [pures] when a proof is requested. *)
     (match reason with
-     | `Unit | `Failed -> s.emit (Types.Add (Clause.of_list [ l ]))
+     | `Unit | `Failed -> s.emit (Types.Add (Clause.of_list [ l ], [||]))
      | `Pure -> ());
     s.assign.(v) <- (if Lit.is_pos l then 1 else 0);
     s.fix <- (v, Lit.is_pos l) :: s.fix;
@@ -192,7 +192,7 @@ let add s c =
         if List.compare_lengths free lits = 0 then c
         else begin
           let stripped = Clause.of_list free in
-          s.emit (Types.Add stripped);
+          s.emit (Types.Add (stripped, [||]));
           s.emit (Types.Delete c);
           stripped
         end
@@ -257,7 +257,7 @@ let strengthen s d l =
   let d' =
     Clause.of_list (List.filter (fun m -> m <> l) (Clause.to_list d.c))
   in
-  s.emit (Types.Add d');
+  s.emit (Types.Add (d', [||]));
   kill s d;
   s.st.strengthened <- s.st.strengthened + 1;
   add s d'
@@ -460,7 +460,7 @@ let try_eliminate s v =
          sides are still active (each is RUP against them), push the
          removed clauses on the elimination stack (complete_model
          replays them), then swap in the resolvents *)
-      List.iter (fun r -> s.emit (Types.Add r)) resolvents;
+      List.iter (fun r -> s.emit (Types.Add (r, [||]))) resolvents;
       s.elim <-
         { evar = v;
           pos = List.map (fun d -> d.c) pos;
@@ -509,7 +509,7 @@ let probe ?deadline s =
         (* both phases fail: [v] is RUP (assuming ¬v propagates to a
            conflict); once added, the clause set is root-inconsistent
            and the Found_unsat handler's empty clause is RUP too *)
-        s.emit (Types.Add (Clause.of_list [ Lit.pos v ]));
+        s.emit (Types.Add (Clause.of_list [ Lit.pos v ], [||]));
         raise Found_unsat
       | false, true -> fold_back (Lit.neg_of_var v)
       | true, false -> fold_back (Lit.pos v)
@@ -629,7 +629,7 @@ let run ?metrics ?pures ?(probe_failed_literals = false) ?(elim = true)
     (* every raise site leaves the active clause set root-inconsistent
        under unit propagation, so the empty clause is RUP and the
        emitted stream is a complete refutation *)
-    s.emit (Types.Add (Clause.of_list []));
+    s.emit (Types.Add (Clause.of_list [], [||]));
     finish Unsat
 
 let complete_model (simp : simplified) model =

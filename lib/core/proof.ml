@@ -5,14 +5,14 @@
 module Lit = Cnf.Lit
 module Clause = Cnf.Clause
 
-type step = Types.proof_step = Add of Clause.t | Delete of Clause.t
+type step = Types.proof_step = Add of Clause.t * int array | Delete of Clause.t
 
 type verdict =
   | Valid_refutation
   | Valid_derivation
   | Invalid_step of int
 
-type lrat_line = { id : int; lits : Clause.t; hints : int list }
+type lrat_line = { id : int; lits : Clause.t; hints : int array }
 
 type trim_result =
   | Trimmed of {
@@ -68,12 +68,17 @@ type db = {
   pos : int array; (* var -> trail index *)
   seen : int array;
       (* analysis scratch: 1 = still to explain, 2 = in the checked clause *)
+  hval : int array; (* hint replay's own assignment, as [value] *)
+  hset : int Vec.t; (* the variables [hval] assigns *)
   trail : Lit.t Vec.t;
   mutable qhead : int; (* next trail literal for [watches] *)
   mutable qcore : int; (* next trail literal for [core] *)
   mutable root : int; (* trail length of the root closure *)
   mutable root_confl : int; (* clause id conflicting at root, or 0 *)
   mutable stale : bool; (* the root closure must be recomputed *)
+  mutable watching : bool;
+      (* the watch lists follow activation; when false they are empty
+         and (de)activation only flips flags until [rewatch] *)
   mutable next_id : int;
 }
 
@@ -84,7 +89,7 @@ let lit_value db l =
 let max_var_steps steps =
   List.fold_left
     (fun acc s ->
-      let c = match s with Add c | Delete c -> c in
+      let c = match s with Add (c, _) | Delete c -> c in
       List.fold_left (fun acc l -> max acc (Lit.var l)) acc (Clause.to_list c))
     (-1) steps
 
@@ -268,14 +273,20 @@ let attach db c =
 let retire db c =
   let lits = c.lits in
   c.active <- false;
-  if
-    (not db.stale)
-    && (c.id = db.root_confl
-       || Array.length lits > 0
-          && db.value.(Lit.var lits.(0)) <> 0
-          && db.reason.(Lit.var lits.(0)) = c.id)
-  then db.stale <- true;
-  if Array.length lits >= 2 then unwatch (family db c) c
+  if db.watching then begin
+    if
+      (not db.stale)
+      && (c.id = db.root_confl
+         || Array.length lits > 0
+            && db.value.(Lit.var lits.(0)) <> 0
+            && db.reason.(Lit.var lits.(0)) = c.id)
+    then db.stale <- true;
+    if Array.length lits >= 2 then unwatch (family db c) c
+  end
+
+let reactivate db c =
+  c.active <- true;
+  if db.watching then attach db c
 
 let stack db clause =
   match Ctbl.find_opt db.stacks clause with
@@ -286,8 +297,7 @@ let stack db clause =
     r
 
 let activate db c =
-  c.active <- true;
-  attach db c;
+  reactivate db c;
   let r = stack db c.clause in
   r := c :: !r
 
@@ -322,12 +332,24 @@ let try_deactivate db clause =
     retire db c;
     Some c
 
-let deactivate db c =
-  let r = stack db c.clause in
-  r := List.filter (fun x -> x != c) !r;
-  retire db c
+(* Empties every watch list: from here on (de)activation only flips
+   flags, until a RUP check needs the watches again. *)
+let unwatch_all db =
+  Array.iter Watcher.clear db.watches;
+  Array.iter Watcher.clear db.core;
+  db.watching <- false
 
-let build formula steps =
+(* Watches every active clause again, in id order; the root closure is
+   recomputed from scratch. *)
+let rewatch db =
+  for id = 1 to Vec.size db.by_id - 1 do
+    let c = Vec.get db.by_id id in
+    if c.active && Array.length c.lits >= 2 then watch (family db c) c
+  done;
+  db.watching <- true;
+  db.stale <- true
+
+let build ~watching formula steps =
   let nvars =
     max (Cnf.Formula.nvars formula) (max_var_steps steps + 1)
   in
@@ -345,12 +367,15 @@ let build formula steps =
       reason = Array.make (max nvars 1) 0;
       pos = Array.make (max nvars 1) 0;
       seen = Array.make (max nvars 1) 0;
+      hval = Array.make (max nvars 1) 0;
+      hset = Vec.create ~dummy:0 ();
       trail = Vec.create ~dummy:0 ();
       qhead = 0;
       qcore = 0;
       root = 0;
       root_confl = 0;
       stale = true;
+      watching;
       next_id = 1;
     }
   in
@@ -369,6 +394,7 @@ let n_originals db = Vec.size db.by_id - 1 (* only valid right after build *)
    one's reason may contain an earlier one, which that negation
    satisfies). *)
 let check_rup db c =
+  if not db.watching then rewatch db;
   if db.stale then close_root db;
   let n = Clause.size c in
   let first = ref (-1) in
@@ -400,7 +426,7 @@ let unwind db =
 (* Marks a clause as needed and moves its watches to the core lists. *)
 let mark db c =
   if not c.marked then begin
-    if c.active && Array.length c.lits >= 2 then begin
+    if db.watching && c.active && Array.length c.lits >= 2 then begin
       unwatch db.watches c;
       watch db.core c
     end;
@@ -452,23 +478,78 @@ let analyze db c confl =
   for i = 0 to Clause.size c - 1 do
     seen.(Lit.var (Clause.get c i)) <- 0
   done;
-  !hints
+  Array.of_list !hints
+
+(* Checks the producer's hints for [c] without search: under the
+   negation of [c], each hint must name an earlier active clause that
+   is unit (its literal is asserted) and the last must conflict — the
+   replay [check_lrat] does, so a success is a RUP derivation of [c]
+   over the active set.  On success every hint clause is marked as
+   needed. *)
+let replay db c hints =
+  let hv = db.hval in
+  let hint_value l =
+    let v = hv.(Lit.var l) in
+    if Lit.is_pos l then v else -v
+  in
+  let assign l =
+    hv.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
+    Vec.push db.hset (Lit.var l)
+  in
+  for i = 0 to Clause.size c.clause - 1 do
+    let l = Clause.get c.clause i in
+    if hint_value l = 0 then assign (Lit.negate l)
+  done;
+  let n = Array.length hints in
+  let rec run k =
+    if k = n then false
+    else
+      let h = hints.(k) in
+      if h < 1 || h >= c.id then false
+      else
+        let hc = Vec.get db.by_id h in
+        if not hc.active then false
+        else begin
+          let free = ref 0 and pivot = ref 0 and sat = ref false in
+          Array.iter
+            (fun l ->
+              match hint_value l with
+              | 1 -> sat := true
+              | 0 ->
+                incr free;
+                pivot := l
+              | _ -> ())
+            hc.lits;
+          if !sat then false
+          else if !free = 0 then k = n - 1
+          else if !free = 1 then begin
+            assign !pivot;
+            run (k + 1)
+          end
+          else false
+        end
+  in
+  let ok = run 0 in
+  Vec.iter (fun v -> hv.(v) <- 0) db.hset;
+  Vec.clear db.hset;
+  if ok then Array.iter (fun h -> mark db (Vec.get db.by_id h)) hints;
+  ok
 
 (* ------------------------------------------------------------------ *)
 (* Forward checking                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let check formula steps =
-  let db = build formula steps in
+  let db = build ~watching:true formula steps in
   let rec go i = function
     | [] ->
       let confl = check_rup db empty_clause in
       unwind db;
       if confl <> 0 then Valid_refutation else Valid_derivation
-    | Add c :: rest when Clause.is_tautology c ->
+    | Add (c, _) :: rest when Clause.is_tautology c ->
       (* tautologies are trivially valid and propagation-inert *)
       go (i + 1) rest
-    | Add c :: rest ->
+    | Add (c, _) :: rest ->
       let confl = check_rup db c in
       unwind db;
       if confl = 0 then Invalid_step i
@@ -487,21 +568,30 @@ let check formula steps =
 (* Backward trimming                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type replayed = R_add of cls | R_del of cls option
+type replayed = R_add of cls * int array | R_del of cls option
 
-let trim formula steps =
-  let db = build formula steps in
+let trim_hinted formula steps =
+  (* A stream with hints is ingested and walked back without watches
+     while its steps verify from their hints: the first RUP check
+     watches the active set again.  A stream without hints keeps its
+     watches throughout, as before hints existed. *)
+  let hinted =
+    List.exists
+      (function Add (_, h) -> Array.length h > 0 | Delete _ -> false)
+      steps
+  in
+  let db = build ~watching:(not hinted) formula steps in
   let n_orig = n_originals db in
   (* Forward ingestion, no checking: replay adds/deletes so the final
      active set is in place, remembering each effect for the backward
      undo.  An explicit empty-clause addition truncates the stream. *)
   let rec ingest i acc = function
     | [] -> List.rev acc
-    | Add c :: _ when Clause.is_empty c -> List.rev acc
-    | Add c :: rest when Clause.is_tautology c -> ingest (i + 1) acc rest
-    | Add c :: rest ->
+    | Add (c, _) :: _ when Clause.is_empty c -> List.rev acc
+    | Add (c, _) :: rest when Clause.is_tautology c -> ingest (i + 1) acc rest
+    | Add (c, hints) :: rest ->
       let cl = add_active db c in
-      ingest (i + 1) ((i, R_add cl) :: acc) rest
+      ingest (i + 1) ((i, R_add (cl, hints)) :: acc) rest
     | Delete c :: rest when Clause.is_tautology c -> ingest (i + 1) acc rest
     | Delete c :: rest ->
       let t = try_deactivate db c in
@@ -518,35 +608,47 @@ let trim formula steps =
   let confl = check_rup db empty_clause in
   if confl = 0 then begin
     unwind db;
-    Not_refutation
+    (Not_refutation, 0)
   end
   else begin
     let terminal_hints = analyze db empty_clause confl in
     unwind db;
+    if hinted then unwatch_all db;
     let terminal =
       { id = db.next_id; lits = empty_clause; hints = terminal_hints }
     in
     (* Backward pass: undo each step; verify (and collect hints for)
-       only the additions marked as needed.  Unmarked additions are
-       trimmed from the certificate without validation. *)
+       only the additions marked as needed — by replaying the step's
+       own hints when they hold, by RUP otherwise.  Unmarked additions
+       are trimmed from the certificate without validation. *)
     let exception Invalid of int in
     let lines = ref [ terminal ] in
+    let hinted = ref 0 in
     match
       List.iter
         (fun (idx, r) ->
           match r with
           | R_del None -> ()
-          | R_del (Some c) -> activate db c
-          | R_add c ->
-            deactivate db c;
+          | R_del (Some c) -> reactivate db c
+          | R_add (c, given) ->
+            retire db c;
             if c.marked then begin
-              let confl = check_rup db c.clause in
-              if confl = 0 then begin
-                unwind db;
-                raise (Invalid idx)
-              end;
-              let hints = analyze db c.clause confl in
-              unwind db;
+              let hints =
+                if Array.length given > 0 && replay db c given then begin
+                  incr hinted;
+                  given
+                end
+                else begin
+                  let confl = check_rup db c.clause in
+                  if confl = 0 then begin
+                    unwind db;
+                    raise (Invalid idx)
+                  end;
+                  let hints = analyze db c.clause confl in
+                  unwind db;
+                  hints
+                end
+              in
               lines := { id = c.id; lits = c.clause; hints } :: !lines
             end)
         (List.rev recs)
@@ -556,14 +658,66 @@ let trim formula steps =
       for id = n_orig downto 1 do
         if (Vec.get db.by_id id).marked then core := id :: !core
       done;
-      Trimmed
-        {
-          lines = !lines;
-          core = !core;
-          kept_adds = List.length !lines - 1;
-          total_adds;
-        }
-    | exception Invalid idx -> Trim_invalid idx
+      ( Trimmed
+          {
+            lines = !lines;
+            core = !core;
+            kept_adds = List.length !lines - 1;
+            total_adds;
+          },
+        !hinted )
+    | exception Invalid idx -> (Trim_invalid idx, 0)
+  end
+
+let trim formula steps = fst (trim_hinted formula steps)
+
+(* ------------------------------------------------------------------ *)
+(* Hints over a preprocessed formula                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Replays [pre] over a content table, as [ingest] would, to find the
+   id of each clause of [solved]: its most recent active copy, the one
+   a deletion would take. *)
+let renumber formula pre solved steps =
+  let live = Ctbl.create (2 * Cnf.Formula.nclauses formula) in
+  let push c id =
+    Ctbl.replace live c (id :: Option.value (Ctbl.find_opt live c) ~default:[])
+  in
+  Array.iteri (fun i c -> push c (i + 1)) (Cnf.Formula.clauses formula);
+  let next = ref (Cnf.Formula.nclauses formula + 1) in
+  List.iter
+    (function
+      | Add (c, _) ->
+        if not (Clause.is_empty c || Clause.is_tautology c) then begin
+          push c !next;
+          incr next
+        end
+      | Delete c -> (
+        match Ctbl.find_opt live c with
+        | Some (_ :: rest) -> Ctbl.replace live c rest
+        | Some [] | None -> ()))
+    pre;
+  let ids =
+    Array.map
+      (fun c -> match Ctbl.find_opt live c with Some (id :: _) -> id | _ -> 0)
+      (Cnf.Formula.clauses solved)
+  in
+  let m = Array.length ids and base = !next in
+  let lost h = Array.exists (fun x -> x <= m && ids.(x - 1) = 0) h in
+  let renumbered = function
+    | Add (c, h) when lost h -> Add (c, [||])
+    | Add (_, h) as step ->
+      Array.iteri
+        (fun k x -> h.(k) <- (if x <= m then ids.(x - 1) else base + x - m - 1))
+        h;
+      step
+    | Delete _ as step -> step
+  in
+  (* the list is rebuilt only when some hints are dropped *)
+  if Array.exists (( = ) 0) ids then List.map renumbered steps
+  else begin
+    List.iter (fun step -> ignore (renumbered step)) steps;
+    steps
   end
 
 let core_clauses formula core =
@@ -618,9 +772,11 @@ let check_lrat formula lines =
     end
     else begin
       List.iter (fun l -> assign (Lit.negate l)) (Clause.to_list lits);
-      let rec run = function
-        | [] -> err lineno "hints ended without a conflict"
-        | h :: rest ->
+      let last = Array.length hints - 1 in
+      let rec run k =
+        if k > last then err lineno "hints ended without a conflict"
+        else
+          let h = hints.(k) in
           if h <= 0 then err lineno "RAT hint %d unsupported" h
           else begin
             match Hashtbl.find_opt tbl h with
@@ -640,16 +796,16 @@ let check_lrat formula lines =
                 hlits;
               if !satisfied then err lineno "hint %d is satisfied, not unit" h
               else if !unassigned = 0 then
-                if rest = [] then Ok ()
+                if k = last then Ok ()
                 else err lineno "hint %d conflicts before the final hint" h
               else if !unassigned = 1 then begin
                 assign !pivot;
-                run rest
+                run (k + 1)
               end
               else err lineno "hint %d is not unit (%d unassigned)" h !unassigned
           end
       in
-      let r = run hints in
+      let r = run 0 in
       unwind ();
       let* () = r in
       Hashtbl.replace tbl id (Clause.to_array lits);
@@ -675,7 +831,9 @@ let check_lrat formula lines =
 (* ------------------------------------------------------------------ *)
 
 let output_step buf step =
-  let c, del = match step with Add c -> (c, false) | Delete c -> (c, true) in
+  let c, del =
+    match step with Add (c, _) -> (c, false) | Delete c -> (c, true)
+  in
   if del then Buffer.add_string buf "d ";
   List.iter
     (fun l ->
@@ -725,7 +883,7 @@ let parse_drat text =
              let c =
                Clause.of_list (List.rev_map Lit.of_dimacs rev_lits)
              in
-             steps := (if del then Delete c else Add c) :: !steps
+             steps := (if del then Delete c else Add (c, [||])) :: !steps
            | _ ->
              failwith
                (Printf.sprintf "DRAT parse error at line %d: missing 0" !lineno)
@@ -750,7 +908,7 @@ let lrat_to_string lines =
           Buffer.add_char buf ' ')
         (Clause.to_list lits);
       Buffer.add_string buf "0 ";
-      List.iter
+      Array.iter
         (fun h ->
           Buffer.add_string buf (string_of_int h);
           Buffer.add_char buf ' ')
@@ -803,7 +961,7 @@ let parse_lrat text =
              in
              let lits, rest = split_lits [] ints in
              let rec split_hints acc = function
-               | [ 0 ] -> List.rev acc
+               | [ 0 ] -> Array.of_list (List.rev acc)
                | h :: rest -> split_hints (h :: acc) rest
                | [] -> fail ()
              in

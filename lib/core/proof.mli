@@ -25,9 +25,12 @@
     describes in Sec. 4.1. *)
 
 type step = Types.proof_step =
-  | Add of Cnf.Clause.t
+  | Add of Cnf.Clause.t * int array
   | Delete of Cnf.Clause.t
-(** Re-export of {!Types.proof_step} under its natural name. *)
+(** Re-export of {!Types.proof_step} under its natural name.  An
+    addition's hints use the numbering of {!trim}: the formula's
+    clauses are 1..n in order, then each non-tautological, non-empty
+    addition takes the next id in stream order. *)
 
 type verdict =
   | Valid_refutation
@@ -49,7 +52,7 @@ val check : Cnf.Formula.t -> step list -> verdict
 type lrat_line = {
   id : int;  (** clause id; originals are 1..n in formula order *)
   lits : Cnf.Clause.t;
-  hints : int list;
+  hints : int array;
       (** antecedent clause ids, in unit-propagation order, conflict
           last *)
 }
@@ -81,7 +84,32 @@ val trim : Cnf.Formula.t -> step list -> trim_result
     root closure persists between checks, and clauses already marked
     as needed propagate first, so [kept_adds] and [core] may differ
     from older trimmers on the same stream; docs/PROOFS.md gives the
-    rules. *)
+    rules.
+
+    A marked addition that carries hints is first checked by
+    replaying them: under the negation of its clause, each hint must
+    name an earlier active clause that is unit, and the last must
+    conflict.  Then every hint clause is marked and the hints become
+    the step's LRAT line unchanged.  When the replay fails the step is
+    checked by RUP as if it had no hints, so [Trim_invalid] still means
+    "not RUP", and a stream parsed from text trims as before. *)
+
+val trim_hinted : Cnf.Formula.t -> step list -> trim_result * int
+(** {!trim}, with the number of kept additions verified by replaying
+    their own hints (0 unless [Trimmed]); the rest fell back to RUP.
+    The count sits beside the result, not in [Trimmed], so exhaustive
+    matches on [Trimmed]'s fields keep compiling. *)
+
+val renumber :
+  Cnf.Formula.t -> step list -> Cnf.Formula.t -> step list -> step list
+(** [renumber f pre g steps] takes the steps of a solver given [g],
+    whose hints number [g]'s clauses 1..m and the solver's additions
+    from m+1 on, and numbers them for the stream [pre @ steps] over
+    [f], where the steps [pre] turned [f] into [g].  Each clause of [g]
+    takes the id of its most recent active copy after [pre], and the
+    additions follow [pre]'s last id.  Hint arrays are rewritten in
+    place; a step whose hints name a clause of [g] with no active copy
+    loses them. *)
 
 val core_clauses : Cnf.Formula.t -> int list -> Cnf.Clause.t list
 (** Map core ids from {!trim} back to the formula's clauses. *)

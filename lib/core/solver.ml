@@ -197,6 +197,12 @@ let solve ?metrics ?trace ?deadline ?(engine = Cdcl Types.default)
         Types.Sat (lift padded)
       | (Types.Unsat | Types.Unsat_assuming _ | Types.Unknown _) as o -> o
     in
+    (* the engine's hints number [g]'s clauses, not the stream's *)
+    let engine_proof =
+      if pipeline.preprocess then
+        Option.map (Proof.renumber f (List.rev !pre_steps) g) engine_proof
+      else engine_proof
+    in
     finish outcome st (combined_proof engine_proof)
 
 let solve_dimacs ?metrics ?trace ?engine ?pipeline text =

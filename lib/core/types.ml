@@ -130,10 +130,10 @@ let pp_stats ppf s =
     s.max_level s.nonchrono_backjumps s.skipped_levels s.exported s.imported
     s.interrupts
 
-type proof_step = Add of Cnf.Clause.t | Delete of Cnf.Clause.t
+type proof_step = Add of Cnf.Clause.t * int array | Delete of Cnf.Clause.t
 
 let pp_proof_step ppf = function
-  | Add c -> Format.fprintf ppf "a %a" Cnf.Clause.pp c
+  | Add (c, _) -> Format.fprintf ppf "a %a" Cnf.Clause.pp c
   | Delete c -> Format.fprintf ppf "d %a" Cnf.Clause.pp c
 
 type outcome =

@@ -116,10 +116,14 @@ val add_stats_into : stats -> stats -> unit
     solvers or queries. *)
 
 type proof_step =
-  | Add of Cnf.Clause.t
+  | Add of Cnf.Clause.t * int array
       (** the clause was derived (learned, resolved, …) and
           joins the active clause set; every addition the pipeline emits
-          is RUP over the clauses active when it appears *)
+          is RUP over the clauses active when it appears.  The array
+          holds the step's LRAT hints — ids of the clauses that derive
+          it by unit propagation, conflict last — or is empty when the
+          producer gives none.  Hints are untrusted: {!Proof.trim}
+          verifies them and falls back to RUP when they fail. *)
   | Delete of Cnf.Clause.t
       (** the clause leaves the active clause set (database reduction,
           subsumption, elimination); deletions never affect soundness of

@@ -36,15 +36,15 @@ let sat_runs_give_valid_derivations () =
 let corrupted_proof_rejected () =
   (* a clause that is not an implicate cannot be RUP *)
   let f = Th.formula_of [ [ 1; 2 ]; [ -1; 2 ] ] in
-  let bogus = [ P.Add (Cnf.Clause.of_dimacs_list [ 1 ]) ] in
+  let bogus = [ P.Add (Cnf.Clause.of_dimacs_list [ 1 ], [||]) ] in
   (match P.check f bogus with
    | P.Invalid_step 0 -> ()
    | _ -> Alcotest.fail "bogus step accepted");
   (* a valid step followed by a bogus one *)
   let mixed =
     [
-      P.Add (Cnf.Clause.of_dimacs_list [ 2 ]);
-      P.Add (Cnf.Clause.of_dimacs_list [ -1 ]);
+      P.Add (Cnf.Clause.of_dimacs_list [ 2 ], [||]);
+      P.Add (Cnf.Clause.of_dimacs_list [ -1 ], [||]);
     ]
   in
   match P.check f mixed with
@@ -135,7 +135,9 @@ let trim_emits_checkable_lrat () =
      | Ok () -> ()
      | Error e -> Alcotest.failf "trimmed LRAT rejected: %s" e);
     (* the trimmed additions alone are still a valid DRAT refutation *)
-    let trimmed = List.map (fun (ln : P.lrat_line) -> P.Add ln.lits) lines in
+    let trimmed =
+      List.map (fun (ln : P.lrat_line) -> P.Add (ln.lits, [||])) lines
+    in
     (match P.check f trimmed with
      | P.Valid_refutation -> ()
      | _ -> Alcotest.fail "trimmed proof no longer checks")
@@ -175,14 +177,14 @@ let pigeonhole_core_is_everything () =
 let deletions_parse_and_print () =
   let c l = Cnf.Clause.of_dimacs_list l in
   let steps =
-    [ P.Add (c [ 1; -2 ]); P.Delete (c [ 3; 2; -1 ]); P.Add (c []) ]
+    [ P.Add (c [ 1; -2 ], [||]); P.Delete (c [ 3; 2; -1 ]); P.Add (c [], [||]) ]
   in
   Alcotest.(check bool) "drat text roundtrip" true
     (P.parse_drat (P.drat_to_string steps) = steps);
   let lines =
     [
-      { P.id = 4; lits = c [ 1 ]; hints = [ 1; 3 ] };
-      { P.id = 5; lits = c []; hints = [ 4; 2 ] };
+      { P.id = 4; lits = c [ 1 ]; hints = [| 1; 3 |] };
+      { P.id = 5; lits = c []; hints = [| 4; 2 |] };
     ]
   in
   Alcotest.(check bool) "lrat text roundtrip" true
@@ -254,7 +256,7 @@ let trims_and_replays f steps ~kept =
   | P.Not_refutation -> Alcotest.fail "trim: not a refutation"
   | P.Trim_invalid i -> Alcotest.failf "trim: invalid step %d" i
 
-let add l = P.Add (Cnf.Clause.of_dimacs_list l)
+let add l = P.Add (Cnf.Clause.of_dimacs_list l, [||])
 let del l = P.Delete (Cnf.Clause.of_dimacs_list l)
 
 (* the backward pass checks (1 2) while both its literals are true at
@@ -351,7 +353,7 @@ let perturbations rng f steps =
       (fun k s ->
         if k < i then
           match s with
-          | P.Add c -> bump c 1
+          | P.Add (c, _) -> bump c 1
           | P.Delete c ->
             if Option.value (Hashtbl.find_opt tbl c) ~default:0 > 0 then
               bump c (-1))
@@ -365,7 +367,7 @@ let perturbations rng f steps =
     | live ->
       let c = List.nth live (Sat.Rng.int rng (List.length live)) in
       let j = i + 1 + Sat.Rng.int rng (n - i + 1) in
-      insert_at j (P.Delete c) (insert_at i (P.Add c) steps)
+      insert_at j (P.Delete c) (insert_at i (P.Add (c, [||])) steps)
   in
   let delete_original =
     let c = originals.(Sat.Rng.int rng (Array.length originals)) in
@@ -373,7 +375,7 @@ let perturbations rng f steps =
   in
   let drop_literal =
     let droppable = function
-      | P.Add c -> Cnf.Clause.size c > 0
+      | P.Add (c, _) -> Cnf.Clause.size c > 0
       | P.Delete _ -> false
     in
     let i = Sat.Rng.int rng (max 1 (List.length (List.filter droppable steps))) in
@@ -382,10 +384,12 @@ let perturbations rng f steps =
       (fun s ->
         if droppable s then incr k;
         match s with
-        | P.Add c when !k = i && droppable s ->
+        | P.Add (c, hints) when !k = i && droppable s ->
           let lits = Cnf.Clause.to_list c in
           let drop = Sat.Rng.int rng (List.length lits) in
-          P.Add (Cnf.Clause.of_list (List.filteri (fun j _ -> j <> drop) lits))
+          P.Add
+            ( Cnf.Clause.of_list (List.filteri (fun j _ -> j <> drop) lits),
+              hints )
         | _ -> s)
       steps
   in
@@ -410,6 +414,232 @@ let prop_perturbed_proofs_trim_soundly =
           (perturbations rng f steps)
       | _ -> true)
 
+
+(* --- Solver hints ------------------------------------------------------- *)
+
+(* the ids [trim] gives the additions of [steps] that carry hints *)
+let hinted_ids f steps =
+  let next = ref (Cnf.Formula.nclauses f) in
+  List.fold_left
+    (fun acc step ->
+      match step with
+      | P.Add (c, h)
+        when not (Cnf.Clause.is_empty c || Cnf.Clause.is_tautology c) ->
+        incr next;
+        if Array.length h > 0 then !next :: acc else acc
+      | P.Add _ | P.Delete _ -> acc)
+    [] steps
+
+(* every kept addition that carries hints was verified from them, and
+   the certificate replays *)
+let hints_all_hold f steps =
+  match P.trim_hinted f steps with
+  | P.Trimmed { lines; _ }, hinted ->
+    let ids = hinted_ids f steps in
+    let kept_hinted =
+      List.length
+        (List.filter (fun (ln : P.lrat_line) -> List.mem ln.id ids) lines)
+    in
+    hinted = kept_hinted && P.check_lrat f lines = Ok ()
+  | (P.Not_refutation | P.Trim_invalid _), _ -> false
+
+(* Without preprocessing every addition is a [Cdcl] lemma: each carries
+   hints, and each kept one is verified from them with no RUP
+   fallback, under both the default and the aggressive deletion
+   policy. *)
+let prop_solver_hints_need_no_fallback =
+  QCheck.Test.make ~name:"solver lemmas verify from their own hints"
+    ~count:120
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Sat.Rng.create (seed + 51) in
+      let f =
+        Th.random_cnf rng (4 + Sat.Rng.int rng 8) (10 + Sat.Rng.int rng 40) 3
+      in
+      List.for_all
+        (fun config ->
+          let s = Sat.Cdcl.create ~config f in
+          match Sat.Cdcl.solve s with
+          | Sat.Types.Unsat -> (
+            let steps = Sat.Cdcl.proof s in
+            List.for_all
+              (function P.Add (_, h) -> Array.length h > 0 | P.Delete _ -> true)
+              steps
+            &&
+            match P.trim_hinted f steps with
+            | P.Trimmed { lines; kept_adds; _ }, hinted ->
+              hinted = kept_adds && P.check_lrat f lines = Ok ()
+            | (P.Not_refutation | P.Trim_invalid _), _ -> false)
+          | _ -> true)
+        [ { Sat.Types.default with Sat.Types.proof_logging = true };
+          proof_config ])
+
+(* Through the full pipeline the engine's hints are renumbered past the
+   preprocessing steps; a wrong id would make some fall back. *)
+let prop_pipeline_hints_hold =
+  QCheck.Test.make ~name:"renumbered pipeline hints verify" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let f, report = corpus_report seed in
+      match (report.Sat.Solver.outcome, report.Sat.Solver.proof) with
+      | Sat.Types.Unsat, Some steps -> hints_all_hold f steps
+      | _ -> true)
+
+let circuit_pipeline_hints_hold () =
+  let module G = Circuit.Generators in
+  let m = G.multiplier ~bits:4 in
+  List.iter
+    (fun (name, f) ->
+      let r =
+        Sat.Solver.solve
+          ~engine:(Sat.Solver.Cdcl proof_config)
+          ~pipeline:Sat.Solver.full_pipeline f
+      in
+      let steps = Option.value r.Sat.Solver.proof ~default:[] in
+      if hinted_ids f steps = [] then Alcotest.failf "%s: no hints" name;
+      if not (hints_all_hold f steps) then
+        Alcotest.failf "%s: a hinted step fell back" name)
+    [ ("php6", php 6);
+      ("mult4-xor", fst (Circuit.Miter.to_cnf m (Circuit.Transform.rewrite_xor m)))
+    ]
+
+(* Hints must carry the level-0 chains: here every php(5,4) clause
+   holds -y, which [Cdcl] drops at load time because y is fixed by
+   (x y) once (-x) has fixed x.  Random 3-SAT near the threshold and
+   php(6,5) learn units mid-search. *)
+let level0_chains_in_hints () =
+  let x = 21 and y = 22 in
+  let guarded =
+    [ -x ] :: [ x; y ]
+    :: List.map
+         (fun c -> -y :: List.map Cnf.Lit.to_dimacs (Cnf.Clause.to_list c))
+         (Array.to_list (Cnf.Formula.clauses (php 5)))
+  in
+  let rng = Sat.Rng.create 7 in
+  List.iter
+    (fun (name, f) ->
+      let s = Sat.Cdcl.create ~config:proof_config f in
+      match Sat.Cdcl.solve s with
+      | Sat.Types.Unsat -> (
+        match P.trim_hinted f (Sat.Cdcl.proof s) with
+        | P.Trimmed { lines; kept_adds; _ }, hinted ->
+          Alcotest.(check int) (name ^ ": kept lemmas from hints") kept_adds
+            hinted;
+          if P.check_lrat f lines <> Ok () then
+            Alcotest.failf "%s: the certificate fails" name
+        | _ -> Alcotest.failf "%s: trim failed" name)
+      | _ -> ())
+    (("guarded php5", Th.formula_of guarded)
+    :: ("php6", php 6)
+    :: List.init 6 (fun k ->
+           ( Printf.sprintf "3sat-%d" k,
+             Th.formula_of
+               (List.init 185 (fun _ ->
+                    List.init 3 (fun _ ->
+                        let v = 1 + Sat.Rng.int rng 40 in
+                        if Sat.Rng.bool rng then v else -v))) )))
+
+(* One hint of one hinted addition dropped, swapped with its neighbour
+   or pointed at another clause: the step falls back to RUP, so the
+   stream still trims, and the certificate replays. *)
+let perturb_hint rng steps =
+  let hinted =
+    List.length
+      (List.filter
+         (function P.Add (_, h) -> Array.length h > 0 | P.Delete _ -> false)
+         steps)
+  in
+  let pick = Sat.Rng.int rng (max 1 hinted) in
+  let k = ref (-1) in
+  List.map
+    (function
+      | P.Add (c, h) when Array.length h > 0 ->
+        incr k;
+        if !k <> pick then P.Add (c, h)
+        else begin
+          let n = Array.length h in
+          let i = Sat.Rng.int rng n in
+          let h' =
+            match Sat.Rng.int rng 3 with
+            | 0 -> Array.of_list (List.filteri (fun j _ -> j <> i) (Array.to_list h))
+            | 1 ->
+              let h' = Array.copy h in
+              let j = (i + 1) mod n in
+              h'.(i) <- h.(j);
+              h'.(j) <- h.(i);
+              h'
+            | _ ->
+              let h' = Array.copy h in
+              h'.(i) <- 1 + Sat.Rng.int rng (max 1 (2 * h.(i)));
+              h'
+          in
+          P.Add (c, h')
+        end
+      | step -> step)
+    steps
+
+let prop_perturbed_hints_trim_soundly =
+  QCheck.Test.make ~name:"perturbed hints trim soundly" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let f, report = corpus_report seed in
+      match (report.Sat.Solver.outcome, report.Sat.Solver.proof) with
+      | Sat.Types.Unsat, Some steps -> (
+        let rng = Sat.Rng.create (seed + 97) in
+        match P.trim f (perturb_hint rng steps) with
+        | P.Trimmed { lines; _ } -> P.check_lrat f lines = Ok ()
+        | P.Not_refutation | P.Trim_invalid _ -> false)
+      | _ -> true)
+
+(* Hints never make a non-RUP lemma pass: forged ones fail their replay,
+   and so do ones that replay only through a deleted clause. *)
+let forged_hints_rejected () =
+  let cl l = Cnf.Clause.of_dimacs_list l in
+  let f = Th.formula_of [ [ 1; 2 ]; [ 1; -2 ] ] in
+  (match P.trim f [ P.Add (cl [ -1 ], [| 1; 2 |]) ] with
+   | P.Trim_invalid 0 -> ()
+   | _ -> Alcotest.fail "a forged lemma trimmed");
+  let f = Th.formula_of [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 3 ]; [ -1; -3 ] ] in
+  let steps =
+    [ P.Add (cl [ 1 ], [| 1; 2 |]); del [ 1; 2 ]; del [ 1; -2 ]; del [ 1 ];
+      P.Add (cl [ 1 ], [| 5 |]) ]
+  in
+  (match P.check f steps with
+   | P.Invalid_step 4 -> ()
+   | _ -> Alcotest.fail "the forward check accepts the re-added unit");
+  match P.trim f steps with
+  | P.Trim_invalid 4 -> ()
+  | _ -> Alcotest.fail "hints through a deleted clause were accepted"
+
+(* The DRAT text of a fixed corpus through the full pipeline: the
+   300-instance corpus's first 100 seeds, php(6,5) and two circuit
+   miters.  The digest was recorded before the solver logged hints, so
+   hint collection cannot change what is learnt, deleted or written. *)
+let drat_stream_pinned () =
+  let module G = Circuit.Generators in
+  let buf = Buffer.create 65536 in
+  let add f =
+    let r =
+      Sat.Solver.solve
+        ~engine:(Sat.Solver.Cdcl proof_config)
+        ~pipeline:Sat.Solver.full_pipeline f
+    in
+    Buffer.add_string buf
+      (P.drat_to_string (Option.value r.Sat.Solver.proof ~default:[]))
+  in
+  for seed = 0 to 99 do
+    add (fst (corpus_report seed))
+  done;
+  add (php 6);
+  let m = G.multiplier ~bits:4 in
+  add (fst (Circuit.Miter.to_cnf m (Circuit.Transform.rewrite_xor m)));
+  add
+    (fst
+       (Circuit.Miter.to_cnf (G.ripple_adder ~bits:8)
+          (G.kogge_stone_adder ~bits:8)));
+  Alcotest.(check string) "DRAT digest" "90fc5928b440808a6e37ba1db0f7703f"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     Th.case "certified unsat" certified_unsat;
@@ -433,4 +663,11 @@ let suite =
     Th.case "re-attached clause unit at root" reattached_clause_unit_at_root;
     Th.qcheck prop_full_pipeline_drat;
     Th.qcheck prop_perturbed_proofs_trim_soundly;
+    Th.qcheck prop_solver_hints_need_no_fallback;
+    Th.qcheck prop_pipeline_hints_hold;
+    Th.case "circuit pipeline hints hold" circuit_pipeline_hints_hold;
+    Th.case "level-0 chains in hints" level0_chains_in_hints;
+    Th.qcheck prop_perturbed_hints_trim_soundly;
+    Th.case "forged hints rejected" forged_hints_rejected;
+    Th.case "DRAT stream pinned" drat_stream_pinned;
   ]
