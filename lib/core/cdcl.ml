@@ -453,12 +453,19 @@ let lemma_hints s p (confl : clause) lits =
   let id_of (c : clause) =
     if c.cid < Array.length p.of_cid then p.of_cid.(c.cid) else 0
   in
+  (* loops, not [Array.iter]: a closure per visited clause would
+     dominate the allocation here *)
   let rec premises id lits =
     if id = 0 then raise_notrace No_chain;
-    Array.iter (fun l -> derive (Lit.var l)) lits;
+    for k = 0 to Array.length lits - 1 do
+      derive (Lit.var lits.(k))
+    done;
     if Hashtbl.length p.dropped > 0 then
       match Hashtbl.find_opt p.dropped id with
-      | Some d -> Array.iter (fun l -> derive (Lit.var l)) d
+      | Some d ->
+        for k = 0 to Array.length d - 1 do
+          derive (Lit.var d.(k))
+        done
       | None -> ()
   and derive v =
     if stamp.(v) <> ep then begin
