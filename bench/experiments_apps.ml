@@ -124,16 +124,18 @@ let e10 () =
   Util.row "@.AIG-merged miters (hash-consing discharges shared logic):@.";
   List.iter
     (fun (name, c1, c2) ->
-       let r = Eda.Equiv.check_aig c1 c2 in
+       let r = Eda.Sweep.check c1 c2 in
        let verdict =
-         match r.Eda.Equiv.verdict with
+         match r.Eda.Sweep.verdict with
          | Eda.Equiv.Equivalent -> "EQ"
          | Eda.Equiv.Inequivalent _ -> "DIFF"
          | Eda.Equiv.Inconclusive _ -> "?"
        in
-       Util.row "  %-22s %-5s %7.3fs  %6d aig nodes%s@." name verdict
-         r.Eda.Equiv.time_seconds r.Eda.Equiv.bdd_nodes
-         (if r.Eda.Equiv.sat_stats = None then "  (no SAT call needed)" else ""))
+       let st = r.Eda.Sweep.stats in
+       Util.row "  %-22s %-5s %7.3fs  %6d aig -> %6d fraig nodes%s@." name
+         verdict r.Eda.Sweep.times.Eda.Sweep.total_s st.Eda.Sweep.aig_nodes
+         st.Eda.Sweep.fraig_nodes
+         (if st.Eda.Sweep.sat_calls = 0 then "  (no SAT call needed)" else ""))
     [
       ("mult7 vs rewrite", Circuit.Generators.multiplier ~bits:7,
        Circuit.Transform.rewrite_xor (Circuit.Generators.multiplier ~bits:7));

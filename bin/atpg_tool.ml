@@ -8,7 +8,7 @@ open Cmdliner
 let run path no_fault_sim structural incremental per_query metrics_path
     trace_path =
   let obs = Obs.setup ~tool:"atpg_tool" metrics_path trace_path in
-  let c = Circuit.Bench_format.parse_file path in
+  let c = Obs.load ~tool:"atpg_tool" Circuit.Bench_format.parse_file path in
   Format.printf "circuit: %a@." Circuit.Netlist.pp_stats c;
   let on_query f (st : Sat.Types.stats) =
     if per_query then

@@ -17,7 +17,8 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
   let obs = Obs.setup ~tool:"bmc_tool" metrics_path trace_path in
   let seq =
     match bench with
-    | Some path -> Circuit.Bench_format.parse_sequential_file path
+    | Some path ->
+      Obs.load ~tool:"bmc_tool" Circuit.Bench_format.parse_sequential_file path
     | None -> Circuit.Sequential.counter ~bits ~buggy_at
   in
   if induction then begin

@@ -14,8 +14,9 @@ open Cmdliner
 let run a b engine stats jobs no_elim metrics_path trace_path =
   let obs = Obs.setup ~tool:"cec_tool" metrics_path trace_path in
   let metrics = obs.Obs.metrics and trace = obs.Obs.trace in
-  let c1 = Circuit.Bench_format.parse_file a in
-  let c2 = Circuit.Bench_format.parse_file b in
+  let load = Obs.load ~tool:"cec_tool" Circuit.Bench_format.parse_file in
+  let c1 = load a in
+  let c2 = load b in
   if jobs > 1 && engine <> "mono" && engine <> "fraig" then begin
     Printf.eprintf "--jobs requires --engine mono or fraig\n";
     exit 2

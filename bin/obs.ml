@@ -1,4 +1,5 @@
-(* Shared --metrics / --trace plumbing for the CLI tools.
+(* Shared --metrics / --trace plumbing for the CLI tools, and the one
+   way they read a BENCH file ([load]).
 
    [setup ~tool] allocates a registry and/or trace sink when the
    corresponding flag was given and registers at_exit writers, so the
@@ -43,3 +44,11 @@ let setup ~tool metrics_path trace_path =
       trace_path
   in
   { metrics; trace }
+
+(* Reads a BENCH file with [parse]; a malformed one ends the tool with
+   "TOOL: FILE: message" on stderr and exit 2. *)
+let load ~tool parse path =
+  try parse path
+  with Circuit.Bench_format.Parse_error msg ->
+    Printf.eprintf "%s: %s: %s\n" tool path msg;
+    exit 2

@@ -7,8 +7,11 @@ open Cmdliner
 
 let run a b max_k bound jobs metrics_path trace_path =
   let obs = Obs.setup ~tool:"sec_tool" metrics_path trace_path in
-  let s1 = Circuit.Bench_format.parse_sequential_file a in
-  let s2 = Circuit.Bench_format.parse_sequential_file b in
+  let load =
+    Obs.load ~tool:"sec_tool" Circuit.Bench_format.parse_sequential_file
+  in
+  let s1 = load a in
+  let s2 = load b in
   match
     Eda.Seq_equiv.check ?metrics:obs.Obs.metrics ?trace:obs.Obs.trace ~max_k
       ~bound ~jobs s1 s2

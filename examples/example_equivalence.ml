@@ -38,7 +38,6 @@ let () =
        ~pipeline:{ Sat.Solver.no_pipeline with recursive_learning = 1 }
        golden revised);
   describe "bdd" (Eda.Equiv.check_bdd golden revised);
-  describe "aig merge" (Eda.Equiv.check_aig golden revised);
   (let r = Eda.Sweep.check golden revised in
    Format.printf "%-22s %s (%.3fs, %d internal equivalences proven)@."
      "sat sweeping"

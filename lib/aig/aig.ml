@@ -306,26 +306,38 @@ let to_netlist m ~outputs =
   List.iter (fun (name, l) -> Circuit.Netlist.set_output ~name c (edge l)) outputs;
   c
 
-let to_cnf m =
-  let f = Cnf.Formula.create () in
-  let vars = Array.init (Sat.Vec.size m.nodes) (fun _ -> Cnf.Formula.fresh_var f) in
-  let lit_of (l : lit) =
-    let base = Cnf.Lit.pos vars.(node_of l) in
-    if is_complemented l then Cnf.Lit.negate base else base
-  in
-  (* constant-true node *)
-  Cnf.Formula.add_clause_l f [ Cnf.Lit.pos vars.(0) ];
-  for id = 0 to Sat.Vec.size m.nodes - 1 do
-    match Sat.Vec.get m.nodes id with
-    | Const | Input _ -> ()
-    | And (a, b) ->
-      let out = Cnf.Lit.pos vars.(id) in
-      let la = lit_of a and lb = lit_of b in
-      Cnf.Formula.add_clause_l f [ Cnf.Lit.negate out; la ];
-      Cnf.Formula.add_clause_l f [ Cnf.Lit.negate out; lb ];
-      Cnf.Formula.add_clause_l f
-        [ out; Cnf.Lit.negate la; Cnf.Lit.negate lb ]
+(* Input k is variable k; the constant and the AND nodes of the cone
+   get fresh variables in depth-first post-order, roots left to right,
+   and the constant's unit clause comes last. *)
+let to_cnf m ~roots =
+  let f = Cnf.Formula.create ~nvars:m.inputs () in
+  let vars = Array.make (Sat.Vec.size m.nodes) (-1) in
+  for k = 0 to m.inputs - 1 do
+    vars.(Sat.Vec.get m.input_ids k) <- k
   done;
+  let lit_of (l : lit) =
+    let v = vars.(node_of l) in
+    if v < 0 then invalid_arg "Aig.to_cnf: edge outside the roots' cone";
+    if is_complemented l then Cnf.Lit.neg_of_var v else Cnf.Lit.pos v
+  in
+  let rec visit id =
+    if vars.(id) < 0 then
+      match Sat.Vec.get m.nodes id with
+      | Input _ -> ()
+      | Const -> vars.(id) <- Cnf.Formula.fresh_var f
+      | And (a, b) ->
+        visit (node_of a);
+        visit (node_of b);
+        let v = Cnf.Formula.fresh_var f in
+        vars.(id) <- v;
+        let out = Cnf.Lit.pos v and la = lit_of a and lb = lit_of b in
+        Cnf.Formula.add_clause_l f [ Cnf.Lit.negate out; la ];
+        Cnf.Formula.add_clause_l f [ Cnf.Lit.negate out; lb ];
+        Cnf.Formula.add_clause_l f
+          [ out; Cnf.Lit.negate la; Cnf.Lit.negate lb ]
+  in
+  List.iter (fun r -> visit (node_of r)) roots;
+  if vars.(0) >= 0 then Cnf.Formula.add_clause_l f [ lit_of const_true ];
   (f, lit_of)
 
 module Session_cnf = struct
@@ -395,6 +407,12 @@ module Session_cnf = struct
         { Sat.Types.seed_activity = List.init (n1 - n0) (fun i -> (n0 + i, 1.));
           seed_phase = [] };
     lit_of_emitted t l
+
+  let value t model l =
+    let id = node_of l in
+    let v = if id < Array.length t.vars then t.vars.(id) else -1 in
+    let b = v >= 0 && v < Array.length model && model.(v) in
+    if is_complemented l then not b else b
 
   let emitted_nodes t = t.emitted
 end

@@ -89,12 +89,23 @@ val cleanup : man -> outputs:lit list -> man * lit list
     reachable from the outputs.  The input interface (count and order)
     is preserved even for inputs no output depends on. *)
 
+val build_from : man -> Circuit.Netlist.t -> lit array -> lit array
+(** [build_from m c input_edges] builds [c]'s gates into [m] over the
+    given edges for [c]'s inputs (positionally, in
+    {!Circuit.Netlist.inputs} order) and returns the edge of every
+    netlist node, indexed by node id.  Calling it again with other input
+    edges builds another copy: the way circuits are unrolled into one
+    manager, sharing every structurally equal node. *)
+
 val to_netlist : man -> outputs:(string * lit) list -> Circuit.Netlist.t
 (** Re-materialises as a gate netlist (AND/NOT gates). *)
 
-val to_cnf : man -> Cnf.Formula.t * (lit -> Cnf.Lit.t)
-(** Tseitin translation: one variable per node, three clauses per AND.
-    The mapping converts any edge of the manager to a formula literal. *)
+val to_cnf : man -> roots:lit list -> Cnf.Formula.t * (lit -> Cnf.Lit.t)
+(** Tseitin translation of the cone of [roots] into a standalone
+    formula: input [k] is variable [k] (every input, reached or not),
+    and each AND node of the cone gets one variable and three clauses.
+    The mapping converts an edge of the cone, or any input edge, to a
+    formula literal; other edges raise [Invalid_argument]. *)
 
 val node_count : man -> int
 (** Inputs + AND nodes + the constant. *)
@@ -127,6 +138,11 @@ module Session_cnf : sig
       solver's current VSIDS activity ceiling ({!Sat.Session.apply_guidance}
       with activity 1 and no phase seed), so the next search branches
       first on the cone just emitted; saved phases are left alone. *)
+
+  val value : t -> bool array -> lit -> bool
+  (** An edge's value under a model of the session.  A node never
+      emitted (or allocated after the model was found) is
+      unconstrained and reads false; emits nothing. *)
 
   val emitted_nodes : t -> int
   (** Number of AND nodes whose clauses have been emitted so far. *)

@@ -57,22 +57,19 @@ let add_gate_cnf f ~out ~ins g =
      | [] -> invalid_arg "Encode: empty XOR")
   | _ -> List.iter (Cnf.Formula.add_clause f) (gate_clauses ~out ~ins g)
 
-let encode_into f ?(pre = fun _ -> None) c =
+let encode_into f c =
   let n = Netlist.num_nodes c in
   let map = Array.make (max 1 n) (-1) in
   for id = 0 to n - 1 do
-    match pre id with
-    | Some l -> map.(id) <- l
-    | None ->
-      let out = fresh_lit f in
-      map.(id) <- out;
-      (match Netlist.node c id with
-       | Netlist.Input -> ()
-       | Netlist.Const b ->
-         Cnf.Formula.add_clause_l f [ (if b then out else Lit.negate out) ]
-       | Netlist.Gate (g, fs) ->
-         let ins = List.map (fun x -> map.(x)) fs in
-         add_gate_cnf f ~out ~ins g)
+    let out = fresh_lit f in
+    map.(id) <- out;
+    match Netlist.node c id with
+    | Netlist.Input -> ()
+    | Netlist.Const b ->
+      Cnf.Formula.add_clause_l f [ (if b then out else Lit.negate out) ]
+    | Netlist.Gate (g, fs) ->
+      let ins = List.map (fun x -> map.(x)) fs in
+      add_gate_cnf f ~out ~ins g
   done;
   fun id -> map.(id)
 

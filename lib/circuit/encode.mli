@@ -21,16 +21,12 @@ val encode : Netlist.t -> mapping
 (** Encodes the whole circuit into a fresh formula.  Constants become
     unit clauses. *)
 
-val encode_into :
-  Cnf.Formula.t ->
-  ?pre:(Netlist.node_id -> Cnf.Lit.t option) ->
-  Netlist.t ->
-  Netlist.node_id -> Cnf.Lit.t
-(** Encodes into an existing formula.  [pre] supplies literals for nodes
-    that must not receive fresh variables — shared primary inputs across
-    circuit copies, or a fault-site override (the node's clauses are then
-    omitted and the supplied literal used by its fanouts).  Returns the
-    node-to-literal map. *)
+val encode_into : Cnf.Formula.t -> Netlist.t -> Netlist.node_id -> Cnf.Lit.t
+(** Encodes one more copy of the circuit into an existing formula, every
+    node on fresh variables, and returns the node-to-literal map.  The
+    gate-level Sec. 3 applications tie copies together with their own
+    clauses; sequential unrolling goes through the AIG instead
+    ([Eda.Bmc]). *)
 
 val assert_output : Cnf.Formula.t -> Cnf.Lit.t -> bool -> unit
 (** Constrains a node literal to an objective value, e.g. the [z = 0]

@@ -555,25 +555,22 @@ let analyze s confl =
   let uip = Lit.negate !p in
   (* conflict-clause minimization: drop literals implied by the rest *)
   let kept =
-    if not s.cfg.minimize_learned then !learnt
-    else begin
-      (* [seen] currently true exactly for the vars in [learnt] *)
-      List.iter (fun q -> s.seen.(Lit.var q) <- true) !learnt;
-      let redundant q =
-        let c = s.reason.(Lit.var q) in
-        (* decisions ([dummy_clause]) are never redundant *)
-        c != dummy_clause
-        && Array.for_all
-             (fun l ->
-                Lit.var l = Lit.var q
-                || s.level.(Lit.var l) = 0
-                || s.seen.(Lit.var l))
-             c.lits
-      in
-      let kept = List.filter (fun q -> not (redundant q)) !learnt in
-      List.iter (fun q -> s.seen.(Lit.var q) <- false) !learnt;
-      kept
-    end
+    (* [seen] currently true exactly for the vars in [learnt] *)
+    List.iter (fun q -> s.seen.(Lit.var q) <- true) !learnt;
+    let redundant q =
+      let c = s.reason.(Lit.var q) in
+      (* decisions ([dummy_clause]) are never redundant *)
+      c != dummy_clause
+      && Array.for_all
+           (fun l ->
+              Lit.var l = Lit.var q
+              || s.level.(Lit.var l) = 0
+              || s.seen.(Lit.var l))
+           c.lits
+    in
+    let kept = List.filter (fun q -> not (redundant q)) !learnt in
+    List.iter (fun q -> s.seen.(Lit.var q) <- false) !learnt;
+    kept
   in
   List.iter (fun v -> s.seen.(v) <- false) !to_clear;
   (* backjump level = highest level among the non-UIP literals *)

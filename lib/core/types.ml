@@ -18,7 +18,6 @@ type config = {
   heuristic : heuristic;
   restarts : restart_policy;
   deletion : deletion_policy;
-  minimize_learned : bool;
   phase_saving : bool;
   chronological : bool;
   random_seed : int;
@@ -33,7 +32,6 @@ let default =
     heuristic = Vsids;
     restarts = Luby 100;
     deletion = Activity_halving;
-    minimize_learned = true;
     phase_saving = true;
     chronological = false;
     random_seed = 91648253;

@@ -53,7 +53,6 @@ type config = {
   heuristic : heuristic;
   restarts : restart_policy;
   deletion : deletion_policy;
-  minimize_learned : bool;   (** conflict-clause minimization *)
   phase_saving : bool;
   chronological : bool;
       (** force chronological backtracking (ablation of Sec. 4.1

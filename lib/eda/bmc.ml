@@ -18,48 +18,49 @@ type report = {
   timed_out : bool;
 }
 
-(* Each frame is encoded into a scratch formula whose variables are then
-   remapped into the live session; state inputs are bound to the previous
-   frame's next-state literals. *)
-let encode_frame ?group sess seq state_lits =
+(* Frames unrolled into one AIG manager and queried through one
+   session over it ([Aig.Session_cnf]): a query emits only the cone of
+   its literal, constants fold through the frames and structurally equal
+   logic is shared across them.  [state] holds the latch edges the next
+   frame reads; [frames] the node edges of each frame, newest first. *)
+type unrolling = {
+  man : Aig.man;
+  scnf : Aig.Session_cnf.t;
+  mutable state : Aig.lit list;
+  mutable frames : Aig.lit array list;
+}
+
+(* Frame 0 reads the init constants, or fresh inputs with [~free]. *)
+let unroll ?config ?(free = false) seq =
+  let man = Aig.create () in
+  let state =
+    List.map
+      (fun b ->
+         if free then Aig.add_input man
+         else if b then Aig.const_true
+         else Aig.const_false)
+      seq.S.init
+  in
+  { man; scnf = Aig.Session_cnf.create ?config man; state; frames = [] }
+
+let session u = Aig.Session_cnf.session u.scnf
+let lit_of u e = Aig.Session_cnf.lit_of u.scnf e
+
+(* Appends one frame over fresh primary inputs and the current latch
+   edges; a comb input that is neither reads false, as in
+   [Sequential.step]. *)
+let add_frame u seq =
   let comb = seq.S.comb in
-  let scratch = Cnf.Formula.create () in
-  let pre_table = Hashtbl.create 16 in
-  List.iter2
-    (fun node l -> Hashtbl.replace pre_table node l)
-    seq.S.state_inputs state_lits;
-  let remap = Hashtbl.create 64 in
-  let lit_of_scratch l =
-    let v = Lit.var l in
-    let nv =
-      match Hashtbl.find_opt remap v with
-      | Some nv -> nv
-      | None ->
-        let nv = Session.new_var sess in
-        Hashtbl.replace remap v nv;
-        nv
-    in
-    if Lit.is_pos l then Lit.pos nv else Lit.neg_of_var nv
+  let edges = Array.make (max 1 (N.num_nodes comb)) Aig.const_false in
+  List.iter (fun id -> edges.(id) <- Aig.add_input u.man) seq.S.primary_inputs;
+  List.iter2 (fun id e -> edges.(id) <- e) seq.S.state_inputs u.state;
+  let frame =
+    Aig.build_from u.man comb
+      (Array.of_list (List.map (fun id -> edges.(id)) (N.inputs comb)))
   in
-  let pre id =
-    match Hashtbl.find_opt pre_table id with
-    | Some session_lit ->
-      (* a scratch var bound to the (positive) session literal *)
-      let sv = Cnf.Formula.fresh_var scratch in
-      Hashtbl.replace remap sv (Lit.var session_lit);
-      assert (Lit.is_pos session_lit);
-      Some (Lit.pos sv)
-    | None -> None
-  in
-  let lit_of = Circuit.Encode.encode_into scratch ~pre comb in
-  let add =
-    match group with
-    | Some g -> Session.add_clause_in sess ~group:g
-    | None -> Session.add_clause sess
-  in
-  Cnf.Formula.iter_clauses scratch (fun cl ->
-      add (List.map lit_of_scratch (Cnf.Clause.to_list cl)));
-  fun id -> lit_of_scratch (lit_of id)
+  u.frames <- frame :: u.frames;
+  u.state <- List.map (fun id -> frame.(id)) seq.S.next_state;
+  frame
 
 let bad_node_of seq bad_output =
   match
@@ -68,26 +69,16 @@ let bad_node_of seq bad_output =
   | Some (_, id) -> id
   | None -> invalid_arg ("Bmc.check: no output named " ^ bad_output)
 
-(* Fresh session whose frame-0 state literals are constants from init. *)
-let initial_state sess seq =
-  List.map
-    (fun b ->
-       let v = Session.new_var sess in
-       Session.add_clause sess [ (if b then Lit.pos v else Lit.neg_of_var v) ];
-       Lit.pos v)
-    seq.S.init
-
-let extract_inputs seq frames m =
+(* primary-input vectors per frame, frame 0 first; an input outside
+   every queried cone is a don't-care and reads false *)
+let extract_inputs u seq m =
   List.rev_map
-    (fun fr ->
-       List.map
-         (fun pi ->
-            let l = fr pi in
-            let v = m.(Lit.var l) in
-            if Lit.is_pos l then v else not v)
-         seq.S.primary_inputs
-       |> Array.of_list)
-    frames
+    (fun frame ->
+       Array.of_list
+         (List.map
+            (fun pi -> Aig.Session_cnf.value u.scnf m frame.(pi))
+            seq.S.primary_inputs))
+    u.frames
 
 let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
     ?(incremental = true) ?timeout ~max_bound seq =
@@ -129,65 +120,40 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
      | _ -> ());
     o
   in
-  if incremental then begin
-    (* one session across all bounds: frames stay encoded, learned
-       clauses and heuristic state carry over from bound to bound *)
-    let sess = Session.create ~config () in
-    attach sess;
-    let frames : (N.node_id -> Lit.t) list ref = ref [] in
-    let state = ref (initial_state sess seq) in
-    while !result = None && !k < max_bound do
-      let bt0 = Sat.Monotime.now_s () in
-      let frame = encode_frame sess seq !state in
-      incr frames_encoded;
-      frames := frame :: !frames;
-      let bad_lit = frame bad_node in
-      (match solve_frame sess [ bad_lit ] with
-       | Sat.Types.Sat m ->
-         result := Some (Counterexample (extract_inputs seq !frames m))
-       | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> ()
-       | Sat.Types.Unknown _ -> result := Some No_counterexample);
-      let d = Session.last_stats sess in
-      Sat.Types.add_stats_into total d;
-      per_bound := (!k, d) :: !per_bound;
-      state := List.map frame seq.S.next_state;
-      Option.iter
-        (fun h -> Sat.Metrics.observe h (Sat.Monotime.now_s () -. bt0))
-        bound_time;
-      Option.iter (fun g -> Sat.Metrics.set_gauge g (float_of_int !k)) bound_gauge;
-      incr k
-    done
-  end
-  else
-    (* from-scratch reference mode (for comparison): every bound builds a
-       fresh session and re-encodes frames 0..k *)
-    while !result = None && !k < max_bound do
-      let bt0 = Sat.Monotime.now_s () in
-      let sess = Session.create ~config () in
-      attach sess;
-      let frames : (N.node_id -> Lit.t) list ref = ref [] in
-      let state = ref (initial_state sess seq) in
-      for _ = 0 to !k do
-        let frame = encode_frame sess seq !state in
-        incr frames_encoded;
-        frames := frame :: !frames;
-        state := List.map frame seq.S.next_state
-      done;
-      let bad_lit = (List.hd !frames) bad_node in
-      (match solve_frame sess [ bad_lit ] with
-       | Sat.Types.Sat m ->
-         result := Some (Counterexample (extract_inputs seq !frames m))
-       | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> ()
-       | Sat.Types.Unknown _ -> result := Some No_counterexample);
-      let d = Session.last_stats sess in
-      Sat.Types.add_stats_into total d;
-      per_bound := (!k, d) :: !per_bound;
-      Option.iter
-        (fun h -> Sat.Metrics.observe h (Sat.Monotime.now_s () -. bt0))
-        bound_time;
-      Option.iter (fun g -> Sat.Metrics.set_gauge g (float_of_int !k)) bound_gauge;
-      incr k
+  let fresh () =
+    let u = unroll ~config seq in
+    attach (session u);
+    u
+  in
+  (* incremental: one unrolling across all bounds, so frames stay
+     encoded and learned clauses and heuristic state carry over; from
+     scratch (the reference mode for comparison): every bound unrolls
+     frames 0..k afresh *)
+  let shared = if incremental then Some (fresh ()) else None in
+  while !result = None && !k < max_bound do
+    let bt0 = Sat.Monotime.now_s () in
+    let u = match shared with Some u -> u | None -> fresh () in
+    for _ = List.length u.frames to !k do
+      ignore (add_frame u seq);
+      incr frames_encoded
     done;
+    (* exactly one query per bound, even when [bad] folds to a
+       constant, so deadlines and per-bound rows behave alike *)
+    let sess = session u in
+    (match solve_frame sess [ lit_of u (List.hd u.frames).(bad_node) ] with
+     | Sat.Types.Sat m ->
+       result := Some (Counterexample (extract_inputs u seq m))
+     | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> ()
+     | Sat.Types.Unknown _ -> result := Some No_counterexample);
+    let d = Session.last_stats sess in
+    Sat.Types.add_stats_into total d;
+    per_bound := (!k, d) :: !per_bound;
+    Option.iter
+      (fun h -> Sat.Metrics.observe h (Sat.Monotime.now_s () -. bt0))
+      bound_time;
+    Option.iter (fun g -> Sat.Metrics.set_gauge g (float_of_int !k)) bound_gauge;
+    incr k
+  done;
   Option.iter
     (fun c -> Sat.Metrics.set_counter c !frames_encoded)
     frames_counter;
@@ -203,29 +169,36 @@ let check ?metrics ?trace ?(config = Sat.Types.default) ?(bad_output = "bad")
     timed_out = !timed_out;
   }
 
-(* Which frames does unreachability actually depend on?  Re-encode
-   frames 0..bound-1 with each frame's transition clauses guarded by an
-   activation literal, then ask [Session.minimize_assumptions] to shrink
-   {activations} ∪ {bad at the last frame}: the activation literals that
-   survive name the frames the refutation needs. *)
+(* Which state links does unreachability actually depend on?  Unroll
+   frames 0..bound-1 with each frame's latch inputs fresh, tied to the
+   previous frame's next state (frame 0's to init) by equivalence
+   clauses in that frame's activation group, then ask
+   [Session.minimize_assumptions] to shrink {activations} ∪ {bad at
+   the last frame}: the activation literals that survive name the
+   frames whose state link the refutation needs. *)
 let explain_bound ?(config = Sat.Types.default) ?(bad_output = "bad") ~bound
     seq =
   S.validate seq;
   if bound < 1 then invalid_arg "Bmc.explain_bound: bound must be >= 1";
   let bad_node = bad_node_of seq bad_output in
-  let sess = Session.create ~config () in
-  let state = ref (initial_state sess seq) in
-  let acts = ref [] in
-  let last_bad = ref (Lit.pos 0) in
-  for _t = 0 to bound - 1 do
-    let a = Session.new_activation sess in
-    acts := a :: !acts;
-    let frame = encode_frame ~group:a sess seq !state in
-    state := List.map frame seq.S.next_state;
-    last_bad := frame bad_node
-  done;
-  let acts = List.rev !acts in
-  match Session.minimize_assumptions sess (acts @ [ !last_bad ]) with
+  let u = unroll ~config seq in
+  let sess = session u in
+  let acts =
+    List.init bound (fun _ ->
+        let a = Session.new_activation sess in
+        let prev = u.state in
+        u.state <- List.map (fun _ -> Aig.add_input u.man) prev;
+        List.iter2
+          (fun s p ->
+             let s = lit_of u s and p = lit_of u p in
+             Session.add_clause_in sess ~group:a [ Lit.negate s; p ];
+             Session.add_clause_in sess ~group:a [ s; Lit.negate p ])
+          u.state prev;
+        ignore (add_frame u seq);
+        a)
+  in
+  let last_bad = lit_of u (List.hd u.frames).(bad_node) in
+  match Session.minimize_assumptions sess (acts @ [ last_bad ]) with
   | None -> None (* a counterexample of this length exists *)
   | Some core ->
     Some
@@ -252,45 +225,31 @@ let prove_inductive ?metrics ?(config = Sat.Types.default)
     ?(bad_output = "bad") ?(max_k = 8) seq =
   S.validate seq;
   let bad_node = bad_node_of seq bad_output in
-  (* base session: frames from the initial state *)
-  let base = Session.create ~config () in
-  let base_frames : (N.node_id -> Lit.t) list ref = ref [] in
-  let base_state = ref (initial_state base seq) in
-  (* step session: frames from a free (arbitrary) state *)
-  let step = Session.create ~config () in
+  (* base: frames from the initial state; step: from a free state *)
+  let base = unroll ~config seq and step = unroll ~config ~free:true seq in
   Option.iter
     (fun m ->
-       Session.attach_metrics base m;
-       Session.attach_metrics step m)
+       Session.attach_metrics (session base) m;
+       Session.attach_metrics (session step) m)
     metrics;
-  let step_state =
-    ref (List.map (fun _ -> Lit.pos (Session.new_var step)) seq.S.init)
-  in
-  let step_frame0 = encode_frame step seq !step_state in
-  step_state := List.map step_frame0 seq.S.next_state;
-  let step_prev_bad = ref (step_frame0 bad_node) in
+  let bad_of u = lit_of u (add_frame u seq).(bad_node) in
+  let step_prev_bad = ref (bad_of step) in
   let rec attempt k =
     if k > max_k then Bound_reached
-    else begin
+    else
       (* base obligation at depth k: extend by frame k-1, query its bad *)
-      let frame = encode_frame base seq !base_state in
-      base_frames := frame :: !base_frames;
-      base_state := List.map frame seq.S.next_state;
-      match Session.solve ~assumptions:[ frame bad_node ] base with
-      | Sat.Types.Sat m -> Refuted (extract_inputs seq !base_frames m)
+      match Session.solve ~assumptions:[ bad_of base ] (session base) with
+      | Sat.Types.Sat m -> Refuted (extract_inputs base seq m)
       | Sat.Types.Unknown _ -> Bound_reached
       | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ ->
         (* step obligation: frames 0..k good, is frame k's bad forced
            off?  The previous iteration's queried bad becomes a
            permanent constraint. *)
-        Session.add_clause step [ Lit.negate !step_prev_bad ];
-        let frame = encode_frame step seq !step_state in
-        step_state := List.map frame seq.S.next_state;
-        let bad = frame bad_node in
+        Session.add_clause (session step) [ Lit.negate !step_prev_bad ];
+        let bad = bad_of step in
         step_prev_bad := bad;
-        (match Session.solve ~assumptions:[ bad ] step with
+        (match Session.solve ~assumptions:[ bad ] (session step) with
          | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ -> Proved k
          | Sat.Types.Sat _ | Sat.Types.Unknown _ -> attempt (k + 1))
-    end
   in
   attempt 1

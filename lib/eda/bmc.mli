@@ -2,15 +2,21 @@
     al. [5]).
 
     The transition relation is unrolled frame by frame into one
-    incremental SAT {!Sat.Session}; the safety property ("output [bad]
-    never rises") is queried per bound under an assumption, so frames
-    are shared across bounds and learned clauses, variable activities
-    and saved phases persist from bound to bound. *)
+    {!Aig} manager ({!Aig.build_from}): frame 0's latch inputs are the
+    init constants and frame [k+1]'s are frame [k]'s next-state edges,
+    so the constants fold through the early frames and structurally
+    equal logic is shared across frames.  The safety property ("output
+    [bad] never rises") is queried once per bound under an assumption
+    on one incremental {!Sat.Session} through {!Aig.Session_cnf}, which
+    emits only the cone of each queried [bad]: frames are shared across
+    bounds, and learned clauses, variable activities and saved phases
+    persist from bound to bound. *)
 
 type result =
   | Counterexample of bool array list
       (** primary-input vector per frame, frame 0 first; the property
-          fails in the last frame *)
+          fails in the last frame.  An input outside the cone of the
+          failing [bad] is a don't-care and reads [false]. *)
   | No_counterexample
       (** up to the requested bound *)
 
@@ -23,7 +29,7 @@ type report = {
   total_stats : Sat.Types.stats;  (** summed across all bounds *)
   frames_encoded : int;
       (** transition-relation copies built: [bound_reached] when
-          incremental, quadratic when re-encoding from scratch *)
+          incremental, quadratic when unrolling from scratch *)
   time_seconds : float;
   timed_out : bool;
       (** the wall clock fired: [result] is [No_counterexample] only up
@@ -43,11 +49,13 @@ val check :
 (** [bad_output] (default ["bad"]) names the property output in the
     sequential circuit's combinational part.
 
-    [incremental] (default [true]) extends one session across bounds —
-    reaching bound k encodes each frame exactly once.  With
-    [incremental:false] every bound rebuilds a fresh solver and
-    re-encodes frames [0..k] — the from-scratch reference mode the
-    Section 6 comparison benchmarks against.
+    [incremental] (default [true]) extends one unrolling and its
+    session across bounds — reaching bound k builds each frame exactly
+    once.  With [incremental:false] every bound unrolls frames [0..k]
+    into a fresh manager and session — the from-scratch reference mode
+    the Section 6 comparison benchmarks against.  Either way each bound
+    makes exactly one {!Sat.Session.solve}, even when [bad] folds to a
+    constant.
 
     [timeout] bounds the whole run in wall-clock seconds.  It becomes
     one absolute deadline, computed once and passed to every frame
@@ -70,14 +78,18 @@ val explain_bound :
   bound:int ->
   Circuit.Sequential.t ->
   int list option
-(** Which frames does "[bad] is unreachable in exactly [bound] steps"
-    actually depend on?  Re-encodes frames [0..bound-1] into a fresh
-    session with each frame's transition clauses guarded by an
-    activation literal, then runs {!Sat.Session.minimize_assumptions}
-    over the activation literals plus the final frame's [bad]: the
-    activations surviving in the minimized core name the frames the
-    refutation needs (often a suffix — earlier frames' logic is
-    irrelevant once the reachable-state sleeve has stabilized).
+(** Which state links does "[bad] is unreachable in exactly [bound]
+    steps" actually depend on?  Unrolls frames [0..bound-1] into a
+    fresh manager with each frame's latch inputs fresh, tied to the
+    previous frame's next state (frame 0's to the init values) by
+    equivalence clauses in that frame's activation group, then runs
+    {!Sat.Session.minimize_assumptions} over the activation literals
+    plus the final frame's [bad]: the activations surviving in the
+    minimized core name the frames whose incoming state link the
+    refutation needs (often a suffix — earlier links are irrelevant
+    once the reachable-state sleeve has stabilized).  The last frame's
+    link is always among them unless [bad] is unsatisfiable from every
+    state.
 
     Returns [None] when a counterexample of this length exists, and
     [Some frames] (ascending frame indices, possibly empty) otherwise.
@@ -104,5 +116,6 @@ val prove_inductive :
     counterexample up to k", an inductive property is certified for
     {e all} depths — the natural unbounded extension of the BMC usage
     the paper surveys.  Both the base and the step obligation keep their
-    own incremental session across increasing k, so each transition
-    frame is encoded exactly once per obligation. *)
+    own unrolling and session across increasing k — the step frames
+    start from fresh latch inputs instead of the init constants — so
+    each frame is built exactly once per obligation. *)

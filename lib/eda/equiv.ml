@@ -110,48 +110,6 @@ let check_bdd ?(node_limit = 500_000) c1 c2 =
       compare pairs
     with Bdd.Node_limit -> finish (Inconclusive "BDD node limit")
 
-let check_aig ?(config = Sat.Types.default) c1 c2 =
-  let t0 = Unix.gettimeofday () in
-  let finish ?stats verdict nodes =
-    {
-      verdict;
-      time_seconds = Unix.gettimeofday () -. t0;
-      sat_stats = stats;
-      bdd_nodes = nodes;
-    }
-  in
-  match Aig.merge_netlists c1 c2 with
-  | exception Invalid_argument _ -> finish (Inequivalent [||]) 0
-  | m, pairs ->
-    let unresolved = List.filter (fun (a, b) -> a <> b) pairs in
-    if unresolved = [] then finish Equivalent (Aig.node_count m)
-    else begin
-      let diff =
-        List.fold_left
-          (fun acc (a, b) -> Aig.or_ m acc (Aig.xor m a b))
-          Aig.const_false unresolved
-      in
-      let f, lit_of = Aig.to_cnf m in
-      Cnf.Formula.add_clause_l f [ lit_of diff ];
-      let sess = Sat.Session.of_formula ~config f in
-      let outcome = Sat.Session.solve sess in
-      let stats = Sat.Session.cumulative_stats sess in
-      match outcome with
-      | Sat.Types.Unsat | Sat.Types.Unsat_assuming _ ->
-        finish ~stats Equivalent (Aig.node_count m)
-      | Sat.Types.Sat model ->
-        let n_inputs = List.length (N.inputs c1) in
-        let vec =
-          Array.init n_inputs (fun i ->
-              let l = lit_of (Aig.input m i) in
-              let v = model.(Cnf.Lit.var l) in
-              if Cnf.Lit.is_pos l then v else not v)
-        in
-        finish ~stats (Inequivalent vec) (Aig.node_count m)
-      | Sat.Types.Unknown why ->
-        finish ~stats (Inconclusive why) (Aig.node_count m)
-    end
-
 let check_fraig ?metrics ?trace ?config ?words ?seed ?candidate_conflicts
     c1 c2 =
   let r =

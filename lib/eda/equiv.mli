@@ -37,15 +37,6 @@ val check_bdd :
     equivalence is pointer equality.  [node_limit] (default 500_000)
     bounds blow-up. *)
 
-val check_aig :
-  ?config:Sat.Types.config ->
-  Circuit.Netlist.t -> Circuit.Netlist.t -> report
-(** Builds both circuits into one AIG manager (shared inputs): the
-    hash-consing performs structural merging for free, identical output
-    edges are discharged without any SAT call, and the residue is a
-    compact three-clauses-per-node miter CNF.  [bdd_nodes] reports the
-    AIG node count. *)
-
 val check_fraig :
   ?metrics:Sat.Metrics.t ->
   ?trace:Sat.Trace.sink ->

@@ -101,16 +101,11 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
     Option.iter (fun tr -> Sat.Session.set_tracer sess (Some tr)) trace;
     (* input variables exist up front so counterexample models always
        cover the primary inputs *)
-    let input_lits =
-      Array.init n_inputs (fun i -> Scnf.lit_of scnf (Aig.input nm i))
-    in
+    for i = 0 to n_inputs - 1 do
+      ignore (Scnf.lit_of scnf (Aig.input nm i))
+    done;
     (* a counterexample model's value for primary input [i] *)
-    let input_value model i =
-      let l = input_lits.(i) in
-      let var = Lit.var l in
-      var < Array.length model
-      && (if Lit.is_pos l then model.(var) else not model.(var))
-    in
+    let input_value model i = Scnf.value scnf model (Aig.input nm i) in
     (* --- signatures: one flat column per simulation word ---------------- *)
     (* [(!cols).(w).(id)] packs node [id]'s values under the 62 patterns
        of simulation word [w]; the columns and the per-node arrays share
@@ -342,35 +337,8 @@ let check ?(config = Sat.Types.default) ?(words = 4) ?(seed = 77)
        the disequality of the pair asserted, and the miter decomposed
        across the worker domains. *)
     let cone_miter ea eb =
-      let f = Cnf.Formula.create ~nvars:n_inputs () in
-      let var_of = Hashtbl.create 64 in
-      let rec visit id =
-        match Hashtbl.find_opt var_of id with
-        | Some v -> v
-        | None ->
-          let v =
-            match Aig.view nm id with
-            | Aig.Input k -> k
-            | Aig.Const -> Cnf.Formula.fresh_var f
-            | Aig.And (a, b) ->
-              let la = lit_of_edge a and lb = lit_of_edge b in
-              let v = Cnf.Formula.fresh_var f in
-              Cnf.Formula.add_clause_l f [ Lit.neg_of_var v; la ];
-              Cnf.Formula.add_clause_l f [ Lit.neg_of_var v; lb ];
-              Cnf.Formula.add_clause_l f
-                [ Lit.pos v; Lit.negate la; Lit.negate lb ];
-              v
-          in
-          Hashtbl.replace var_of id v;
-          v
-      and lit_of_edge e =
-        let v = visit (Aig.node_of e) in
-        if Aig.is_complemented e then Lit.neg_of_var v else Lit.pos v
-      in
-      let a = lit_of_edge ea and b = lit_of_edge eb in
-      (* pin the constant node in case a cone reaches it *)
-      if Hashtbl.mem var_of (Aig.node_of Aig.const_true) then
-        Cnf.Formula.add_clause_l f [ lit_of_edge Aig.const_true ];
+      let f, lit_of = Aig.to_cnf nm ~roots:[ ea; eb ] in
+      let a = lit_of ea and b = lit_of eb in
       Cnf.Formula.add_clause_l f [ a; b ];
       Cnf.Formula.add_clause_l f [ Lit.negate a; Lit.negate b ];
       f

@@ -77,7 +77,7 @@ let cnf_translation () =
   for seed = 1 to 15 do
     let c = Circuit.Generators.random_circuit ~inputs:5 ~gates:25 ~seed:(seed + 40) in
     let m, outs = A.of_netlist c in
-    let f, lit_of = A.to_cnf m in
+    let f, lit_of = A.to_cnf m ~roots:(List.map snd outs) in
     let ins = Array.init 5 (fun _ -> Sat.Rng.bool rng) in
     (* constrain the inputs through fresh input edges *)
     let g = Cnf.Formula.copy f in
@@ -110,7 +110,7 @@ let aig_based_cec () =
       (fun acc (a, b) -> A.or_ m acc (A.xor m a b))
       A.const_false pairs
   in
-  let f, lit_of = A.to_cnf m in
+  let f, lit_of = A.to_cnf m ~roots:[ diff ] in
   Cnf.Formula.add_clause_l f [ lit_of diff ];
   Alcotest.(check bool) "equivalent via AIG miter" false
     (Th.outcome_sat (Th.solve_cdcl f))

@@ -153,6 +153,108 @@ let explain_bound_names_needed_frames () =
   | None -> ()
   | Some _ -> Alcotest.fail "counterexample expected at bound 8"
 
+(* index of [bad] among the comb outputs, for replay *)
+let bad_index seq =
+  let rec find i = function
+    | [] -> Alcotest.fail "no bad output"
+    | (n, _) :: rest -> if n = "bad" then i else find (i + 1) rest
+  in
+  find 0 (Circuit.Netlist.outputs seq.S.comb)
+
+(* a counterexample must replay: bad rises in its last frame and in no
+   earlier one (the bounds are explored shortest first) *)
+let replays seq frames =
+  let b = bad_index seq in
+  let outs = S.simulate seq ~inputs:frames in
+  List.length outs > 0
+  && List.for_all (fun o -> not o.(b))
+       (List.filteri (fun i _ -> i < List.length outs - 1) outs)
+  && (List.nth outs (List.length outs - 1)).(b)
+
+let cex_length ?incremental ~max_bound seq =
+  match (B.check ?incremental ~max_bound seq).B.result with
+  | B.Counterexample frames ->
+    if not (replays seq frames) then Alcotest.fail "counterexample does not replay";
+    Some (List.length frames)
+  | B.No_counterexample -> None
+
+let counter_lengths () =
+  List.iter
+    (fun incremental ->
+       for bits = 2 to 5 do
+         let n = 1 lsl bits in
+         Alcotest.(check (option int))
+           (Printf.sprintf "%d bits" bits) (Some n)
+           (cex_length ~incremental ~max_bound:(n + 2)
+              (S.counter ~bits ~buggy_at:None));
+         List.iter
+           (fun k ->
+              Alcotest.(check (option int))
+                (Printf.sprintf "%d bits, bug at %d" bits k) (Some (k + 2))
+                (cex_length ~incremental ~max_bound:(n + 2)
+                   (S.counter ~bits ~buggy_at:(Some k))))
+           [ 0; (n / 2) - 1; n - 2 ]
+       done)
+    [ true; false ]
+
+(* does some input sequence raise bad within [depth] cycles?  The
+   counters have one primary input, so all 2^depth sequences are
+   enumerated *)
+let reachable_by_simulation seq ~depth =
+  let b = bad_index seq in
+  let rec go state d =
+    d < depth
+    && List.exists
+         (fun enable ->
+            let next, outs = S.step seq ~state ~inputs:[| enable |] in
+            outs.(b) || go next (d + 1))
+         [ false; true ]
+  in
+  go seq.S.init 0
+
+let mutants_agree_with_simulation () =
+  let checked = ref 0 and reachable = ref 0 in
+  List.iter
+    (fun bits ->
+       let seq = S.counter ~bits ~buggy_at:None in
+       for seed = 1 to 10 do
+         let comb, _ = Circuit.Transform.inject_bug ~seed seq.S.comb in
+         let mutant = { seq with S.comb } in
+         let sim = reachable_by_simulation mutant ~depth:6 in
+         List.iter
+           (fun incremental ->
+              let bmc = cex_length ~incremental ~max_bound:6 mutant <> None in
+              if bmc <> sim then
+                Alcotest.failf "%d bits, seed %d: bmc %b, simulation %b" bits
+                  seed bmc sim)
+           [ true; false ];
+         incr checked;
+         if sim then incr reachable
+       done)
+    [ 2; 3 ];
+  Alcotest.(check int) "20 mutants" 20 !checked;
+  Alcotest.(check bool) "both verdicts occur" true
+    (!reachable > 0 && !reachable < !checked)
+
+let explain_keeps_last_frame () =
+  for bits = 2 to 4 do
+    let c = S.counter ~bits ~buggy_at:None in
+    let n = 1 lsl bits in
+    for bound = 1 to n - 1 do
+      match B.explain_bound ~bound c with
+      | Some frames ->
+        Alcotest.(check bool) "frames within range" true
+          (List.for_all (fun t -> t >= 0 && t < bound) frames);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d bits, bound %d: last frame kept" bits bound)
+          true (List.mem (bound - 1) frames)
+      | None -> Alcotest.failf "%d bits: bad unreachable at bound %d" bits bound
+    done;
+    match B.explain_bound ~bound:n c with
+    | None -> ()
+    | Some _ -> Alcotest.failf "%d bits: counterexample expected" bits
+  done
+
 let suite =
   [
     Th.case "induction proves ring counter" induction_proves_ring_counter;
@@ -168,4 +270,7 @@ let suite =
     Th.case "missing bad output" missing_bad_output;
     Th.case "custom property" custom_property_name;
     Th.case "explain bound" explain_bound_names_needed_frames;
+    Th.case "counter lengths" counter_lengths;
+    Th.case "mutants agree with simulation" mutants_agree_with_simulation;
+    Th.case "explain keeps the last frame" explain_keeps_last_frame;
   ]

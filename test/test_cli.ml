@@ -6,6 +6,7 @@ let satsolve = Filename.concat (Filename.concat ".." "bin") "satsolve.exe"
 let dratcheck = Filename.concat (Filename.concat ".." "bin") "dratcheck.exe"
 let bench_gen = Filename.concat (Filename.concat ".." "bin") "bench_gen.exe"
 let example f = Filename.concat (Filename.concat ".." "examples") f
+let tool name = Filename.concat (Filename.concat ".." "bin") (name ^ ".exe")
 
 let run_exe exe args =
   Sys.command (Filename.quote_command exe args ~stdout:Filename.null)
@@ -249,6 +250,33 @@ let timeout_keeps_the_search () =
       Alcotest.(check int) "same conflicts with --timeout 60"
         (conflicts []) (conflicts [ "--timeout"; "60" ]))
 
+(* a malformed BENCH file is a usage error: exit 2 and one
+   "TOOL: FILE: message" line on stderr, never an uncaught exception *)
+let malformed_bench name ?(dff_too = false) args_of () =
+  let rejects file expect =
+    in_tmp ".err" (fun err ->
+        let code =
+          Sys.command
+            (Filename.quote_command (tool name) (args_of file)
+               ~stdout:Filename.null ~stderr:err)
+        in
+        let ic = open_in_bin err in
+        let text = String.trim (really_input_string ic (in_channel_length ic)) in
+        close_in ic;
+        Alcotest.(check int) (file ^ " exits 2") 2 code;
+        Alcotest.(check string) "names tool and file"
+          (Printf.sprintf "%s: %s: %s" name file expect) text)
+  in
+  in_tmp ".bench" (fun bad ->
+      let oc = open_out bad in
+      output_string oc "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = FOO(a, b)\n";
+      close_out oc;
+      rejects bad "unknown gate: FOO");
+  (* a DFF design is malformed for the combinational tools *)
+  if dff_too then
+    rejects (example "counter3.bench")
+      "unknown gate: DFF (combinational parser)"
+
 let suite =
   [
     Th.case "exit codes" exit_codes;
@@ -264,4 +292,12 @@ let suite =
     Th.case "--timeout stops preprocessing" timeout_stops_preprocessing;
     Th.case "--timeout stops recursive learning"
       timeout_stops_recursive_learning;
+    Th.case "cec_tool malformed BENCH"
+      (malformed_bench "cec_tool" ~dff_too:true (fun f -> [ f; f ]));
+    Th.case "sec_tool malformed BENCH"
+      (malformed_bench "sec_tool" (fun f -> [ f; f ]));
+    Th.case "atpg_tool malformed BENCH"
+      (malformed_bench "atpg_tool" ~dff_too:true (fun f -> [ f ]));
+    Th.case "bmc_tool malformed BENCH"
+      (malformed_bench "bmc_tool" (fun f -> [ "--bench"; f ]));
   ]

@@ -18,7 +18,7 @@ let methods_agree_on_equivalent () =
        E.check_sat
          ~pipeline:{ Sat.Solver.no_pipeline with recursive_learning = 1 }
          base variant);
-      ("aig", E.check_aig base variant);
+      ("fraig", E.check_fraig base variant);
       ("sat+pipeline",
        E.check_sat ~pipeline:Sat.Solver.full_pipeline base variant);
     ]
@@ -78,14 +78,15 @@ let stats_populated () =
   Alcotest.(check bool) "bdd nodes" true (rb.E.bdd_nodes > 0)
 
 let aig_method () =
-  (* identical copies discharge without SAT: zero conflicts *)
+  (* identical copies collapse in the merged AIG: no SAT call, so no
+     conflict *)
   let c = Circuit.Generators.ripple_adder ~bits:4 in
-  let r = E.check_aig c (Circuit.Netlist.copy c) in
-  Alcotest.(check bool) "copy equivalent" true (r.E.verdict = E.Equivalent);
-  Alcotest.(check bool) "no solver needed" true (r.E.sat_stats = None);
+  let r = Eda.Sweep.check c (Circuit.Netlist.copy c) in
+  Alcotest.(check bool) "copy equivalent" true (r.Eda.Sweep.verdict = E.Equivalent);
+  Alcotest.(check int) "no solver needed" 0 r.Eda.Sweep.stats.Eda.Sweep.sat_calls;
   (* counterexamples valid *)
   let buggy, _ = Circuit.Transform.inject_bug ~seed:4 c in
-  (match (E.check_aig c buggy).E.verdict with
+  (match (E.check_fraig c buggy).E.verdict with
    | E.Inequivalent vec ->
      Alcotest.(check bool) "aig cex valid" true
        (Circuit.Simulate.eval_outputs c vec
@@ -99,7 +100,7 @@ let aig_method () =
       if seed mod 2 = 0 then Circuit.Transform.demorgan ~seed a
       else fst (Circuit.Transform.inject_bug ~seed a)
     in
-    let va = (E.check_aig a b).E.verdict in
+    let va = (E.check_fraig a b).E.verdict in
     let vs = (E.check_sat a b).E.verdict in
     match va, vs with
     | E.Equivalent, E.Equivalent -> ()

@@ -198,6 +198,35 @@ let packed_counterexamples_spill () =
     | _ -> Alcotest.failf "sweep and miter disagree on mutant %d" seed
   done
 
+(* with a one-conflict budget the final output queries give up, so
+   residual pairs escalate to cube-and-conquer on a standalone cone CNF
+   over the primary inputs; its verdicts and counterexamples must agree
+   with the monolithic miter *)
+let cube_fallback () =
+  let metrics = Sat.Metrics.create () in
+  let mult = Circuit.Generators.multiplier ~bits:4 in
+  let wallace = Circuit.Generators.wallace_multiplier ~bits:4 in
+  List.iter
+    (fun (name, c2) ->
+       let r = S.check ~jobs:2 ~candidate_conflicts:1 ~metrics mult c2 in
+       let miter = (Eda.Equiv.check_sat mult c2).Eda.Equiv.verdict in
+       match r.S.verdict, miter with
+       | Eda.Equiv.Equivalent, Eda.Equiv.Equivalent -> ()
+       | Eda.Equiv.Inequivalent vec, Eda.Equiv.Inequivalent _ ->
+         Alcotest.(check bool) (name ^ ": cex distinguishes") true
+           (Circuit.Simulate.eval_outputs mult vec
+            <> Circuit.Simulate.eval_outputs c2 vec)
+       | _ -> Alcotest.failf "%s: sweep and miter disagree" name)
+    [
+      ("wallace", wallace);
+      ("mutant 1", fst (Circuit.Transform.inject_bug ~seed:1 wallace));
+      ("mutant 2", fst (Circuit.Transform.inject_bug ~seed:2 wallace));
+    ];
+  Alcotest.(check bool) "cube fallback taken" true
+    (Sat.Metrics.counter_value
+       (Sat.Metrics.counter metrics "sweep/cube_fallbacks")
+     > 0)
+
 let suite =
   [
     Th.case "equivalent pairs" equivalent_pairs_proven;
@@ -211,4 +240,5 @@ let suite =
     Th.case "interface mismatch" interface_mismatch;
     Th.case "engines agree x300" engines_agree_on_random_pairs;
     Th.case "packed counterexamples spill" packed_counterexamples_spill;
+    Th.case "cube fallback" cube_fallback;
   ]
