@@ -41,10 +41,19 @@ let run bits buggy_at bound bench bad induction explain from_scratch stats
   (match r.Eda.Bmc.result with
    | Eda.Bmc.Counterexample frames ->
      Printf.printf "counterexample of length %d:\n" (List.length frames);
-     List.iteri
-       (fun t f ->
-          Printf.printf "  cycle %d: enable=%b\n" t f.(0))
-       frames
+     (* each cycle's primary inputs by name; a design without inputs
+        has nothing to show *)
+     let names =
+       List.map (Circuit.Netlist.name seq.Circuit.Sequential.comb)
+         seq.Circuit.Sequential.primary_inputs
+     in
+     if names <> [] then
+       List.iteri
+         (fun t f ->
+            Printf.printf "  cycle %d:" t;
+            List.iteri (fun i n -> Printf.printf " %s=%b" n f.(i)) names;
+            print_newline ())
+         frames
    | Eda.Bmc.No_counterexample when r.Eda.Bmc.timed_out ->
      Printf.printf "UNKNOWN (timeout): no counterexample up to bound %d\n"
        (r.Eda.Bmc.bound_reached - 1)

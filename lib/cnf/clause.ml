@@ -4,6 +4,31 @@ let of_list lits =
   let sorted = List.sort_uniq Lit.compare lits in
   Array.of_list sorted
 
+let of_array lits =
+  let a = Array.copy lits in
+  let n = Array.length a in
+  (* insertion sort: learnt and deleted clauses are short *)
+  if n > 64 then Array.sort Lit.compare a
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done;
+  (* drop duplicates, now adjacent *)
+  let m = ref (min 1 n) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  if !m = n then a else Array.sub a 0 !m
+
 let of_dimacs_list ints = of_list (List.map Lit.of_dimacs ints)
 let to_list c = Array.to_list c
 let to_array c = Array.copy c

@@ -10,6 +10,10 @@ val of_list : Lit.t list -> t
 (** [of_list lits] builds a clause, sorting and removing duplicate
     literals. *)
 
+val of_array : Lit.t array -> t
+(** [of_array lits] is [of_list (Array.to_list lits)], without the
+    list; [lits] is not modified. *)
+
 val of_dimacs_list : int list -> t
 (** [of_dimacs_list ints] builds a clause from DIMACS literals. *)
 

@@ -45,13 +45,28 @@ type lrat = {
   mutable of_cid : int array; (* clause-table index -> id *)
   mutable unit_of : int array;
       (* var -> id of the unit clause that fixed it at level 0 *)
-  dropped : (int, int array) Hashtbl.t;
+  mutable dropped : int array array;
       (* formula clause id -> its literals already false at level 0
-         when it was added, which its derivations must refute too *)
+         when it was added, which its derivations must refute too;
+         empty until some clause has such literals *)
   mutable next_id : int; (* id of the next logged addition *)
-  mutable stamp : int array; (* var -> [epoch] once visited *)
+  mutable chain : int array array;
+      (* level-0 var -> the level-0 vars its derivation rests on, itself
+         last, each after its premises; [[||]] when not cached and
+         [no_chain] when a clause on the way has no id.  Level-0
+         reasons are locked, so a chain never goes stale. *)
+  mutable cached : int; (* entries of all cached chains *)
+  cbuf : Ivec.t; (* the chain being built *)
+  mutable cstamp : int array; (* var -> [cepoch] once in the chain built *)
+  mutable cepoch : int;
+  mutable stamp : int array; (* var -> [epoch] once its hint is taken *)
   mutable epoch : int;
-  out : int Vec.t; (* hints being collected *)
+  resolved : Ivec.t;
+      (* ids of the clauses [analyze] resolves on, the conflict first *)
+  zero : Ivec.t; (* level-0 vars of those clauses *)
+  drop : Ivec.t; (* vars of the literals minimization dropped *)
+  mid : Ivec.t; (* the dropped literals' reason ids *)
+  out : Ivec.t; (* hints being assembled *)
   mutable pending : int array; (* hints of the lemma about to be logged *)
 }
 
@@ -90,6 +105,8 @@ type t = {
   trail_lim : int Vec.t;
   mutable qhead : int;
   mutable seen : bool array;
+  mutable lbd_stamp : int array; (* decision level -> [lbd_epoch] once counted *)
+  mutable lbd_epoch : int;
   mutable jw_weight : float array;      (* static Jeroslow-Wang literal weights *)
   mutable jw_ready : bool;
   mutable plugin : plugin;
@@ -159,6 +176,15 @@ let new_var s =
   Heap.insert s.heap v;
   v
 
+(* [a] with room for index [i], new slots [fill] *)
+let grown a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 (* --- assignment / trail ------------------------------------------------ *)
 
 let enqueue s l reason =
@@ -226,8 +252,7 @@ let locked s (c : clause) =
    in bulk. *)
 let delete_clause s (c : clause) =
   if s.cfg.proof_logging && c.learnt then
-    s.proof <-
-      Types.Delete (Cnf.Clause.of_list (Array.to_list c.lits)) :: s.proof;
+    s.proof <- Types.Delete (Cnf.Clause.of_array c.lits) :: s.proof;
   c.deleted <- true;
   (* re-point the table slot at the (deleted) dummy: tombstone watcher
      entries still dereference safely, and the record becomes garbage as
@@ -418,81 +443,181 @@ let propagate s =
 
 (* --- LRAT hints (proof logging only) ------------------------------------- *)
 
-(* [a] with room for index [i], zero-filled *)
-let grown a i =
-  if i < Array.length a then a
-  else begin
-    let b = Array.make (max (i + 1) (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
-
 let set_clause_id p (c : clause) id =
-  p.of_cid <- grown p.of_cid c.cid;
+  p.of_cid <- grown p.of_cid c.cid 0;
   p.of_cid.(c.cid) <- id
 
 let set_unit_id p v id =
-  p.unit_of <- grown p.unit_of v;
+  p.unit_of <- grown p.unit_of v 0;
   p.unit_of.(v) <- id
 
-(* The hints of the clause [lits] just learnt from [confl], read while
-   the trail still holds the conflict: the id of every clause that
-   derives a false literal of [confl] outside [lits], each after the
-   clauses deriving its own premises (DFS post-order), then [confl]'s.
-   That covers the resolved literals, the ones minimization dropped and
-   the level-0 chains, so an LRAT checker replays them as unit
-   propagations under the negation of [lits].  [[||]] when a clause on
-   the way has no id. *)
-let lemma_hints s p (confl : clause) lits =
-  p.stamp <- grown p.stamp (s.nvars - 1);
-  p.epoch <- p.epoch + 1;
-  let ep = p.epoch and stamp = p.stamp in
-  List.iter (fun q -> stamp.(Lit.var q) <- ep) lits;
-  Vec.clear p.out;
-  let exception No_chain in
-  let id_of (c : clause) =
-    if c.cid < Array.length p.of_cid then p.of_cid.(c.cid) else 0
-  in
-  (* loops, not [Array.iter]: a closure per visited clause would
-     dominate the allocation here *)
-  let rec premises id lits =
-    if id = 0 then raise_notrace No_chain;
-    for k = 0 to Array.length lits - 1 do
-      derive (Lit.var lits.(k))
-    done;
-    if Hashtbl.length p.dropped > 0 then
-      match Hashtbl.find_opt p.dropped id with
-      | Some d ->
-        for k = 0 to Array.length d - 1 do
-          derive (Lit.var d.(k))
-        done
-      | None -> ()
-  and derive v =
-    if stamp.(v) <> ep then begin
-      stamp.(v) <- ep;
-      let r = s.reason.(v) in
-      let id =
-        if r != dummy_clause then id_of r
-        else if s.level.(v) = 0 && v < Array.length p.unit_of then
-          p.unit_of.(v)
-        else 0
-      in
-      (* a unit's [dummy_clause] reason has no literals *)
-      premises id r.lits;
-      Vec.push p.out id
+let id_of p (c : clause) =
+  if c.cid < Array.length p.of_cid then p.of_cid.(c.cid) else 0
+
+(* id of the clause that fixed the level-0 variable [v], or 0 *)
+let fixing_id s p v =
+  let r = s.reason.(v) in
+  if r != dummy_clause then id_of p r
+  else if v < Array.length p.unit_of then p.unit_of.(v)
+  else 0
+
+(* the literals of formula clause [id] that were false at level 0 when
+   it was added: its derivations must refute them too *)
+let dropped_lits p id =
+  if id < Array.length p.dropped then p.dropped.(id) else [||]
+
+let no_chain = [| -1 |]
+
+(* Appends the entries of [ch] not yet stamped [ep], stamping them. *)
+let append_new stamp ep (buf : Ivec.t) ch =
+  for k = 0 to Array.length ch - 1 do
+    let u = ch.(k) in
+    if stamp.(u) <> ep then begin
+      stamp.(u) <- ep;
+      Ivec.push buf u
     end
-  in
-  match premises (id_of confl) confl.lits with
-  | () ->
-    Vec.push p.out (id_of confl);
-    Array.sub (Vec.raw p.out) 0 (Vec.size p.out)
-  | exception No_chain -> [||]
+  done
+
+exception No_chain
+
+(* Appends [w]'s level-0 cone to [buf] in post-order, skipping what is
+   stamped [ep]: a variable with a cached chain brings that chain, a
+   stamped one is skipped whole (chains are downward closed). *)
+let rec walk_chain s p ep buf w =
+  if p.cstamp.(w) <> ep then begin
+    let ch = p.chain.(w) in
+    if ch == no_chain then raise_notrace No_chain
+    else if Array.length ch > 0 then append_new p.cstamp ep buf ch
+    else begin
+      p.cstamp.(w) <- ep;
+      let id = fixing_id s p w in
+      if id = 0 then raise_notrace No_chain;
+      let lits = s.reason.(w).lits (* a unit's [dummy_clause] has none *)
+      and d = dropped_lits p id in
+      for k = 0 to Array.length lits - 1 do
+        let u = Lit.var lits.(k) in
+        if u <> w then walk_chain s p ep buf u
+      done;
+      for k = 0 to Array.length d - 1 do
+        walk_chain s p ep buf (Lit.var d.(k))
+      done;
+      Ivec.push buf w
+    end
+  end
+
+(* The chain of level-0 variable [v], built the first time a lemma
+   meets [v].  Only the variables lemmas meet get a cached chain, and
+   the cache holds at most [16 * nvars] entries: past that a chain is
+   rebuilt for each lemma, so a long level-0 implication path cannot
+   make memory quadratic in its length. *)
+let chain s p v =
+  let ch = p.chain.(v) in
+  if Array.length ch > 0 then ch
+  else begin
+    p.cepoch <- p.cepoch + 1;
+    Ivec.clear p.cbuf;
+    match walk_chain s p p.cepoch p.cbuf v with
+    | exception No_chain ->
+      p.chain.(v) <- no_chain;
+      no_chain
+    | () ->
+      let ch = Ivec.to_array p.cbuf in
+      if p.cached + Array.length ch <= 16 * s.nvars then begin
+        p.chain.(v) <- ch;
+        p.cached <- p.cached + Array.length ch
+      end;
+      ch
+  end
+
+(* Pushes the reason ids of the dropped variables [v] rests on, then
+   [v]'s own (post-order over the variables stamped [pend]), and notes
+   the level-0 variables of those reasons. *)
+let rec take_dropped s p pend ep v =
+  if p.stamp.(v) = pend then begin
+    p.stamp.(v) <- ep;
+    let r = s.reason.(v) in
+    let lits = r.lits in
+    for k = 0 to Array.length lits - 1 do
+      let w = Lit.var lits.(k) in
+      if s.level.(w) = 0 then Ivec.push p.zero w
+      else take_dropped s p pend ep w
+    done;
+    Ivec.push p.mid (id_of p r)
+  end
+
+let note_dropped_lits p (ids : Ivec.t) =
+  for i = 0 to Ivec.size ids - 1 do
+    let d = dropped_lits p (Ivec.get ids i) in
+    for k = 0 to Array.length d - 1 do
+      Ivec.push p.zero (Lit.var d.(k))
+    done
+  done
+
+(* The hints of the lemma [analyze] just derived, from what its walk
+   recorded: the chains of the level-0 variables met, then the reasons
+   of the dropped literals, then the resolved reasons in trail order,
+   the conflict last.  Each clause comes after the ones deriving its
+   premises, so an LRAT checker replays them as unit propagations under
+   the negation of the lemma.  [[||]] when a clause on the way has no
+   id. *)
+let lemma_hints s p =
+  if Array.length p.stamp < s.nvars then begin
+    let n = s.nvars - 1 in
+    p.stamp <- grown p.stamp n 0;
+    p.cstamp <- grown p.cstamp n 0;
+    p.chain <- grown p.chain n [||]
+  end;
+  p.epoch <- p.epoch + 2;
+  let pend = p.epoch - 1 and ep = p.epoch in
+  let drop = p.drop in
+  for i = 0 to Ivec.size drop - 1 do
+    p.stamp.(Ivec.get drop i) <- pend
+  done;
+  Ivec.clear p.mid;
+  for i = 0 to Ivec.size drop - 1 do
+    take_dropped s p pend ep (Ivec.get drop i)
+  done;
+  if Array.length p.dropped > 0 then begin
+    note_dropped_lits p p.resolved;
+    note_dropped_lits p p.mid
+  end;
+  let out = p.out in
+  Ivec.clear out;
+  let ok = ref true in
+  for i = 0 to Ivec.size p.zero - 1 do
+    let w = Ivec.get p.zero i in
+    if !ok && p.stamp.(w) <> ep then begin
+      let ch = chain s p w in
+      if ch == no_chain then ok := false else append_new p.stamp ep out ch
+    end
+  done;
+  if not !ok then [||]
+  else begin
+    (* [out] holds the level-0 variables; their ids replace them *)
+    for i = 0 to Ivec.size out - 1 do
+      Ivec.set out i (fixing_id s p (Ivec.get out i))
+    done;
+    for i = 0 to Ivec.size p.mid - 1 do
+      Ivec.push out (Ivec.get p.mid i)
+    done;
+    for i = Ivec.size p.resolved - 1 downto 1 do
+      Ivec.push out (Ivec.get p.resolved i)
+    done;
+    Ivec.push out (Ivec.get p.resolved 0);
+    let hints = Ivec.to_array out in
+    if Array.exists (fun h -> h = 0) hints then [||] else hints
+  end
 
 (* Logs the addition of the lemma [lits] with its pending hints and
    gives it the next id: its clause record [c], or its variable when it
    is a unit. *)
 let log_learnt s p lits c =
-  s.proof <- Types.Add (Cnf.Clause.of_list lits, p.pending) :: s.proof;
+  let clause =
+    match c with
+    | Some c -> Cnf.Clause.of_array c.lits
+    | None -> Cnf.Clause.of_list lits
+  in
+  s.proof <- Types.Add (clause, p.pending) :: s.proof;
   p.pending <- [||];
   let id = p.next_id in
   match (c, lits) with
@@ -506,12 +631,36 @@ let log_learnt s p lits c =
 
 (* --- Diagnose(): 1-UIP conflict analysis -------------------------------- *)
 
+(* A learnt literal is redundant when its reason's other literals are
+   all learnt ([seen]) or fixed at level 0; decisions never are. *)
+let redundant s q =
+  let v = Lit.var q in
+  let c = s.reason.(v) in
+  c != dummy_clause
+  &&
+  let lits = c.lits in
+  let rec implied k =
+    k = Array.length lits
+    || (let w = Lit.var (Array.unsafe_get lits k) in
+        (w = v || s.level.(w) = 0 || s.seen.(w)) && implied (k + 1))
+  in
+  implied 0
+
 (* Returns the learned literals (UIP first) and the backjump level.  The
    learned clause is an implicate of the formula (clause recording); the
-   asserted UIP literal is the conflict-induced necessary assignment. *)
+   asserted UIP literal is the conflict-induced necessary assignment.
+   A proof-logging solver also records, on the way, what [lemma_hints]
+   needs: the id of each clause resolved on, the level-0 variables
+   they contain and the literals minimization drops. *)
 let analyze s confl =
+  let lrat = s.lrat in
+  (match lrat with
+   | Some p ->
+     Ivec.clear p.resolved;
+     Ivec.clear p.zero;
+     Ivec.clear p.drop
+   | None -> ());
   let learnt = ref [] in
-  let to_clear = ref [] in
   let path = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
@@ -520,19 +669,23 @@ let analyze s confl =
   while !continue do
     let c = !confl in
     if c.learnt then bump_clause s c;
+    (match lrat with Some pr -> Ivec.push pr.resolved (id_of pr c) | None -> ());
     (* explicit loop: an [Array.iter] closure over this many captured
        refs would be allocated once per resolution step *)
     let lits = c.lits in
     for k = 0 to Array.length lits - 1 do
       let q = Array.unsafe_get lits k in
       let v = Lit.var q in
-      if q <> !p && (not s.seen.(v)) && s.level.(v) > 0 then begin
-        s.seen.(v) <- true;
-        to_clear := v :: !to_clear;
-        bump_var s v;
-        if s.level.(v) >= decision_level s then incr path
-        else learnt := q :: !learnt
+      if s.level.(v) > 0 then begin
+        if q <> !p && not s.seen.(v) then begin
+          s.seen.(v) <- true;
+          bump_var s v;
+          if s.level.(v) >= decision_level s then incr path
+          else learnt := q :: !learnt
+        end
       end
+      else
+        match lrat with Some pr -> Ivec.push pr.zero v | None -> ()
     done;
     (* walk back to the next marked literal on the trail; the 1-UIP
        invariant keeps [idx] within the trail, so the reads are unsafe *)
@@ -555,24 +708,24 @@ let analyze s confl =
   let uip = Lit.negate !p in
   (* conflict-clause minimization: drop literals implied by the rest *)
   let kept =
-    (* [seen] currently true exactly for the vars in [learnt] *)
-    List.iter (fun q -> s.seen.(Lit.var q) <- true) !learnt;
-    let redundant q =
-      let c = s.reason.(Lit.var q) in
-      (* decisions ([dummy_clause]) are never redundant *)
-      c != dummy_clause
-      && Array.for_all
-           (fun l ->
-              Lit.var l = Lit.var q
-              || s.level.(Lit.var l) = 0
-              || s.seen.(Lit.var l))
-           c.lits
+    (* [seen] is true exactly for the vars in [learnt]: the walk
+       cleared each current-level variable as it passed it *)
+    let keep =
+      match lrat with
+      | None -> fun q -> not (redundant s q)
+      | Some pr ->
+        fun q ->
+          if redundant s q then begin
+            Ivec.push pr.drop (Lit.var q);
+            false
+          end
+          else true
     in
-    let kept = List.filter (fun q -> not (redundant q)) !learnt in
+    let kept = List.filter keep !learnt in
     List.iter (fun q -> s.seen.(Lit.var q) <- false) !learnt;
     kept
   in
-  List.iter (fun v -> s.seen.(v) <- false) !to_clear;
+  (match lrat with Some pr -> pr.pending <- lemma_hints s pr | None -> ());
   (* backjump level = highest level among the non-UIP literals *)
   let bj = List.fold_left (fun acc q -> max acc (s.level.(Lit.var q))) 0 kept in
   (* order: UIP first, then a literal of the backjump level (watch sanity) *)
@@ -628,11 +781,20 @@ let record_learnt s lits =
     | l :: rest ->
       (* literal-block distance: distinct levels of the tail literals,
          plus the level the UIP is about to be asserted at *)
+      if decision_level s >= Array.length s.lbd_stamp then
+        s.lbd_stamp <- grown s.lbd_stamp (decision_level s) 0;
+      s.lbd_epoch <- s.lbd_epoch + 1;
+      let ep = s.lbd_epoch in
       let lbd =
-        1
-        + List.length
-            (List.sort_uniq Int.compare
-               (List.map (fun q -> s.level.(Lit.var q)) rest))
+        List.fold_left
+          (fun n q ->
+             let lv = s.level.(Lit.var q) in
+             if s.lbd_stamp.(lv) = ep then n
+             else begin
+               s.lbd_stamp.(lv) <- ep;
+               n + 1
+             end)
+          1 rest
       in
       fire_learn s lits lbd;
       let c =
@@ -873,8 +1035,9 @@ let add_input s id lits =
       let lrat = match s.lrat with Some p when id > 0 -> Some p | _ -> None in
       (match lrat with
        | Some p when List.compare_lengths lits all < 0 ->
-         Hashtbl.replace p.dropped id
-           (Array.of_list (List.filter (fun l -> value s l = 0) all))
+         p.dropped <- grown p.dropped id [||];
+         p.dropped.(id) <-
+           Array.of_list (List.filter (fun l -> value s l = 0) all)
        | _ -> ());
       match lits with
       | [] -> s.ok <- false
@@ -994,6 +1157,8 @@ let create ?(config = Types.default) formula =
       trail_lim = Vec.create ~dummy:0 ();
       qhead = 0;
       seen = Array.make cap false;
+      lbd_stamp = [||];
+      lbd_epoch = 0;
       jw_weight = [||];
       jw_ready = false;
       plugin = no_plugin;
@@ -1005,9 +1170,12 @@ let create ?(config = Types.default) formula =
       lrat =
         (if config.Types.proof_logging then
            Some
-             { of_cid = [||]; unit_of = [||]; dropped = Hashtbl.create 16;
-               next_id = Cnf.Formula.nclauses formula + 1; stamp = [||];
-               epoch = 0; out = Vec.create ~dummy:0 (); pending = [||] }
+             { of_cid = [||]; unit_of = [||]; dropped = [||];
+               next_id = Cnf.Formula.nclauses formula + 1; chain = [||];
+               cached = 0; cbuf = Ivec.create (); cstamp = [||]; cepoch = 0; stamp = [||]; epoch = 0;
+               resolved = Ivec.create (); zero = Ivec.create ();
+               drop = Ivec.create (); mid = Ivec.create (); out = Ivec.create ();
+               pending = [||] }
          else None);
       conflict_budget = None;
       decision_budget = None;
@@ -1056,9 +1224,6 @@ let handle_conflict s confl =
   end
   else begin
     let lits, bj = analyze s confl in
-    (match s.lrat with
-     | Some p -> p.pending <- lemma_hints s p confl lits
-     | None -> ());
     let target =
       (* chronological mode still sends unit learned clauses to the root:
          a reasonless literal inside a level would corrupt later conflict

@@ -69,8 +69,9 @@ type db = {
   seen : int array;
       (* analysis scratch: 1 = still to explain, 2 = in the checked clause *)
   hval : int array; (* hint replay's own assignment, as [value] *)
-  hset : int Vec.t; (* the variables [hval] assigns *)
-  trail : Lit.t Vec.t;
+  hset : Ivec.t; (* the variables [hval] assigns *)
+  hints : Ivec.t; (* hints being collected by [analyze] *)
+  trail : Ivec.t; (* literals *)
   mutable qhead : int; (* next trail literal for [watches] *)
   mutable qcore : int; (* next trail literal for [core] *)
   mutable root : int; (* trail length of the root closure *)
@@ -90,7 +91,11 @@ let max_var_steps steps =
   List.fold_left
     (fun acc s ->
       let c = match s with Add (c, _) | Delete c -> c in
-      List.fold_left (fun acc l -> max acc (Lit.var l)) acc (Clause.to_list c))
+      let m = ref acc in
+      for i = 0 to Clause.size c - 1 do
+        m := max !m (Lit.var (Clause.get c i))
+      done;
+      !m)
     (-1) steps
 
 let empty_clause = Clause.of_list []
@@ -102,8 +107,8 @@ let enqueue db l reason_id =
   let v = Lit.var l in
   db.value.(v) <- (if Lit.is_pos l then 1 else -1);
   db.reason.(v) <- reason_id;
-  db.pos.(v) <- Vec.size db.trail;
-  Vec.push db.trail l
+  db.pos.(v) <- Ivec.size db.trail;
+  Ivec.push db.trail l
 
 (* Visits the watchers of [fl], just falsified, in one list family:
    keeps, moves or fires each entry, and returns a conflicting clause
@@ -170,15 +175,15 @@ let propagate db =
   let trail = db.trail in
   let confl = ref 0 in
   while
-    !confl = 0 && (db.qcore < Vec.size trail || db.qhead < Vec.size trail)
+    !confl = 0 && (db.qcore < Ivec.size trail || db.qhead < Ivec.size trail)
   do
-    if db.qcore < Vec.size trail then begin
-      let l = Vec.get trail db.qcore in
+    if db.qcore < Ivec.size trail then begin
+      let l = Ivec.get trail db.qcore in
       db.qcore <- db.qcore + 1;
       confl := visit db db.core (Lit.negate l)
     end
     else begin
-      let l = Vec.get trail db.qhead in
+      let l = Ivec.get trail db.qhead in
       db.qhead <- db.qhead + 1;
       confl := visit db db.watches (Lit.negate l)
     end
@@ -196,11 +201,13 @@ let assert_unit db c =
 (* Propagates what was just enqueued on top of the closure into it. *)
 let extend_root db =
   if db.root_confl = 0 then db.root_confl <- propagate db;
-  db.root <- Vec.size db.trail
+  db.root <- Ivec.size db.trail
 
 let close_root db =
-  Vec.iter (fun l -> db.value.(Lit.var l) <- 0) db.trail;
-  Vec.clear db.trail;
+  for i = 0 to Ivec.size db.trail - 1 do
+    db.value.(Lit.var (Ivec.get db.trail i)) <- 0
+  done;
+  Ivec.clear db.trail;
   db.qhead <- 0;
   db.qcore <- 0;
   db.root_confl <-
@@ -368,8 +375,9 @@ let build ~watching formula steps =
       pos = Array.make (max nvars 1) 0;
       seen = Array.make (max nvars 1) 0;
       hval = Array.make (max nvars 1) 0;
-      hset = Vec.create ~dummy:0 ();
-      trail = Vec.create ~dummy:0 ();
+      hset = Ivec.create ();
+      hints = Ivec.create ();
+      trail = Ivec.create ();
       qhead = 0;
       qcore = 0;
       root = 0;
@@ -405,7 +413,7 @@ let check_rup db c =
       if !first < 0 || p < !first then first := p
     end
   done;
-  if !first >= 0 then db.reason.(Lit.var (Vec.get db.trail !first))
+  if !first >= 0 then db.reason.(Lit.var (Ivec.get db.trail !first))
   else if db.root_confl <> 0 then db.root_confl
   else begin
     for i = 0 to n - 1 do
@@ -416,10 +424,10 @@ let check_rup db c =
   end
 
 let unwind db =
-  for i = db.root to Vec.size db.trail - 1 do
-    db.value.(Lit.var (Vec.get db.trail i)) <- 0
+  for i = db.root to Ivec.size db.trail - 1 do
+    db.value.(Lit.var (Ivec.get db.trail i)) <- 0
   done;
-  Vec.shrink db.trail db.root;
+  Ivec.shrink db.trail db.root;
   db.qhead <- db.root;
   db.qcore <- db.root
 
@@ -432,6 +440,22 @@ let mark db c =
     end;
     c.marked <- true
   end
+
+(* Marks clause [id] as needed and flags its variables not yet seen as
+   still to explain; returns how many it flagged. *)
+let explain db id =
+  let cl = Vec.get db.by_id id in
+  mark db cl;
+  let seen = db.seen and lits = cl.lits in
+  let n = ref 0 in
+  for k = 0 to Array.length lits - 1 do
+    let v = Lit.var lits.(k) in
+    if seen.(v) = 0 then begin
+      seen.(v) <- 1;
+      incr n
+    end
+  done;
+  !n
 
 (* From the conflict of [check_rup db c], collect the antecedent hint
    ids and mark every hint clause as needed: mark the conflict clause's
@@ -447,28 +471,18 @@ let analyze db c confl =
   for i = 0 to Clause.size c - 1 do
     seen.(Lit.var (Clause.get c i)) <- 2
   done;
-  let pending = ref 0 in
-  let explain cl =
-    mark db cl;
-    Array.iter
-      (fun l ->
-        let v = Lit.var l in
-        if seen.(v) = 0 then begin
-          seen.(v) <- 1;
-          incr pending
-        end)
-      cl.lits
-  in
-  explain (Vec.get db.by_id confl);
-  let hints = ref [ confl ] in
-  let i = ref (Vec.size db.trail - 1) in
+  let hints = db.hints in
+  Ivec.clear hints;
+  Ivec.push hints confl;
+  let pending = ref (explain db confl) in
+  let i = ref (Ivec.size db.trail - 1) in
   while !pending > 0 do
-    let v = Lit.var (Vec.get db.trail !i) in
+    let v = Lit.var (Ivec.get db.trail !i) in
     if seen.(v) = 1 then begin
       let r = db.reason.(v) in
       if r > 0 then begin
-        explain (Vec.get db.by_id r);
-        hints := r :: !hints
+        pending := !pending + explain db r;
+        Ivec.push hints r
       end;
       seen.(v) <- 0;
       decr pending
@@ -478,7 +492,17 @@ let analyze db c confl =
   for i = 0 to Clause.size c - 1 do
     seen.(Lit.var (Clause.get c i)) <- 0
   done;
-  Array.of_list !hints
+  (* [hints] holds the conflict, then the reasons latest first *)
+  let n = Ivec.size hints in
+  let out = Array.make n 0 in
+  for k = 0 to n - 1 do
+    out.(k) <- Ivec.get hints (n - 1 - k)
+  done;
+  out
+
+let hint_assign db l =
+  db.hval.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
+  Ivec.push db.hset (Lit.var l)
 
 (* Checks the producer's hints for [c] without search: under the
    negation of [c], each hint must name an earlier active clause that
@@ -488,52 +512,53 @@ let analyze db c confl =
    needed. *)
 let replay db c hints =
   let hv = db.hval in
-  let hint_value l =
-    let v = hv.(Lit.var l) in
-    if Lit.is_pos l then v else -v
-  in
-  let assign l =
-    hv.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
-    Vec.push db.hset (Lit.var l)
-  in
   for i = 0 to Clause.size c.clause - 1 do
     let l = Clause.get c.clause i in
-    if hint_value l = 0 then assign (Lit.negate l)
+    if hv.(Lit.var l) = 0 then hint_assign db (Lit.negate l)
   done;
   let n = Array.length hints in
-  let rec run k =
-    if k = n then false
-    else
-      let h = hints.(k) in
-      if h < 1 || h >= c.id then false
-      else
-        let hc = Vec.get db.by_id h in
-        if not hc.active then false
-        else begin
-          let free = ref 0 and pivot = ref 0 and sat = ref false in
-          Array.iter
-            (fun l ->
-              match hint_value l with
-              | 1 -> sat := true
-              | 0 ->
-                incr free;
-                pivot := l
-              | _ -> ())
-            hc.lits;
-          if !sat then false
-          else if !free = 0 then k = n - 1
-          else if !free = 1 then begin
-            assign !pivot;
-            run (k + 1)
-          end
-          else false
-        end
-  in
-  let ok = run 0 in
-  Vec.iter (fun v -> hv.(v) <- 0) db.hset;
-  Vec.clear db.hset;
-  if ok then Array.iter (fun h -> mark db (Vec.get db.by_id h)) hints;
-  ok
+  (* [k] is the next hint; the loop stops at [n] on a failed hint *)
+  let k = ref 0 and ok = ref false in
+  while !k < n do
+    let h = hints.(!k) in
+    let hc = if h < 1 || h >= c.id then dummy_cls else Vec.get db.by_id h in
+    if not hc.active then k := n
+    else begin
+      let lits = hc.lits in
+      (* [free] unassigned literals so far, -1 once one is true; the
+         scan stops as soon as the hint cannot be unit *)
+      let free = ref 0 and pivot = ref 0 and j = ref 0 in
+      while !free >= 0 && !free < 2 && !j < Array.length lits do
+        let l = lits.(!j) in
+        let x = hv.(Lit.var l) in
+        let x = if Lit.is_pos l then x else -x in
+        if x = 1 then free := -1
+        else if x = 0 then begin
+          incr free;
+          pivot := l
+        end;
+        incr j
+      done;
+      if !free = 1 then begin
+        hint_assign db !pivot;
+        incr k
+      end
+      else begin
+        ok := !free = 0 && !k = n - 1;
+        k := n
+      end
+    end
+  done;
+  let hset = db.hset in
+  for i = 0 to Ivec.size hset - 1 do
+    hv.(Ivec.get hset i) <- 0
+  done;
+  Ivec.clear hset;
+  if !ok then
+    for i = 0 to n - 1 do
+      mark db (Vec.get db.by_id hints.(i))
+    done;
+  !ok
 
 (* ------------------------------------------------------------------ *)
 (* Forward checking                                                    *)
@@ -585,22 +610,22 @@ let trim_hinted formula steps =
   (* Forward ingestion, no checking: replay adds/deletes so the final
      active set is in place, remembering each effect for the backward
      undo.  An explicit empty-clause addition truncates the stream. *)
+  let total_adds = ref 0 in
   let rec ingest i acc = function
-    | [] -> List.rev acc
-    | Add (c, _) :: _ when Clause.is_empty c -> List.rev acc
+    | [] -> acc
+    | Add (c, _) :: _ when Clause.is_empty c -> acc
     | Add (c, _) :: rest when Clause.is_tautology c -> ingest (i + 1) acc rest
     | Add (c, hints) :: rest ->
       let cl = add_active db c in
+      incr total_adds;
       ingest (i + 1) ((i, R_add (cl, hints)) :: acc) rest
     | Delete c :: rest when Clause.is_tautology c -> ingest (i + 1) acc rest
     | Delete c :: rest ->
       let t = try_deactivate db c in
       ingest (i + 1) ((i, R_del t) :: acc) rest
   in
+  (* newest first: the order of the backward pass *)
   let recs = ingest 0 [] steps in
-  let total_adds =
-    List.length (List.filter (function _, R_add _ -> true | _ -> false) recs)
-  in
   (* Terminal conflict: the empty clause must be RUP over the final
      active set.  This also covers proofs with no explicit empty clause
      (the CDCL engine stops at the root conflict without recording
@@ -651,7 +676,7 @@ let trim_hinted formula steps =
               in
               lines := { id = c.id; lits = c.clause; hints } :: !lines
             end)
-        (List.rev recs)
+        recs
     with
     | () ->
       let core = ref [] in
@@ -663,7 +688,7 @@ let trim_hinted formula steps =
             lines = !lines;
             core = !core;
             kept_adds = List.length !lines - 1;
-            total_adds;
+            total_adds = !total_adds;
           },
         !hinted )
     | exception Invalid idx -> (Trim_invalid idx, 0)
@@ -733,98 +758,114 @@ let core_formula formula core =
 (* Independent LRAT checking (linear, hint-driven; no search)          *)
 (* ------------------------------------------------------------------ *)
 
+(* The clause table is indexed by id.  Ids only increase but may skip
+   (a trimmed certificate keeps its stream numbering), so the ids up to
+   the size of the input, counted in lines and hints, index an array
+   and any line above that goes to an overflow table: memory stays
+   bounded by the input, whatever its ids.  Each line's [Clause.t] is
+   stored as it is, not copied; [absent] marks an empty slot. *)
+let absent = Clause.of_list [ Lit.pos 0 ]
+
 let check_lrat formula lines =
-  let ( let* ) = Result.bind in
-  let err line fmt = Format.kasprintf (fun m -> Error (Printf.sprintf "line %d: %s" line m)) fmt in
-  let tbl : (int, Lit.t array) Hashtbl.t = Hashtbl.create 4096 in
+  let exception Reject of string in
+  let reject line fmt =
+    Format.kasprintf
+      (fun m -> raise_notrace (Reject (Printf.sprintf "line %d: %s" line m)))
+      fmt
+  in
   let cls = Cnf.Formula.clauses formula in
-  Array.iteri (fun i c -> Hashtbl.replace tbl (i + 1) (Clause.to_array c)) cls;
-  let nvars =
-    List.fold_left
-      (fun acc (ln : lrat_line) ->
-        List.fold_left
-          (fun a l -> max a (Lit.var l + 1))
-          acc
-          (Clause.to_list ln.lits))
-      (Cnf.Formula.nvars formula)
-      lines
-  in
-  let value = Array.make (max nvars 1) 0 in
-  let lit_value l =
-    let v = value.(Lit.var l) in
-    if v = 0 then 0 else if Lit.is_pos l then v else -v
-  in
-  let assigned = ref [] in
-  let assign l =
-    value.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
-    assigned := Lit.var l :: !assigned
-  in
-  let unwind () =
-    List.iter (fun v -> value.(v) <- 0) !assigned;
-    assigned := []
-  in
-  let check_line lineno ({ id; lits; hints } : lrat_line) last_id =
-    if id <= last_id then err lineno "id %d not above previous id %d" id last_id
-    else if Clause.is_tautology lits then begin
-      (* trivially valid; our writer never emits these *)
-      Hashtbl.replace tbl id (Clause.to_array lits);
-      Ok id
-    end
-    else begin
-      List.iter (fun l -> assign (Lit.negate l)) (Clause.to_list lits);
+  let m = Array.length cls in
+  let size = ref m and max_id = ref m in
+  List.iter
+    (fun (ln : lrat_line) ->
+      size := !size + 1 + Array.length ln.hints;
+      max_id := max !max_id ln.id)
+    lines;
+  let slots = 1 + min !max_id !size in
+  let tbl = Array.make slots absent in
+  Array.blit cls 0 tbl 1 m;
+  let over = Hashtbl.create 16 in
+  (* var -> 0 unassigned / 1 true / -1 false; grown to cover each line
+     before it is checked or stored *)
+  let value = ref (Array.make (max 1 (Cnf.Formula.nvars formula)) 0) in
+  let assigned = Ivec.create () in
+  let last_id = ref m in
+  let check_line lineno ({ id; lits; hints } : lrat_line) =
+    if id <= !last_id then
+      reject lineno "id %d not above previous id %d" id !last_id;
+    let n = Clause.size lits in
+    (* sorted: the last literal has the largest variable *)
+    let top = if n = 0 then 0 else Lit.var (Clause.get lits (n - 1)) in
+    let len = Array.length !value in
+    if top >= len then begin
+      let v = Array.make (max (top + 1) (2 * len)) 0 in
+      Array.blit !value 0 v 0 len;
+      value := v
+    end;
+    let value = !value in
+    (* a tautology is trivially valid; our writer never emits one *)
+    if not (Clause.is_tautology lits) then begin
+      for i = 0 to n - 1 do
+        let l = Clause.get lits i in
+        value.(Lit.var l) <- (if Lit.is_pos l then -1 else 1);
+        Ivec.push assigned (Lit.var l)
+      done;
       let last = Array.length hints - 1 in
-      let rec run k =
-        if k > last then err lineno "hints ended without a conflict"
-        else
-          let h = hints.(k) in
-          if h <= 0 then err lineno "RAT hint %d unsupported" h
-          else begin
-            match Hashtbl.find_opt tbl h with
-            | None -> err lineno "hint %d names an unknown clause" h
-            | Some hlits ->
-              let unassigned = ref 0 in
-              let pivot = ref 0 in
-              let satisfied = ref false in
-              Array.iter
-                (fun l ->
-                  match lit_value l with
-                  | 1 -> satisfied := true
-                  | -1 -> ()
-                  | _ ->
-                    incr unassigned;
-                    pivot := l)
-                hlits;
-              if !satisfied then err lineno "hint %d is satisfied, not unit" h
-              else if !unassigned = 0 then
-                if k = last then Ok ()
-                else err lineno "hint %d conflicts before the final hint" h
-              else if !unassigned = 1 then begin
-                assign !pivot;
-                run (k + 1)
-              end
-              else err lineno "hint %d is not unit (%d unassigned)" h !unassigned
+      let k = ref 0 and conflict = ref false in
+      while not !conflict do
+        if !k > last then reject lineno "hints ended without a conflict";
+        let h = hints.(!k) in
+        if h <= 0 then reject lineno "RAT hint %d unsupported" h;
+        let hl =
+          if h < slots then tbl.(h)
+          else Option.value (Hashtbl.find_opt over h) ~default:absent
+        in
+        if hl == absent then reject lineno "hint %d names an unknown clause" h;
+        let unassigned = ref 0 and pivot = ref 0 and satisfied = ref false in
+        for j = 0 to Clause.size hl - 1 do
+          let l = Clause.get hl j in
+          let x = value.(Lit.var l) in
+          let x = if Lit.is_pos l then x else -x in
+          if x = 1 then satisfied := true
+          else if x = 0 then begin
+            incr unassigned;
+            pivot := l
           end
-      in
-      let r = run 0 in
-      unwind ();
-      let* () = r in
-      Hashtbl.replace tbl id (Clause.to_array lits);
-      Ok id
-    end
+        done;
+        if !satisfied then reject lineno "hint %d is satisfied, not unit" h
+        else if !unassigned = 0 then begin
+          if !k < last then
+            reject lineno "hint %d conflicts before the final hint" h;
+          conflict := true
+        end
+        else if !unassigned = 1 then begin
+          let l = !pivot in
+          value.(Lit.var l) <- (if Lit.is_pos l then 1 else -1);
+          Ivec.push assigned (Lit.var l);
+          incr k
+        end
+        else reject lineno "hint %d is not unit (%d unassigned)" h !unassigned
+      done;
+      for i = 0 to Ivec.size assigned - 1 do
+        value.(Ivec.get assigned i) <- 0
+      done;
+      Ivec.clear assigned
+    end;
+    if id < slots then tbl.(id) <- lits else Hashtbl.replace over id lits;
+    last_id := id
   in
-  let rec go lineno last_id = function
+  let rec go lineno = function
     | [] -> Error "proof ends without an empty-clause line"
-    | [ (last : lrat_line) ] ->
-      if not (Clause.is_empty last.lits) then
-        err lineno "final line is not the empty clause"
-      else
-        let* _ = check_line lineno last last_id in
-        Ok ()
+    | [ (final : lrat_line) ] ->
+      if not (Clause.is_empty final.lits) then
+        reject lineno "final line is not the empty clause";
+      check_line lineno final;
+      Ok ()
     | line :: rest ->
-      let* last_id = check_line lineno line last_id in
-      go (lineno + 1) last_id rest
+      check_line lineno line;
+      go (lineno + 1) rest
   in
-  go 1 (Array.length cls) lines
+  try go 1 lines with Reject msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Text formats                                                        *)

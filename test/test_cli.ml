@@ -159,9 +159,9 @@ let miter_corpus_flow () =
             (run_exe dratcheck [ cnf; proof ])))
 
 (* exit code and stdout lines of one satsolve run *)
-let run_lines args =
+let run_lines ?(exe = satsolve) args =
   in_tmp ".out" (fun out ->
-      let code = Sys.command (Filename.quote_command satsolve args ~stdout:out) in
+      let code = Sys.command (Filename.quote_command exe args ~stdout:out) in
       let ic = open_in_bin out in
       let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
@@ -250,6 +250,32 @@ let timeout_keeps_the_search () =
       Alcotest.(check int) "same conflicts with --timeout 60"
         (conflicts []) (conflicts [ "--timeout"; "60" ]))
 
+(* a counterexample shows each cycle's primary inputs by name, and no
+   cycle lines for a design without inputs: here one DFF that toggles
+   from 0, so bad rises in the second cycle *)
+let bmc_counterexample_inputs () =
+  in_tmp ".bench" (fun bench ->
+      let oc = open_out bench in
+      output_string oc "OUTPUT(bad)\nq = DFF(nq)\nnq = NOT(q)\nbad = BUF(q)\n";
+      close_out oc;
+      let code, lines =
+        run_lines ~exe:(tool "bmc_tool") [ "--bench"; bench; "--bound"; "5" ]
+      in
+      Alcotest.(check int) "toggle exits 0" 0 code;
+      Alcotest.(check string) "toggle verdict" "counterexample of length 2:"
+        (List.hd lines);
+      Alcotest.(check bool) "no cycle lines" false
+        (List.exists (String.starts_with ~prefix:"  cycle") lines));
+  let code, lines =
+    run_lines ~exe:(tool "bmc_tool") [ "--bits"; "2"; "--bound"; "5" ]
+  in
+  Alcotest.(check int) "counter exits 0" 0 code;
+  (* bad reads the count of the last cycle, whose input is free *)
+  Alcotest.(check (list string)) "counter cycles"
+    [ "counterexample of length 4:"; "  cycle 0: enable=true";
+      "  cycle 1: enable=true"; "  cycle 2: enable=true" ]
+    (List.filteri (fun i _ -> i < 4) lines)
+
 (* a malformed BENCH file is a usage error: exit 2 and one
    "TOOL: FILE: message" line on stderr, never an uncaught exception *)
 let malformed_bench name ?(dff_too = false) args_of () =
@@ -300,4 +326,5 @@ let suite =
       (malformed_bench "atpg_tool" ~dff_too:true (fun f -> [ f ]));
     Th.case "bmc_tool malformed BENCH"
       (malformed_bench "bmc_tool" (fun f -> [ "--bench"; f ]));
+    Th.case "bmc_tool counterexample inputs" bmc_counterexample_inputs;
   ]

@@ -539,6 +539,41 @@ let level0_chains_in_hints () =
                         let v = 1 + Sat.Rng.int rng 40 in
                         if Sat.Rng.bool rng then v else -v))) )))
 
+(* A level-0 implication path of 3,000 variables that php(6,5) clauses
+   reach through literals false at level 0: the hints still hold, and
+   the cached chains stay linear in the path (one chain per variable
+   along it would be about 4.5M words). *)
+let level0_chains_stay_linear () =
+  let len = 3000 in
+  let v i j = len + (i * 5) + j + 1 in
+  let path = [ 1 ] :: List.init (len - 1) (fun i -> [ -(i + 1); i + 2 ]) in
+  let pigeons = List.init 6 (fun i -> -len :: List.init 5 (fun j -> v i j)) in
+  let holes =
+    List.concat
+      (List.init 5 (fun j ->
+           List.concat
+             (List.init 6 (fun i1 ->
+                  List.init (5 - i1) (fun k ->
+                      let i2 = i1 + 1 + k in
+                      [ -(v i1 j); -(v i2 j); -(len - (((7 * i1) + (13 * i2) + j) mod 1500)) ])))))
+  in
+  let f = Th.formula_of (path @ pigeons @ holes) in
+  Gc.compact ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let s = Sat.Cdcl.create ~config:proof_config f in
+  (match Sat.Cdcl.solve s with
+   | Sat.Types.Unsat -> ()
+   | _ -> Alcotest.fail "expected UNSAT");
+  Gc.compact ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  if grown > 2_000_000 then
+    Alcotest.failf "the solver holds %d words after the search" grown;
+  match P.trim_hinted f (Sat.Cdcl.proof s) with
+  | P.Trimmed { lines; kept_adds; _ }, hinted ->
+    Alcotest.(check int) "kept lemmas from hints" kept_adds hinted;
+    if P.check_lrat f lines <> Ok () then Alcotest.fail "the certificate fails"
+  | _ -> Alcotest.fail "trim failed"
+
 (* One hint of one hinted addition dropped, swapped with its neighbour
    or pointed at another clause: the step falls back to RUP, so the
    stream still trims, and the certificate replays. *)
@@ -640,6 +675,67 @@ let drat_stream_pinned () =
   Alcotest.(check string) "DRAT digest" "90fc5928b440808a6e37ba1db0f7703f"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Every way [check_lrat] rejects a certificate, each on a one- or
+   two-line edit of a valid refutation of the four clauses over x1, x2
+   (ids 1-4): line 5 derives (2) from 1 and 2, line 6 the empty
+   clause. *)
+let lrat_rejections () =
+  let f = Th.formula_of [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ]; [ -1; -2 ] ] in
+  let line id lits hints =
+    { P.id; lits = Cnf.Clause.of_dimacs_list lits; hints = Array.of_list hints }
+  in
+  let unit2 = line 5 [ 2 ] [ 1; 2 ] and empty = line 6 [] [ 5; 3; 4 ] in
+  let check name expected lines =
+    Alcotest.(check (result unit string)) name expected (P.check_lrat f lines)
+  in
+  check "valid" (Ok ()) [ unit2; empty ];
+  check "no lines" (Error "proof ends without an empty-clause line") [];
+  check "id not above the formula's"
+    (Error "line 1: id 4 not above previous id 4")
+    [ line 4 [ 2 ] [ 1; 2 ]; empty ];
+  check "repeated id" (Error "line 2: id 5 not above previous id 5")
+    [ unit2; line 5 [] [ 5; 3; 4 ] ];
+  check "unknown hint" (Error "line 1: hint 9 names an unknown clause")
+    [ line 5 [ 2 ] [ 1; 9 ]; empty ];
+  check "hint to a later line" (Error "line 1: hint 6 names an unknown clause")
+    [ line 5 [ 2 ] [ 1; 6 ]; empty ];
+  check "hint to its own line" (Error "line 1: hint 5 names an unknown clause")
+    [ line 5 [ 2 ] [ 1; 5 ]; empty ];
+  check "satisfied hint" (Error "line 1: hint 3 is satisfied, not unit")
+    [ line 5 [ 2 ] [ 3; 1; 2 ]; empty ];
+  check "non-unit hint" (Error "line 2: hint 1 is not unit (2 unassigned)")
+    [ unit2; line 6 [] [ 1; 5; 3; 4 ] ];
+  check "no conflict" (Error "line 1: hints ended without a conflict")
+    [ line 5 [ 2 ] [ 1 ]; empty ];
+  check "no hints" (Error "line 1: hints ended without a conflict")
+    [ line 5 [ 2 ] []; empty ];
+  check "early conflict"
+    (Error "line 1: hint 2 conflicts before the final hint")
+    [ line 5 [ 2 ] [ 1; 2; 3 ]; empty ];
+  check "non-empty final line"
+    (Error "line 1: final line is not the empty clause") [ unit2 ];
+  check "zero hint" (Error "line 1: RAT hint 0 unsupported")
+    [ line 5 [ 2 ] [ 0; 1; 2 ]; empty ];
+  check "negative hint" (Error "line 2: RAT hint -3 unsupported")
+    [ unit2; line 6 [] [ 5; -3; 4 ] ];
+  (* ids may skip, but the table stays the size of the input: a huge id
+     is checked without allocating anything on its scale *)
+  let huge = 1_000_000_000_000_000 in
+  let f1 = Th.formula_of [ [ 1 ]; [ -1 ] ] in
+  let lines = [ line huge [] [ 1; 2 ] ] in
+  let before = Gc.allocated_bytes () in
+  Alcotest.(check (result unit string)) "huge id" (Ok ()) (P.check_lrat f1 lines);
+  Alcotest.(check (result unit string)) "huge id, bad hint"
+    (Error "line 1: hint 3 names an unknown clause")
+    (P.check_lrat f1 [ line huge [] [ 1; 3 ] ]);
+  Alcotest.(check (result unit string)) "hint to a huge id"
+    (Error (Printf.sprintf "line 1: hint %d names an unknown clause" huge))
+    (P.check_lrat f1 [ line 3 [] [ huge ] ]);
+  if Gc.allocated_bytes () -. before > 1e6 then
+    Alcotest.fail "a huge id allocated on its scale";
+  check "skipped ids"
+    (Ok ()) [ line 7 [ 2 ] [ 1; 2 ]; line huge [] [ 7; 3; 4 ] ]
+
 let suite =
   [
     Th.case "certified unsat" certified_unsat;
@@ -667,7 +763,9 @@ let suite =
     Th.qcheck prop_pipeline_hints_hold;
     Th.case "circuit pipeline hints hold" circuit_pipeline_hints_hold;
     Th.case "level-0 chains in hints" level0_chains_in_hints;
+    Th.case "level-0 chains stay linear" level0_chains_stay_linear;
     Th.qcheck prop_perturbed_hints_trim_soundly;
     Th.case "forged hints rejected" forged_hints_rejected;
+    Th.case "LRAT rejections" lrat_rejections;
     Th.case "DRAT stream pinned" drat_stream_pinned;
   ]
